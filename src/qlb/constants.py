@@ -1,12 +1,14 @@
-"""Physical constants used across the toolkit (CODATA, via scipy).
+"""Physical constants used across the toolkit (CODATA 2022).
 
-Centralized so the pipeline can print the exact values into report
-provenance.
+Written as literals rather than imported from ``scipy.constants``, whose
+import costs a sizeable share of start-up; a test checks them against
+scipy.  Centralized so the pipeline can print the exact values into
+report provenance.
 """
 
-from scipy.constants import hbar as HBAR  # J s
-from scipy.constants import k as K_B  # J / K
-from scipy.constants import epsilon_0 as EPS0  # F / m
+HBAR = 1.0545718176461565e-34  # J s, h / 2 pi with h = 6.62607015e-34 exact
+K_B = 1.380649e-23  # J / K, exact
+EPS0 = 8.8541878188e-12  # F / m
 
 CONSTANTS_TABLE = {
     "hbar_J_s": HBAR,

@@ -4,6 +4,8 @@ Each error class carries the process exit code used by the command-line
 driver, so stage wrappers can map failures to machine-readable categories.
 """
 
+import math
+
 
 class QlbError(Exception):
     """Base class for all toolkit errors."""
@@ -27,6 +29,24 @@ class DatasetError(QlbError):
     """Dataset is empty, too small, or does not cover the required range."""
 
     exit_code = 3
+
+
+def dataset_float(cell, path, line: int, column) -> float:
+    """Parse one dataset cell as a finite float.
+
+    A missing (None or blank), non-numeric or non-finite cell raises a
+    DatasetError that names the file, line and column.
+    """
+    try:
+        value = float(cell)
+    except (TypeError, ValueError):
+        missing = cell is None or not cell.strip()
+        problem = "missing value" if missing else f"non-numeric value {cell!r}"
+    else:
+        if math.isfinite(value):
+            return value
+        problem = f"non-finite value {cell!r}"
+    raise DatasetError(f"{path}, line {line}, column {column}: {problem}")
 
 
 class ConvergenceError(QlbError):

@@ -26,7 +26,12 @@ from . import spr as spr_mod
 from . import tls as tls_mod
 from . import xps as xps_mod
 from .constants import CONSTANTS_TABLE
-from .errors import ConfigurationError, DatasetError, InconsistentInputsWarning
+from .errors import (
+    ConfigurationError,
+    DatasetError,
+    InconsistentInputsWarning,
+    dataset_float,
+)
 from .uncert import UValue
 
 __all__ = [
@@ -120,7 +125,8 @@ def load_config(path) -> AnalysisConfig:
         raise ConfigurationError(f"config file not found: {path}")
     raw_bytes = path.read_bytes()
     try:
-        raw = yaml.safe_load(raw_bytes)
+        # libyaml's C parser when PyYAML was built with it; same safe constructor
+        raw = yaml.load(raw_bytes, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
@@ -324,13 +330,27 @@ def load_config(path) -> AnalysisConfig:
 # CSV ingestion
 
 
-def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
+def _read_csv(path: Path, columns: tuple[str, ...],
+              text: tuple[str, ...] = ()) -> list[dict]:
+    """Non-blank data rows of a headed CSV as {column: value} dicts.
+
+    Every column not listed in ``text`` is parsed as a finite float; a bad
+    or missing cell raises DatasetError naming the file, line and column.
+    """
+    rows = []
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         missing = set(columns) - set(reader.fieldnames or ())
         if missing:
             raise DatasetError(f"{path}: missing column(s) {sorted(missing)}")
-        rows = [row for row in reader if any((v or "").strip() for v in row.values())]
+        for row in reader:
+            if not any((row[c] or "").strip() for c in columns):
+                continue
+            line = reader.line_num
+            rows.append({
+                c: row[c] if c in text else dataset_float(row[c], path, line, repr(c))
+                for c in columns
+            })
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return rows
@@ -339,29 +359,28 @@ def _read_csv(path: Path, columns: tuple[str, ...]) -> list[dict]:
 def read_q_grid(path: Path) -> list[tls_mod.QPoint]:
     rows = _read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"))
     return [
-        tls_mod.QPoint(float(r["n_bar"]), float(r["temperature_K"]),
-                       UValue(float(r["q_int"]), float(r["sigma"])))
+        tls_mod.QPoint(r["n_bar"], r["temperature_K"], UValue(r["q_int"], r["sigma"]))
         for r in rows
     ]
 
 
 def read_spr_points(path: Path) -> dict[str, list[spr_mod.SprPoint]]:
-    rows = _read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"))
+    rows = _read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"), text=("treatment",))
     grouped: dict[str, list[spr_mod.SprPoint]] = {}
     for r in rows:
-        q = float(r["q_tls0"])
-        sq = float(r["sigma_q"])
+        q = r["q_tls0"]
+        sq = r["sigma_q"]
         # convert Q +- sigma to 1/Q +- sigma/(Q^2)
         grouped.setdefault(r["treatment"], []).append(
-            spr_mod.SprPoint(float(r["p_ms"]), UValue(1.0 / q, sq / q ** 2))
+            spr_mod.SprPoint(r["p_ms"], UValue(1.0 / q, sq / q ** 2))
         )
     return grouped
 
 
 def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
     rows = _read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"))
-    times = [float(r["time_hours"]) for r in rows]
-    thick = [UValue(float(r["thickness_nm"]), float(r["sigma_nm"])) for r in rows]
+    times = [r["time_hours"] for r in rows]
+    thick = [UValue(r["thickness_nm"], r["sigma_nm"]) for r in rows]
     return times, thick
 
 

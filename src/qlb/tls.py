@@ -64,8 +64,9 @@ class QPoint:
             raise InvalidInputError("q_int must be > 0")
 
 
-def _tanh_factor(f0: float, temperature: float) -> float:
-    return math.tanh(HBAR * 2.0 * math.pi * f0 / (2.0 * K_B * temperature))
+def _tanh_factor(f0: float, temperature):
+    """tanh(hbar w / 2 kB T) for a scalar or an array of temperatures."""
+    return np.tanh(HBAR * 2.0 * np.pi * f0 / (2.0 * K_B * temperature))
 
 
 def q_tls(n_bar: float, temperature: float, params: TlsParams) -> float:
@@ -89,11 +90,29 @@ def rescale_q_tls0(params: TlsParams, n_bar: float, temperature: float) -> UValu
     return params.q_tls0.scaled(factor)
 
 
-def _model_inv_q(n, T, f0, q_tls0, D, beta1, beta2, q_other):
-    th = np.tanh(HBAR * 2.0 * np.pi * f0 / (2.0 * K_B * T))
+def _physical(theta):
+    """(q_tls0, D, beta1, beta2, q_other) from the fit's log-parameter vector."""
+    return (np.exp(theta[0]), np.exp(theta[1]), theta[2], theta[3], np.exp(theta[4]))
+
+
+def _model_inv_q(n, T, th, q_tls0, D, beta1, beta2, q_other):
     sat = n ** beta2 / (D * T ** beta1)
     qtls = q_tls0 * np.sqrt(1.0 + sat * th) / th
     return 1.0 / qtls + 1.0 / q_other
+
+
+def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
+    """Jacobian of ``_model_inv_q`` with respect to the log-parameters theta.
+
+    With g = th / (q_tls0 sqrt(1 + s th)) and s = n^b2 / (D T^b1), the
+    saturation columns share h = g s th / (2 (1 + s th)).  ``ln_n`` must be
+    0 where n = 0, so those rows get a zero beta2 column (s = 0 there).
+    """
+    q0, D, b1, b2, qo = _physical(theta)
+    s_th = n ** b2 / (D * T ** b1) * th
+    g = th / (q0 * np.sqrt(1.0 + s_th))
+    h = 0.5 * g * s_th / (1.0 + s_th)
+    return np.column_stack([-g, h, h * ln_T, -h * ln_n, np.full_like(g, -1.0 / qo)])
 
 
 def fit_tls(
@@ -107,10 +126,10 @@ def fit_tls(
 
     Points at or above the quasiparticle cutoff temperature are dropped.
     Fits 1/Q_int residuals weighted by their sigma using bounded damped
-    least squares in log-parameter space for the positive scale parameters.
-    Returns the fitted parameters (q_tls0 sigma from the covariance
-    diagonal) and the full 5x5 covariance matrix in the order
-    (q_tls0, D, beta1, beta2, q_other).
+    least squares in log-parameter space for the positive scale parameters,
+    with the analytic Jacobian of ``_model_inv_q_jac``.  Returns the fitted
+    parameters (q_tls0 sigma from the covariance diagonal) and the full 5x5
+    covariance matrix in the order (q_tls0, D, beta1, beta2, q_other).
     """
     kept = [p for p in points if p.temperature < qp_cutoff_temperature]
     if len(kept) < 5:
@@ -145,19 +164,23 @@ def fit_tls(
     lower = np.array([np.log(1.0), lo_logD, lo_beta1, lo_beta2, np.log(1.0)])
     upper = np.array([np.log(1e12), hi_logD, hi_beta1, hi_beta2, np.log(1e14)])
 
-    def resid(theta):
-        q0, D, b1, b2, qo = (np.exp(theta[0]), np.exp(theta[1]),
-                             theta[2], theta[3], np.exp(theta[4]))
-        return (_model_inv_q(n, T, f0, q0, D, b1, b2, qo) - y) / sig
+    th = _tanh_factor(f0, T)
+    ln_T = np.log(T)
+    ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
 
-    res = least_squares(resid, theta0, bounds=(lower, upper),
+    def resid(theta):
+        return (_model_inv_q(n, T, th, *_physical(theta)) - y) / sig
+
+    def jac(theta):
+        return _model_inv_q_jac(theta, n, T, th, ln_T, ln_n) / sig[:, None]
+
+    res = least_squares(resid, theta0, jac=jac, bounds=(lower, upper),
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
     if not res.success:
         raise ConvergenceError("TLS fit did not converge",
                                residual=float(np.max(np.abs(res.fun))))
 
-    q0, D, b1, b2, qo = (np.exp(res.x[0]), np.exp(res.x[1]),
-                         res.x[2], res.x[3], np.exp(res.x[4]))
+    q0, D, b1, b2, qo = _physical(res.x)
     # covariance in physical parameters via the log-space jacobian
     J = res.jac
     try:

@@ -27,6 +27,7 @@ from .errors import (
     DatasetError,
     DegenerateSystemError,
     InvalidInputError,
+    dataset_float,
 )
 from .uncert import UValue, propagate
 
@@ -176,16 +177,70 @@ def _lineshape(x, shape, center, fwhm, area):
     )
 
 
-def _component_sum(x, components):
+def _lineshape_grad(x, shape, center, fwhm, area):
+    """``_lineshape`` and its derivatives with respect to (center, fwhm, area).
+
+    The area derivative is the unit-area shape rather than value / area,
+    so it stays defined for an area at its lower bound of 0.
+    """
+    u = x - center
+    if shape == "lorentzian":
+        gamma = fwhm / 2.0
+        den = u ** 2 + gamma ** 2
+        unit = gamma / (math.pi * den)
+        value = area * unit
+        d_center = value * 2.0 * u / den
+        d_fwhm = area * (u ** 2 - gamma ** 2) / (2.0 * math.pi * den ** 2)
+    else:
+        z2 = (u / fwhm) ** 2
+        unit = (_GAUSS_NORM / fwhm) * np.exp(-4.0 * math.log(2.0) * z2)
+        value = area * unit
+        d_center = value * 8.0 * math.log(2.0) * u / fwhm ** 2
+        d_fwhm = value * (8.0 * math.log(2.0) * z2 - 1.0) / fwhm
+    return value, d_center, d_fwhm, unit
+
+
+def _peak_model(x, model, p):
+    """Sum of the ``model`` peaks at p = (center, fwhm, area) per component.
+
+    Only shape, doublet and splitting are read from the templates; doublet
+    1/2 partners are added at center + splitting with 1/DOUBLET_AREA_RATIO
+    of the area.
+    """
     total = np.zeros_like(x)
-    for c in components:
-        total += _lineshape(x, c.shape, c.center, c.fwhm, c.area)
+    for i, c in enumerate(model):
+        center, fwhm, area = p[3 * i], p[3 * i + 1], p[3 * i + 2]
+        total += _lineshape(x, c.shape, center, fwhm, area)
         if c.doublet:
             total += _lineshape(
-                x, c.shape, c.center + c.splitting, c.fwhm,
-                c.area / DOUBLET_AREA_RATIO,
+                x, c.shape, center + c.splitting, fwhm, area / DOUBLET_AREA_RATIO,
             )
     return total
+
+
+def _peak_model_jac(x, model, p):
+    """Jacobian of ``_peak_model`` with respect to p; a doublet's 1/2
+    partner is accumulated into its 3/2 member's columns."""
+    J = np.empty((x.size, len(p)))
+    for i, c in enumerate(model):
+        center, fwhm, area = p[3 * i], p[3 * i + 1], p[3 * i + 2]
+        _, d_center, d_fwhm, d_area = _lineshape_grad(x, c.shape, center, fwhm, area)
+        if c.doublet:
+            _, dc, dw, da = _lineshape_grad(
+                x, c.shape, center + c.splitting, fwhm, area / DOUBLET_AREA_RATIO,
+            )
+            d_center += dc
+            d_fwhm += dw
+            d_area += da / DOUBLET_AREA_RATIO
+        J[:, 3 * i] = d_center
+        J[:, 3 * i + 1] = d_fwhm
+        J[:, 3 * i + 2] = d_area
+    return J
+
+
+def _component_sum(x, components):
+    return _peak_model(x, components, [v for c in components
+                                       for v in (c.center, c.fwhm, c.area)])
 
 
 def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
@@ -209,7 +264,11 @@ def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
 
 
 def load_spectrum(path) -> XpsSpectrum:
-    """Read a two-column CSV (binding_energy_eV, counts) with header."""
+    """Read a two-column CSV (binding_energy_eV, counts) with header.
+
+    A missing, non-numeric or non-finite cell raises DatasetError naming
+    the file and line.
+    """
     path = Path(path)
     rows = []
     with path.open(newline="") as fh:
@@ -224,9 +283,11 @@ def load_spectrum(path) -> XpsSpectrum:
         else:
             raise DatasetError(f"{path}: header row required, got numeric first row")
         for row in reader:
-            if not row or not row[0].strip():
+            if not "".join(row).strip():
                 continue
-            rows.append((float(row[0]), float(row[1])))
+            line = reader.line_num
+            rows.append((dataset_float(row[0], path, line, 1),
+                         dataset_float(row[1] if len(row) > 1 else None, path, line, 2)))
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     be = np.array([r[0] for r in rows])
@@ -337,7 +398,8 @@ def fit_components(
     Fit parameters per template component: center (bounded by its
     ``center_window``), fwhm, area.  Doublet 1/2 partners are generated
     exactly (shared fwhm, +splitting, half area), never fitted.  Weights
-    are Poisson-like, 1/max(I, 1).
+    are Poisson-like, 1/max(I, 1).  The model is evaluated straight from the
+    parameter vector, with the analytic Jacobian of ``_peak_model_jac``.
     """
     if not model:
         raise InvalidInputError("model needs >= 1 component")
@@ -357,22 +419,22 @@ def fit_components(
         upper += [c.center + c.center_window, fwhm_bounds[1], np.inf]
     p0 = np.clip(p0, lower, upper)
 
-    def unpack(p):
-        return [
-            replace(c, center=p[3 * i], fwhm=p[3 * i + 1], area=p[3 * i + 2])
-            for i, c in enumerate(model)
-        ]
-
     def resid(p):
-        return (_component_sum(x, unpack(p)) - y) * w
+        return (_peak_model(x, model, p) - y) * w
 
-    res = least_squares(resid, p0, bounds=(np.array(lower), np.array(upper)),
+    def jac(p):
+        return _peak_model_jac(x, model, p) * w[:, None]
+
+    res = least_squares(resid, p0, jac=jac, bounds=(np.array(lower), np.array(upper)),
                         xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
     if not res.success:
         raise ConvergenceError("component fit did not converge",
                                residual=float(np.max(np.abs(res.fun))))
 
-    fitted = unpack(res.x)
+    fitted = [
+        replace(c, center=res.x[3 * i], fwhm=res.x[3 * i + 1], area=res.x[3 * i + 2])
+        for i, c in enumerate(model)
+    ]
     names = []
     for c in model:
         names += [f"{c.label}.center", f"{c.label}.fwhm", f"{c.label}.area"]

@@ -38,6 +38,12 @@ def write_config(tmp_path, mutate=None):
     return path
 
 
+def set_spr_files(raw, path):
+    for treatment in raw["treatments"].values():
+        if treatment.get("points_file"):
+            treatment["points_file"] = path
+
+
 class TestConfigLoading:
     def test_bundled_defaults_load(self):
         cfg = load_config(paper_defaults_path())
@@ -81,6 +87,14 @@ class TestConfigLoading:
     def test_nonexistent_config(self):
         with pytest.raises(ConfigurationError):
             load_config("/no/such/config.yaml")
+
+
+    def test_libyaml_parity(self):
+        if not hasattr(yaml, "CSafeLoader"):
+            pytest.skip("PyYAML built without libyaml")
+        text = paper_defaults_path().read_bytes()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader))
 
 
 def test_read_spr_points_converts_q_to_inv_q(tmp_path):
@@ -176,6 +190,44 @@ class TestCli:
                        "report"])
         assert rc == 2
 
+    def test_malformed_yaml_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("participation: [1, 2\n")
+        rc = cli.main(["--config", str(bad), "--out", str(tmp_path / "out"),
+                       "report"])
+        assert rc == 2
+        assert "cannot parse" in capsys.readouterr().err
+
+    # stage -> (bundled data file, config setter) for every CSV reader
+    CSV_READERS = {
+        "tls-fit": ("tls_points.csv",
+                    lambda raw, f: raw["tls"].update(points_file=f)),
+        "spr-fit": ("spr_points.csv", set_spr_files),
+        "xps-fit": ("xps_al2p.csv",
+                    lambda raw, f: raw["xps"].update(spectrum_file=f)),
+        "kinetics": ("kinetics_native_oxide.csv",
+                     lambda raw, f: raw["kinetics"].update(points_file=f)),
+    }
+    # rewrite of the last cell of data line 3
+    CSV_DEFECTS = {
+        "non-numeric": lambda cells: cells[:-1] + ["abc"],
+        "short-row": lambda cells: cells[:-1],
+        "non-finite": lambda cells: cells[:-1] + ["nan"],
+    }
+
+    @pytest.mark.parametrize("defect", sorted(CSV_DEFECTS))
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_malformed_csv_is_dataset_error(self, tmp_path, capsys, stage, defect):
+        name, set_file = self.CSV_READERS[stage]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        lines[2] = ",".join(self.CSV_DEFECTS[defect](lines[2].split(",")))
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert f"{bad}, line 3" in capsys.readouterr().err
+
     def test_unconfigured_single_stage_is_dataset_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda raw: raw.pop("kinetics"))
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -196,3 +248,27 @@ class TestCli:
         assert rc == 0
         assert (out / "report.json").is_file()
         assert (out / "budget.csv").is_file()
+
+
+class TestPinnedFit:
+    """Fitted values of the bundled paper-defaults report, pinned at 1e-6."""
+
+    @pytest.fixture(scope="class")
+    def stages(self):
+        cfg = load_config(paper_defaults_path())
+        return run_report(cfg, stages=("tls-fit", "xps-fit"))["stages"]
+
+    def test_tls_fit(self, stages):
+        tls = stages["tls_fit"]
+        assert tls["q_tls0"]["value"] == pytest.approx(1206152.393, rel=1e-6)
+        assert tls["D"] == pytest.approx(22335.307, rel=1e-6)
+        assert tls["beta1"] == pytest.approx(1.0253797, rel=1e-6)
+        assert tls["beta2"] == pytest.approx(0.8045878, rel=1e-6)
+        assert tls["q_other"] == pytest.approx(5808250.39, rel=1e-6)
+
+    def test_xps_fit(self, stages):
+        xps = stages["xps_fit"]
+        assert xps["areas"]["Al0"] == pytest.approx(643.58012, rel=1e-6)
+        assert xps["areas"]["Al3+"] == pytest.approx(495.59219, rel=1e-6)
+        assert xps["areas"]["Al_int"] == pytest.approx(226.70439, rel=1e-6)
+        assert xps["oxide_thickness_nm"]["value"] == pytest.approx(2.7471258, rel=1e-6)

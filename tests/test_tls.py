@@ -7,7 +7,17 @@ from hypothesis import strategies as st
 
 from qlb.constants import HBAR, K_B
 from qlb.errors import DatasetError, InvalidInputError
-from qlb.tls import QPoint, TlsParams, fit_tls, photon_number, q_tls, rescale_q_tls0
+from qlb.tls import (
+    QPoint,
+    TlsParams,
+    _model_inv_q,
+    _model_inv_q_jac,
+    _physical,
+    fit_tls,
+    photon_number,
+    q_tls,
+    rescale_q_tls0,
+)
 from qlb.uncert import UValue
 
 F0 = 5e9
@@ -107,11 +117,68 @@ class TestFit:
         with pytest.raises(DatasetError):
             fit_tls(pts, f0=F0)
 
+    def test_zero_photon_rows(self):
+        pts = grid_points(TRUE) + [
+            QPoint(0.0, T, UValue(1.0 / (1.0 / q_tls(0.0, T, TRUE) + 1.0 / TRUE.q_other),
+                                  1e-4 * TRUE.q_tls0.value))
+            for T in (0.010, 0.050)
+        ]
+        params, cov = fit_tls(pts, f0=F0)
+        assert np.all(np.isfinite(cov))
+        assert params.q_tls0.value == pytest.approx(TRUE.q_tls0.value, rel=1e-3)
+        assert params.beta2 == pytest.approx(TRUE.beta2, rel=1e-3)
+
     def test_noisy_fit_sigma_is_meaningful(self):
         params, _ = fit_tls(grid_points(TRUE, noise=0.01, seed=11), f0=F0)
         pull = abs(params.q_tls0.value - TRUE.q_tls0.value) / params.q_tls0.sigma
         assert params.q_tls0.sigma > 0
         assert pull < 5.0
+
+
+class TestJacobian:
+    """The analytic log-parameter Jacobian against central differences."""
+
+    n = np.tile(np.concatenate([[0.0], np.geomspace(0.1, 1e5, 7)]), 4)
+    T = np.repeat([0.010, 0.030, 0.060, 0.110], 8)
+    th = np.tanh(HBAR * 2.0 * np.pi * F0 / (2.0 * K_B * T))
+
+    def model(self, theta):
+        return _model_inv_q(self.n, self.T, self.th, *_physical(theta))
+
+    def central_difference(self, theta):
+        cols = []
+        for k in range(theta.size):
+            h = 1e-6 * max(1.0, abs(theta[k]))
+            step = np.zeros_like(theta)
+            step[k] = h
+            cols.append((self.model(theta + step) - self.model(theta - step)) / (2 * h))
+        return np.column_stack(cols)
+
+    def random_thetas(self):
+        rng = np.random.default_rng(5)
+        thetas = [np.array([np.log(rng.uniform(1e5, 1e7)), np.log(rng.uniform(1e-2, 1e6)),
+                            rng.uniform(0.05, 4.0), rng.uniform(0.05, 4.0),
+                            np.log(rng.uniform(1e6, 1e8))]) for _ in range(6)]
+        # next to the default beta bounds (0.05, 4.0)
+        for b1, b2 in ((0.0501, 0.0501), (3.999, 3.999), (0.0501, 3.999)):
+            thetas.append(np.array([np.log(1.2e6), np.log(2e4), b1, b2, np.log(6e6)]))
+        return thetas
+
+    def test_matches_central_difference(self):
+        ln_n = np.log(self.n, out=np.zeros_like(self.n), where=self.n > 0)
+        for theta in self.random_thetas():
+            J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)
+            assert np.all(np.isfinite(J))
+            J_fd = self.central_difference(theta)
+            # near-zero entries are judged against their column
+            scale = np.abs(J_fd).max(axis=0)
+            np.testing.assert_allclose(J / scale, J_fd / scale, rtol=1e-5, atol=1e-5)
+
+    def test_zero_photon_rows_have_zero_beta2_column(self):
+        ln_n = np.log(self.n, out=np.zeros_like(self.n), where=self.n > 0)
+        for theta in self.random_thetas():
+            J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)
+            assert np.all(J[self.n == 0, 3] == 0.0)
 
 
 def test_photon_number_closed_form():

@@ -16,7 +16,11 @@ from qlb.xps import (
     PeakComponent,
     StrohmeierConstants,
     XpsSpectrum,
+    _component_sum,
     _lineshape,
+    _lineshape_grad,
+    _peak_model,
+    _peak_model_jac,
     calibrate_energy,
     component_area,
     expand_doublets,
@@ -56,6 +60,55 @@ class TestLineshapes:
             PeakComponent("x", "voigt", 72.6, 0.45)
         with pytest.raises(InvalidInputError):
             PeakComponent("x", "gaussian", 72.6, -1.0)
+
+
+class TestFitJacobian:
+    """The analytic model Jacobian against central differences."""
+
+    x = np.arange(68.0, 82.0, 0.05)
+    model = (
+        PeakComponent("L", "lorentzian", 72.6, 0.45, area=300.0),
+        PeakComponent("G", "gaussian", 75.5, 1.7, area=250.0),
+        PeakComponent("Ld", "lorentzian", 73.1, 0.6, area=120.0, doublet=True),
+        PeakComponent("Gd", "gaussian", 74.1, 1.3, area=200.0, doublet=True),
+        PeakComponent("Z", "gaussian", 77.0, 0.9, area=0.0, doublet=True),
+    )
+
+    def central_difference(self, p):
+        cols = []
+        for k in range(p.size):
+            h = 1e-6 * max(1.0, abs(p[k]))
+            step = np.zeros_like(p)
+            step[k] = h
+            cols.append((_peak_model(self.x, self.model, p + step)
+                         - _peak_model(self.x, self.model, p - step)) / (2 * h))
+        return np.column_stack(cols)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_central_difference(self, seed):
+        rng = np.random.default_rng(seed)
+        p = np.array([v for c in self.model for v in (c.center, c.fwhm, c.area)])
+        p[0::3] += rng.uniform(-0.2, 0.2, len(self.model))
+        p[1::3] *= rng.uniform(0.7, 1.4, len(self.model))
+        p[2::3] *= rng.uniform(0.5, 2.0, len(self.model))  # keeps Z at area 0
+        J = _peak_model_jac(self.x, self.model, p)
+        J_fd = self.central_difference(p)
+        # near-zero entries are judged against their column; all-zero columns stay 0
+        scale = np.maximum(np.abs(J_fd).max(axis=0), np.finfo(float).tiny)
+        np.testing.assert_allclose(J / scale, J_fd / scale, rtol=1e-5, atol=1e-5)
+        # a zero area still gets a nonzero area column, so it can leave its bound
+        assert np.abs(J[:, -1]).max() > 0
+
+    @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
+    def test_kernel_value_matches_lineshape(self, shape):
+        value, *_ = _lineshape_grad(self.x, shape, 74.0, 0.8, 33.0)
+        np.testing.assert_allclose(value, _lineshape(self.x, shape, 74.0, 0.8, 33.0),
+                                   rtol=1e-14)
+
+    def test_parameter_model_matches_component_sum(self):
+        p = [v for c in self.model for v in (c.center, c.fwhm, c.area)]
+        np.testing.assert_array_equal(_peak_model(self.x, self.model, p),
+                                      _component_sum(self.x, self.model))
 
 
 class TestSpectrumIngestion:
