@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 from .uncert import UValue, combine_linear, combine_product, combine_quotient
 from .uncert import propagate, mc_propagate
 from .tls import TlsParams, QPoint, q_tls, fit_tls, rescale_q_tls0
-from .spr import SprPoint, TreatmentDataset, fit_through_origin, pool_tangents
+from .spr import SprPoint, fit_through_origin, pool_tangents
 from .budget import (
     ParticipationConfig,
     BudgetResult,

@@ -31,6 +31,10 @@ class DatasetError(QlbError):
     exit_code = 3
 
 
+class StageNotConfigured(DatasetError):
+    """A stage's input is absent from the config; a report skips the stage."""
+
+
 def dataset_float(cell, path, line: int, column) -> float:
     """Parse one dataset cell as a finite float.
 

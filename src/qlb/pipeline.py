@@ -1,8 +1,10 @@
 """Configuration loading, stage orchestration, and report emission.
 
-A single YAML config drives every stage.  The loader is strict: unknown
-keys are rejected, every referenced file must exist, and any field that
-falls back to a shipped default is recorded in report provenance.
+A single YAML config drives every stage.  Its schema is declared once, in
+``SCHEMA``, and ``load_config`` checks a config against it: unknown keys
+are rejected, numbers must be finite, every referenced file must exist,
+and any field that falls back to a shipped default is recorded in report
+provenance.
 """
 
 from __future__ import annotations
@@ -10,7 +12,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import reprlib
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
@@ -30,6 +35,7 @@ from .errors import (
     ConfigurationError,
     DatasetError,
     InconsistentInputsWarning,
+    StageNotConfigured,
     dataset_float,
 )
 from .uncert import UValue
@@ -60,10 +66,11 @@ class AnalysisConfig:
     qubit_tangents: dict  # regime -> TangentSet
     q_measured: UValue
     strohmeier: xps_mod.StrohmeierConstants
+    # the validated sections below keep the YAML key names of SCHEMA
     tls: dict
-    treatments: dict  # label -> dict with tan_delta / t_ox / t_hc / points
-    xps: dict | None = None
-    kinetics_file: Path | None = None
+    treatments: dict  # label -> dict with tan_delta / t_ox / t_hc / points_file
+    xps: dict | None = None  # "components" holds PeakComponents
+    kinetics: dict | None = None
     base_dir: Path = field(default_factory=Path)
     defaults_used: list = field(default_factory=list)
     derived_flags: list = field(default_factory=list)
@@ -75,51 +82,127 @@ def paper_defaults_path() -> Path:
     return Path(resources.files("qlb") / "data" / "paper_defaults.yaml")
 
 
-def _reject_unknown(section: dict, allowed: set, where: str):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigurationError(f"unknown key(s) in {where}: {sorted(unknown)}")
+# Leaf kinds of the schema, each named by what its node must be
+NUMBER, UVALUE, STRING, BOOL, FILE, PAIR = (
+    "a finite number", "a finite number or a {value, sigma} mapping", "a string",
+    "true or false", "a path to an existing file", "a pair of finite numbers")
+
+# an optional key: an absent or null node takes the default
+Opt = namedtuple("Opt", "spec default", defaults=[None])
+
+_UVALUE_NODE = {"value": NUMBER, "sigma": Opt(NUMBER, 0.0), "derived": Opt(BOOL)}
+_TANGENTS = {"tan_capacitor": UVALUE, "tan_alox_leads": UVALUE, "tan_ms_leads": UVALUE}
+_COMPONENT = {"label": STRING, "shape": STRING, "center_ev": NUMBER, "fwhm_ev": NUMBER,
+              "doublet": Opt(BOOL, False), "center_window_ev": Opt(NUMBER, 0.2)}
+
+# The config schema: a mapping names its keys, [spec] is a list of spec and
+# {str: spec} a mapping with arbitrary string keys (the treatment labels).
+SCHEMA = {
+    "participation": {"r_ma": UVALUE, "r_sa": UVALUE, "t0": Opt(NUMBER, 3.0)},
+    "qubit": {"p_capacitor": NUMBER, "p_ms_leads": NUMBER, "p_ma_leads": NUMBER,
+              "c_shunt_fF": NUMBER, "q_measured": UVALUE,
+              "junction": {"width_nm": UVALUE, "length_nm": UVALUE,
+                           "barrier_thickness_nm": UVALUE, "eps_r": Opt(NUMBER, 9.0)},
+              "tangents": Opt({"linear-absorption": Opt(_TANGENTS),
+                               "single-photon": Opt(_TANGENTS)}, {})},
+    "strohmeier": {"lambda_m_nm": NUMBER, "lambda_ox_nm": NUMBER, "n_m": NUMBER,
+                   "n_ox": NUMBER, "theta_deg": Opt(NUMBER, 90.0)},
+    "tls": {"f0_hz": NUMBER, "points_file": Opt(FILE),
+            "qp_cutoff_temperature_k": Opt(NUMBER, tls_mod.DEFAULT_QP_CUTOFF_K),
+            "rescale_n_bar": Opt(NUMBER, 1.0),
+            "rescale_temperature_k": Opt(NUMBER, 0.010)},
+    "treatments": {str: {"tan_delta": Opt(UVALUE), "tan_delta_n1": Opt(UVALUE),
+                         "t_ox": Opt(UVALUE, 0.0), "t_hc": Opt(UVALUE, 0.0),
+                         "points_file": Opt(FILE)}},
+    "xps": Opt({"spectrum_file": Opt(FILE), "components": Opt([_COMPONENT], []),
+                "calibration": Opt({"reference_label": STRING,
+                                    "reference_energy_ev": NUMBER}),
+                "background_window_ev": Opt(PAIR, [70.0, 80.0]),
+                "metal_labels": Opt([STRING], []), "oxide_labels": Opt([STRING], [])}),
+    "kinetics": Opt({"points_file": Opt(FILE)}),
+}
 
 
-def _uvalue(node, where: str, defaults_used=None, default=None) -> UValue:
-    if node is None:
-        if default is None:
-            raise ConfigurationError(f"missing value for {where}")
-        if defaults_used is not None:
-            defaults_used.append(where)
-        return default
-    if isinstance(node, dict):
-        _reject_unknown(node, {"value", "sigma", "derived"}, where)
-        try:
-            return UValue(float(node["value"]), float(node.get("sigma", 0.0)))
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigurationError(f"bad value for {where}: {exc}") from exc
+def _number(node, where: str) -> float:
+    # float() also takes a string, as PyYAML reads a dot-less exponent (5e9) as one
     try:
-        return UValue(float(node))
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"bad value for {where}: {exc}") from exc
+        value = float(node)
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if isinstance(node, bool) or not math.isfinite(value):
+        raise _bad(where, NUMBER, node)
+    return value
 
 
-def _float(node, where: str) -> float:
-    try:
-        return float(node)
-    except (ValueError, TypeError) as exc:
-        raise ConfigurationError(f"bad number for {where}: {exc}") from exc
+def _bad(where: str, expected: str, node) -> ConfigurationError:
+    return ConfigurationError(f"{where or 'config'}: expected {expected}, "
+                              f"got {reprlib.repr(node)}")
 
 
-def _resolve_file(base: Path, name, where: str) -> Path | None:
-    if name is None:
-        return None
-    p = Path(name)
-    if not p.is_absolute():
-        p = base / p
-    if not p.is_file():
-        raise ConfigurationError(f"{where}: file not found: {p}")
-    return p
+def _validate(tree, base: Path) -> tuple[dict, list, list]:
+    """Check a parsed config against SCHEMA; return the validated tree and
+    the dotted paths of the defaults it filled and of ``derived: true`` nodes.
+    """
+    defaults_used, derived = [], []
+
+    def check(spec, node, where):
+        if isinstance(spec, list):
+            if not isinstance(node, list):
+                raise _bad(where, "a list", node)
+            return [check(spec[0], item, f"{where}[{i}]") for i, item in enumerate(node)]
+        if isinstance(spec, dict):
+            if not isinstance(node, dict):
+                raise _bad(where, "a mapping", node)
+            if str in spec:  # any string key; others are reported as unknown
+                spec = {key: spec[str] for key in node if isinstance(key, str)}
+            unknown = set(node) - set(spec)
+            if unknown:
+                raise ConfigurationError(
+                    f"unknown key(s) in {where or 'config'}: {sorted(map(str, unknown))}")
+            out = {}
+            for key, sub in spec.items():
+                at = f"{where}.{key}" if where else key
+                value = node.get(key)
+                if isinstance(sub, Opt):
+                    if value is None:
+                        if sub.default is None:
+                            out[key] = None
+                            continue
+                        defaults_used.append(at)
+                        value = sub.default
+                    sub = sub.spec
+                elif key not in node:
+                    raise ConfigurationError(f"missing required key: {at}")
+                out[key] = check(sub, value, at)
+            return out
+        if spec == UVALUE:
+            if not isinstance(node, dict):
+                return UValue(_number(node, where))
+            node = check(_UVALUE_NODE, node, where)
+            if node["derived"]:
+                derived.append(where)
+            if node["sigma"] < 0:
+                raise _bad(f"{where}.sigma", "a number >= 0", node["sigma"])
+            return UValue(node["value"], node["sigma"])
+        if spec == NUMBER:
+            return _number(node, where)
+        if spec == PAIR:
+            if not isinstance(node, list) or len(node) != 2:
+                raise _bad(where, PAIR, node)
+            return tuple(_number(x, f"{where}[{i}]") for i, x in enumerate(node))
+        if not isinstance(node, bool if spec == BOOL else str):
+            raise _bad(where, spec, node)
+        if spec == FILE:
+            node = base / node  # an absolute path replaces base
+            if not node.is_file():
+                raise ConfigurationError(f"{where}: file not found: {node}")
+        return node
+
+    return check(SCHEMA, tree, ""), defaults_used, derived
 
 
 def load_config(path) -> AnalysisConfig:
-    """Parse and validate an analysis config file."""
+    """Parse and validate an analysis config file against SCHEMA."""
     path = Path(path)
     if not path.is_file():
         raise ConfigurationError(f"config file not found: {path}")
@@ -129,197 +212,38 @@ def load_config(path) -> AnalysisConfig:
         raw = yaml.load(raw_bytes, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{path}: top level must be a mapping")
-    base = path.parent
-    defaults_used: list[str] = []
-    derived_flags: list[str] = []
+    tree, defaults_used, derived_flags = _validate(raw, path.parent)
 
-    _reject_unknown(
-        raw,
-        {"participation", "qubit", "strohmeier", "tls", "treatments", "xps", "kinetics"},
-        "config",
-    )
-    for key in ("participation", "qubit", "strohmeier", "tls", "treatments"):
-        if key not in raw:
-            raise ConfigurationError(f"missing required section: {key}")
-
-    # participation
-    part = raw["participation"]
-    _reject_unknown(part, {"r_ma", "r_sa", "t0"}, "participation")
-    for ratio in ("r_ma", "r_sa"):
-        node = part.get(ratio)
-        if isinstance(node, dict) and node.get("derived"):
-            derived_flags.append(f"participation.{ratio}")
-    t0 = _float(part.get("t0", 3.0), "participation.t0")
-    if t0 <= 0:
-        raise ConfigurationError("participation.t0 must be positive")
-    try:
-        participation = budget_mod.ParticipationConfig(
-            r_ma=_uvalue(part.get("r_ma"), "participation.r_ma"),
-            r_sa=_uvalue(part.get("r_sa"), "participation.r_sa"),
-            t0=t0,
-        )
-    except Exception as exc:
-        raise ConfigurationError(f"participation: {exc}") from exc
-
-    # qubit geometry + tangents
-    qb = raw["qubit"]
-    _reject_unknown(
-        qb,
-        {"p_capacitor", "p_ms_leads", "p_ma_leads", "c_shunt_fF", "junction",
-         "q_measured", "tangents"},
-        "qubit",
-    )
-    jj = qb.get("junction", {})
-    _reject_unknown(jj, {"width_nm", "length_nm", "barrier_thickness_nm", "eps_r"},
-                    "qubit.junction")
-    try:
-        junction = qubit_mod.JunctionDims(
-            width=_uvalue(jj.get("width_nm"), "qubit.junction.width_nm"),
-            length=_uvalue(jj.get("length_nm"), "qubit.junction.length_nm"),
-            barrier_thickness=_uvalue(
-                jj.get("barrier_thickness_nm"), "qubit.junction.barrier_thickness_nm"
-            ),
-            eps_r=_float(jj.get("eps_r", 9.0), "qubit.junction.eps_r"),
-        )
-        if "eps_r" not in jj:
-            defaults_used.append("qubit.junction.eps_r")
-        geometry = qubit_mod.QubitGeometry(
-            p_capacitor=_float(qb.get("p_capacitor"), "qubit.p_capacitor"),
-            p_ms_leads=_float(qb.get("p_ms_leads"), "qubit.p_ms_leads"),
-            p_ma_leads=_float(qb.get("p_ma_leads"), "qubit.p_ma_leads"),
-            c_shunt=_float(qb.get("c_shunt_fF"), "qubit.c_shunt_fF"),
-            junction=junction,
-        )
-    except ConfigurationError:
-        raise
-    except Exception as exc:
-        raise ConfigurationError(f"qubit: {exc}") from exc
-    q_measured = _uvalue(qb.get("q_measured"), "qubit.q_measured")
-    tangent_sets = {}
-    for regime, node in (qb.get("tangents") or {}).items():
-        if regime not in ("linear-absorption", "single-photon"):
-            raise ConfigurationError(f"unknown regime qubit.tangents.{regime}")
-        _reject_unknown(node, {"tan_capacitor", "tan_alox_leads", "tan_ms_leads"},
-                        f"qubit.tangents.{regime}")
-        tangent_sets[regime] = qubit_mod.TangentSet(
-            tan_capacitor=_uvalue(node.get("tan_capacitor"),
-                                  f"qubit.tangents.{regime}.tan_capacitor"),
-            tan_alox_leads=_uvalue(node.get("tan_alox_leads"),
-                                   f"qubit.tangents.{regime}.tan_alox_leads"),
-            tan_ms_leads=_uvalue(node.get("tan_ms_leads"),
-                                 f"qubit.tangents.{regime}.tan_ms_leads"),
-            regime=regime,
-        )
-
-    # strohmeier
-    st = raw["strohmeier"]
-    _reject_unknown(st, {"lambda_m_nm", "lambda_ox_nm", "n_m", "n_ox", "theta_deg"},
-                    "strohmeier")
-    strohmeier = xps_mod.StrohmeierConstants(
-        lambda_m=_float(st.get("lambda_m_nm"), "strohmeier.lambda_m_nm"),
-        lambda_ox=_float(st.get("lambda_ox_nm"), "strohmeier.lambda_ox_nm"),
-        n_m=_float(st.get("n_m"), "strohmeier.n_m"),
-        n_ox=_float(st.get("n_ox"), "strohmeier.n_ox"),
-        theta=_float(st.get("theta_deg", 90.0), "strohmeier.theta_deg"),
-    )
-    if "theta_deg" not in st:
-        defaults_used.append("strohmeier.theta_deg")
-
-    # tls
-    tl = raw["tls"]
-    _reject_unknown(tl, {"f0_hz", "qp_cutoff_temperature_k", "points_file",
-                         "rescale_n_bar", "rescale_temperature_k"}, "tls")
-    tls_cfg = {
-        "f0": _float(tl.get("f0_hz"), "tls.f0_hz"),
-        "qp_cutoff": _float(tl.get("qp_cutoff_temperature_k",
-                                   tls_mod.DEFAULT_QP_CUTOFF_K),
-                            "tls.qp_cutoff_temperature_k"),
-        "points_file": _resolve_file(base, tl.get("points_file"), "tls.points_file"),
-        "rescale_n_bar": _float(tl.get("rescale_n_bar", 1.0), "tls.rescale_n_bar"),
-        "rescale_temperature": _float(tl.get("rescale_temperature_k", 0.010),
-                                      "tls.rescale_temperature_k"),
-    }
-    if "qp_cutoff_temperature_k" not in tl:
-        defaults_used.append("tls.qp_cutoff_temperature_k")
-
-    # treatments
-    treatments = {}
-    for label, node in raw["treatments"].items():
-        _reject_unknown(node, {"tan_delta", "tan_delta_n1", "t_ox", "t_hc",
-                               "points_file"}, f"treatments.{label}")
-        treatments[label] = {
-            "tan_delta": (_uvalue(node["tan_delta"], f"treatments.{label}.tan_delta")
-                          if "tan_delta" in node else None),
-            "tan_delta_n1": (_uvalue(node["tan_delta_n1"],
-                                     f"treatments.{label}.tan_delta_n1")
-                             if "tan_delta_n1" in node else None),
-            "t_ox": _uvalue(node.get("t_ox"), f"treatments.{label}.t_ox",
-                            defaults_used, UValue(0.0)),
-            "t_hc": _uvalue(node.get("t_hc"), f"treatments.{label}.t_hc",
-                            defaults_used, UValue(0.0)),
-            "points_file": _resolve_file(base, node.get("points_file"),
-                                         f"treatments.{label}.points_file"),
-        }
-
-    # xps (optional stage inputs)
-    xps_cfg = None
-    if raw.get("xps") is not None:
-        xn = raw["xps"]
-        _reject_unknown(xn, {"spectrum_file", "calibration", "background_window_ev",
-                             "components", "metal_labels", "oxide_labels"}, "xps")
-        comps = []
-        for i, cn in enumerate(xn.get("components", [])):
-            _reject_unknown(cn, {"label", "shape", "center_ev", "fwhm_ev",
-                                 "doublet", "center_window_ev"},
-                            f"xps.components[{i}]")
-            comps.append(xps_mod.PeakComponent(
-                label=str(cn.get("label")),
-                shape=str(cn.get("shape")),
-                center=_float(cn.get("center_ev"), f"xps.components[{i}].center_ev"),
-                fwhm=_float(cn.get("fwhm_ev"), f"xps.components[{i}].fwhm_ev"),
-                doublet=bool(cn.get("doublet", False)),
-                center_window=_float(cn.get("center_window_ev", 0.2),
-                                     f"xps.components[{i}].center_window_ev"),
-            ))
-        cal = xn.get("calibration") or {}
-        _reject_unknown(cal, {"reference_label", "reference_energy_ev"},
-                        "xps.calibration")
-        window = xn.get("background_window_ev", [70.0, 80.0])
-        xps_cfg = {
-            "spectrum_file": _resolve_file(base, xn.get("spectrum_file"),
-                                           "xps.spectrum_file"),
-            "calibration": (
-                {"label": str(cal["reference_label"]),
-                 "energy": _float(cal["reference_energy_ev"],
-                                  "xps.calibration.reference_energy_ev")}
-                if cal else None
-            ),
-            "window": (float(window[0]), float(window[1])),
-            "components": comps,
-            "metal_labels": list(xn.get("metal_labels", [])),
-            "oxide_labels": list(xn.get("oxide_labels", [])),
-        }
-
-    kinetics_file = None
-    if raw.get("kinetics") is not None:
-        kn = raw["kinetics"]
-        _reject_unknown(kn, {"points_file"}, "kinetics")
-        kinetics_file = _resolve_file(base, kn.get("points_file"),
-                                      "kinetics.points_file")
-
+    qb, st, xps = tree["qubit"], tree["strohmeier"], tree["xps"]
+    jj = qb["junction"]
+    if xps is not None:
+        xps["components"] = [xps_mod.PeakComponent(
+            label=cn["label"], shape=cn["shape"], center=cn["center_ev"],
+            fwhm=cn["fwhm_ev"], doublet=cn["doublet"],
+            center_window=cn["center_window_ev"],
+        ) for cn in xps["components"]]
     return AnalysisConfig(
-        participation=participation,
-        qubit=geometry,
-        qubit_tangents=tangent_sets,
-        q_measured=q_measured,
-        strohmeier=strohmeier,
-        tls=tls_cfg,
-        treatments=treatments,
-        xps=xps_cfg,
-        kinetics_file=kinetics_file,
-        base_dir=base,
+        participation=budget_mod.ParticipationConfig(**tree["participation"]),
+        qubit=qubit_mod.QubitGeometry(
+            p_capacitor=qb["p_capacitor"], p_ms_leads=qb["p_ms_leads"],
+            p_ma_leads=qb["p_ma_leads"], c_shunt=qb["c_shunt_fF"],
+            junction=qubit_mod.JunctionDims(
+                width=jj["width_nm"], length=jj["length_nm"],
+                barrier_thickness=jj["barrier_thickness_nm"], eps_r=jj["eps_r"],
+            ),
+        ),
+        qubit_tangents={regime: qubit_mod.TangentSet(**node, regime=regime)
+                        for regime, node in qb["tangents"].items() if node is not None},
+        q_measured=qb["q_measured"],
+        strohmeier=xps_mod.StrohmeierConstants(
+            lambda_m=st["lambda_m_nm"], lambda_ox=st["lambda_ox_nm"],
+            n_m=st["n_m"], n_ox=st["n_ox"], theta=st["theta_deg"],
+        ),
+        tls=tree["tls"],
+        treatments=tree["treatments"],
+        xps=xps,
+        kinetics=tree["kinetics"],
+        base_dir=path.parent,
         defaults_used=defaults_used,
         derived_flags=derived_flags,
         config_sha256=hashlib.sha256(raw_bytes).hexdigest(),
@@ -394,12 +318,13 @@ def _uv(v: UValue) -> dict:
 
 def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     if config.tls["points_file"] is None:
-        raise DatasetError("tls.points_file is not configured")
+        raise StageNotConfigured("tls.points_file is not configured")
     points = read_q_grid(config.tls["points_file"])
-    params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0"],
-                                   qp_cutoff_temperature=config.tls["qp_cutoff"])
+    cutoff = config.tls["qp_cutoff_temperature_k"]
+    params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0_hz"],
+                                   qp_cutoff_temperature=cutoff)
     n1 = tls_mod.rescale_q_tls0(params, config.tls["rescale_n_bar"],
-                                config.tls["rescale_temperature"])
+                                config.tls["rescale_temperature_k"])
     fragment["tls_fit"] = {
         "q_tls0": _uv(params.q_tls0),
         "D": params.D,
@@ -408,11 +333,11 @@ def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
         "q_other": params.q_other,
         "f0_hz": params.f0,
         "n_points_used": sum(
-            1 for p in points if p.temperature < config.tls["qp_cutoff"]
+            1 for p in points if p.temperature < cutoff
         ),
         "q_tls_rescaled": {
             "n_bar": config.tls["rescale_n_bar"],
-            "temperature_K": config.tls["rescale_temperature"],
+            "temperature_K": config.tls["rescale_temperature_k"],
             "q": _uv(n1),
         },
     }
@@ -450,7 +375,7 @@ def _stage_spr_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
                 )
         results[label] = entry
     if not results:
-        raise DatasetError("no treatment has a points_file configured")
+        raise StageNotConfigured("no treatment has a points_file configured")
     fragment["spr_fit"] = results
 
 
@@ -540,12 +465,13 @@ def _stage_qubit(config: AnalysisConfig, fragment: dict, warnings_out: list):
 
 def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     if config.xps is None or config.xps["spectrum_file"] is None:
-        raise DatasetError("xps.spectrum_file is not configured")
+        raise StageNotConfigured("xps.spectrum_file is not configured")
     spec = xps_mod.load_spectrum(config.xps["spectrum_file"])
     cal = config.xps["calibration"]
     if cal is not None:
-        spec = xps_mod.calibrate_energy(spec, cal["label"], cal["energy"])
-    lo, hi = config.xps["window"]
+        spec = xps_mod.calibrate_energy(spec, cal["reference_label"],
+                                        cal["reference_energy_ev"])
+    lo, hi = config.xps["background_window_ev"]
     bg = xps_mod.shirley_background(spec, lo, hi)
     sel = (spec.binding_energy >= lo) & (spec.binding_energy <= hi)
     windowed = xps_mod.XpsSpectrum(
@@ -584,9 +510,9 @@ def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
 
 
 def _stage_kinetics(config: AnalysisConfig, fragment: dict, warnings_out: list):
-    if config.kinetics_file is None:
-        raise DatasetError("kinetics.points_file is not configured")
-    times, thick = read_kinetics(config.kinetics_file)
+    if config.kinetics is None or config.kinetics["points_file"] is None:
+        raise StageNotConfigured("kinetics.points_file is not configured")
+    times, thick = read_kinetics(config.kinetics["points_file"])
     fit = xps_mod.fit_kinetics(times, thick)
     if fit.degenerate_log:
         warnings_out.append("kinetics: purely linear data, log segment degenerate")
@@ -647,11 +573,9 @@ def run_report(config: AnalysisConfig, stages=STAGES, seed: int = 0) -> dict:
     for stage in stages:
         try:
             frag = run_stage(stage, config)
-        except DatasetError as exc:
-            if "not configured" in str(exc) or "points_file" in str(exc):
-                report["skipped"].append({"stage": stage, "reason": str(exc)})
-                continue
-            raise
+        except StageNotConfigured as exc:
+            report["skipped"].append({"stage": stage, "reason": str(exc)})
+            continue
         report["stages"].update(frag["stages"])
         report["warnings"].extend(frag["warnings"])
     return report

@@ -10,7 +10,7 @@ downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DatasetError, InvalidInputError, DegenerateSystemError
@@ -18,7 +18,6 @@ from .uncert import UValue
 
 __all__ = [
     "SprPoint",
-    "TreatmentDataset",
     "fit_through_origin",
     "fit_with_intercept",
     "pool_tangents",
@@ -37,22 +36,6 @@ class SprPoint:
             raise InvalidInputError(f"p_ms must be > 0, got {self.p_ms}")
         if self.inv_q.value <= 0 or self.inv_q.sigma <= 0:
             raise InvalidInputError("inv_q needs positive value and sigma")
-
-
-@dataclass
-class TreatmentDataset:
-    """All resonator points for one surface treatment, plus XPS thicknesses."""
-
-    label: str
-    points: list[SprPoint]
-    t_ox: UValue = field(default_factory=lambda: UValue(0.0))  # nm
-    t_hc: UValue = field(default_factory=lambda: UValue(0.0))  # nm
-
-    def __post_init__(self):
-        if not self.points:
-            raise DatasetError(f"treatment {self.label!r} has no points")
-        if self.t_ox.value < 0 or self.t_hc.value < 0:
-            raise InvalidInputError("thicknesses must be >= 0")
 
 
 def fit_through_origin(points: Sequence[SprPoint]) -> UValue:

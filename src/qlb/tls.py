@@ -24,7 +24,7 @@ from .constants import HBAR, K_B
 from .errors import ConvergenceError, DatasetError, InvalidInputError
 from .uncert import UValue
 
-__all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0", "photon_number"]
+__all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
 
 DEFAULT_QP_CUTOFF_K = 0.120
 
@@ -43,6 +43,7 @@ class TlsParams:
     def __post_init__(self):
         if self.q_tls0.value <= 0 or self.q_other <= 0 or self.D <= 0:
             raise InvalidInputError("q_tls0, q_other and D must be positive")
+        _check_f0(self.f0)
         if self.beta2 <= 0:
             raise InvalidInputError("beta2 must be > 0 (Q_TLS increases with photon number)")
 
@@ -62,6 +63,11 @@ class QPoint:
             raise InvalidInputError("n_bar must be >= 0")
         if self.q_int.value <= 0:
             raise InvalidInputError("q_int must be > 0")
+
+
+def _check_f0(f0: float):
+    if not (math.isfinite(f0) and f0 > 0):
+        raise InvalidInputError(f"f0 must be a finite positive frequency, got {f0}")
 
 
 def _tanh_factor(f0: float, temperature):
@@ -131,6 +137,7 @@ def fit_tls(
     parameters (q_tls0 sigma from the covariance diagonal) and the full 5x5
     covariance matrix in the order (q_tls0, D, beta1, beta2, q_other).
     """
+    _check_f0(f0)
     kept = [p for p in points if p.temperature < qp_cutoff_temperature]
     if len(kept) < 5:
         raise DatasetError(
@@ -194,13 +201,3 @@ def fit_tls(
                        q_other=qo, f0=f0)
     return params, cov
 
-
-def photon_number(power_watts: float, f0: float, q_loaded: float, q_coupling: float) -> float:
-    """Convert applied input power to mean intracavity photon number.
-
-    Standard input-line formula for a side-coupled resonator:
-    n = 2 Ql^2 P / (Qc hbar w^2).  Convenience helper only; measured
-    datasets normally arrive with n_bar precomputed.
-    """
-    omega = 2.0 * math.pi * f0
-    return 2.0 * q_loaded ** 2 * power_watts / (q_coupling * HBAR * omega ** 2)

@@ -123,7 +123,10 @@ def propagate(
         grad = (float(f(*hi)) - float(f(*lo))) / (2.0 * h)
         if not math.isfinite(grad):
             raise InvalidInputError(f"gradient non-finite in input {i}")
-        var += (grad * v.sigma) ** 2
+        term = grad * v.sigma  # a product overflows to inf; ** 2 would raise
+        var += term * term
+    if not math.isfinite(var):
+        raise InvalidInputError("propagated variance is not finite")
     return UValue(center, math.sqrt(var))
 
 

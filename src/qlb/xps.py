@@ -413,11 +413,16 @@ def fit_components(
     for c in model:
         if c.center_window <= 0:
             raise InvalidInputError(f"{c.label}: empty constraint window")
-        area0 = c.area if c.area > 0 else max(float(np.max(y)), 0.0) * c.fwhm
+        # the area guess takes the fwhm the fit starts from, inside its bounds
+        fwhm0 = min(max(c.fwhm, fwhm_bounds[0]), fwhm_bounds[1])
+        area0 = c.area if c.area > 0 else max(float(np.max(y)), 0.0) * fwhm0
         p0 += [c.center, c.fwhm, area0]
         lower += [c.center - c.center_window, fwhm_bounds[0], 0.0]
         upper += [c.center + c.center_window, fwhm_bounds[1], np.inf]
     p0 = np.clip(p0, lower, upper)
+    if not (np.all(np.isfinite(p0)) and np.all(np.less(lower, upper))):
+        raise InvalidInputError("component start values and bounds must be finite "
+                                "and ordered (lower < upper)")
 
     def resid(p):
         return (_peak_model(x, model, p) - y) * w

@@ -1,6 +1,16 @@
 import re
 
+from hypothesis import settings
+
 CRITERION = re.compile(r"test_criterion_(\d+)")
+
+# Property tests draw the same examples on every run: a failure reproduces,
+# and the config fuzz test costs the same time each run.  max_examples is
+# hypothesis's own default; tests that need fewer say so.
+settings.register_profile(
+    "qlb", derandomize=True, deadline=None, database=None, max_examples=100
+)
+settings.load_profile("qlb")
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,9 +1,12 @@
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlb import cli, pipeline
 from qlb.errors import ConfigurationError
@@ -21,8 +24,8 @@ from qlb.pipeline import (
 DATA_DIR = paper_defaults_path().parent
 
 
-def write_config(tmp_path, mutate=None):
-    """Copy the bundled config with absolute data paths, optionally mutated."""
+def bundled_tree():
+    """The bundled config as a YAML tree, with absolute data paths."""
     raw = yaml.safe_load(paper_defaults_path().read_text())
     for label in raw["treatments"]:
         pf = raw["treatments"][label].get("points_file")
@@ -31,6 +34,12 @@ def write_config(tmp_path, mutate=None):
     raw["tls"]["points_file"] = str(DATA_DIR / raw["tls"]["points_file"])
     raw["xps"]["spectrum_file"] = str(DATA_DIR / raw["xps"]["spectrum_file"])
     raw["kinetics"]["points_file"] = str(DATA_DIR / raw["kinetics"]["points_file"])
+    return raw
+
+
+def write_config(tmp_path, mutate=None):
+    """Copy the bundled config with absolute data paths, optionally mutated."""
+    raw = bundled_tree()
     if mutate:
         mutate(raw)
     path = tmp_path / "config.yaml"
@@ -88,6 +97,31 @@ class TestConfigLoading:
         with pytest.raises(ConfigurationError):
             load_config("/no/such/config.yaml")
 
+
+    def test_every_default_is_recorded(self, tmp_path):
+        def drop_optional_keys(raw):
+            del raw["participation"]["t0"]
+            del raw["tls"]["rescale_n_bar"]
+            del raw["treatments"]["hf"]["t_hc"]
+            del raw["treatments"]["hf"]["t_ox"]["sigma"]
+            del raw["xps"]["components"][0]["doublet"]
+            raw["xps"]["background_window_ev"] = None
+
+        cfg = load_config(write_config(tmp_path, drop_optional_keys))
+        assert sorted(cfg.defaults_used) == [
+            "participation.t0",
+            "tls.rescale_n_bar",
+            "treatments.hf.t_hc",
+            "treatments.hf.t_ox.sigma",
+            "xps.background_window_ev",
+            "xps.components[0].doublet",
+        ]
+        assert cfg.participation.t0 == 3.0
+        assert cfg.xps["background_window_ev"] == (70.0, 80.0)
+        assert cfg.xps["components"][0].doublet is False
+
+    def test_bundled_config_uses_no_default(self):
+        assert load_config(paper_defaults_path()).defaults_used == []
 
     def test_libyaml_parity(self):
         if not hasattr(yaml, "CSafeLoader"):
@@ -228,6 +262,17 @@ class TestCli:
         assert rc == 3
         assert f"{bad}, line 3" in capsys.readouterr().err
 
+    def test_report_fails_on_bad_csv_named_like_a_config_key(self, tmp_path, capsys):
+        # the error text names the file; only an absent input skips a stage
+        lines = (DATA_DIR / "kinetics_native_oxide.csv").read_text().splitlines()
+        lines[2] = "24,abc,0.07"
+        bad = tmp_path / "my_points_file.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: raw["kinetics"].update(points_file=str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+        assert rc == 3
+        assert f"{bad}, line 3" in capsys.readouterr().err
+
     def test_unconfigured_single_stage_is_dataset_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, lambda raw: raw.pop("kinetics"))
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"),
@@ -272,3 +317,83 @@ class TestPinnedFit:
         assert xps["areas"]["Al3+"] == pytest.approx(495.59219, rel=1e-6)
         assert xps["areas"]["Al_int"] == pytest.approx(226.70439, rel=1e-6)
         assert xps["oxide_thickness_nm"]["value"] == pytest.approx(2.7471258, rel=1e-6)
+
+
+def set_node(raw, path, value):
+    for key in path[:-1]:
+        raw = raw[key]
+    raw[path[-1]] = value
+
+
+# defect -> (node path, malformed value); stderr must name the dotted key
+CONFIG_DEFECTS = {
+    "scalar-section": (("participation",), 5, "participation"),
+    "list-section": (("qubit",), [1, 2], "qubit"),
+    "null-section": (("treatments",), None, "treatments"),
+    "scalar-treatment": (("treatments", "hf"), 1.9, "treatments.hf"),
+    "scalar-regime": (("qubit", "tangents", "single-photon"), "x",
+                      "qubit.tangents.single-photon"),
+    "short-window": (("xps", "background_window_ev"), [70.0],
+                     "xps.background_window_ev"),
+    "string-window": (("xps", "background_window_ev"), "70-80",
+                      "xps.background_window_ev"),
+    "calibration-without-energy": (("xps", "calibration"), {"reference_label": "Al0"},
+                                   "xps.calibration.reference_energy_ev"),
+    "string-doublet": (("xps", "components", 0, "doublet"), "no",
+                       "xps.components[0].doublet"),
+    "string-metal-labels": (("xps", "metal_labels"), "Al0", "xps.metal_labels"),
+    "nan-number": (("tls", "f0_hz"), math.nan, "tls.f0_hz"),
+    "inf-number": (("treatments", "hf", "tan_delta", "value"), math.inf,
+                   "treatments.hf.tan_delta.value"),
+    "bool-number": (("qubit", "c_shunt_fF"), True, "qubit.c_shunt_fF"),
+    "negative-sigma": (("qubit", "q_measured", "sigma"), -1.0, "qubit.q_measured.sigma"),
+    "int-points-file": (("kinetics", "points_file"), 3, "kinetics.points_file"),
+    "missing-key": (("strohmeier",), {"lambda_m_nm": 2.6}, "strohmeier.lambda_ox_nm"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CONFIG_DEFECTS))
+def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, defect):
+    path, value, key = CONFIG_DEFECTS[defect]
+    cfg = write_config(tmp_path, lambda raw: set_node(raw, path, value))
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+def node_paths(node, prefix=()):
+    """Every key path of a YAML tree, parents before children."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from node_paths(child, prefix + (key,))
+
+
+BUNDLED_PATHS = list(node_paths(bundled_tree()))
+PALETTE = [None, 0, -1, "x", [], {}, True, math.nan, math.inf, 1e300]
+DROP = "<drop>"
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.sampled_from(BUNDLED_PATHS), st.sampled_from(PALETTE + [DROP])),
+                min_size=1, max_size=3))
+def test_mutated_config_never_raises(tmp_path_factory, mutations):
+    raw = bundled_tree()
+    for path, value in mutations:
+        parent = raw
+        try:
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DROP:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced this node
+    work = tmp_path_factory.getbasetemp() / "fuzz"
+    work.mkdir(exist_ok=True)
+    (work / "config.yaml").write_text(yaml.safe_dump(raw))
+    rc = cli.main(["--config", str(work / "config.yaml"), "--out", str(work / "out"),
+                   "report"])
+    assert rc in {0, 2, 3, 4, 5}

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from qlb.errors import DatasetError, DegenerateSystemError, InvalidInputError
 from qlb.spr import (
     SprPoint,
-    TreatmentDataset,
     fit_through_origin,
     fit_with_intercept,
     pool_tangents,
@@ -122,10 +121,8 @@ class TestPooling:
             pool_tangents([])
 
 
-def test_point_and_dataset_validation():
+def test_point_validation():
     with pytest.raises(InvalidInputError):
         SprPoint(-1.0, UValue(1.0, 0.1))
     with pytest.raises(InvalidInputError):
         SprPoint(1.0, UValue(1.0, 0.0))
-    with pytest.raises(DatasetError):
-        TreatmentDataset("empty", [])

@@ -14,7 +14,6 @@ from qlb.tls import (
     _model_inv_q_jac,
     _physical,
     fit_tls,
-    photon_number,
     q_tls,
     rescale_q_tls0,
 )
@@ -107,6 +106,13 @@ class TestFit:
         params, _ = fit_tls(pts, f0=F0)
         assert params.q_tls0.value == pytest.approx(TRUE.q_tls0.value, rel=1e-3)
 
+    @pytest.mark.parametrize("f0", [0.0, -5e9, math.nan])
+    def test_nonpositive_f0_rejected(self, f0):
+        with pytest.raises(InvalidInputError, match="f0"):
+            fit_tls(grid_points(TRUE), f0=f0)
+        with pytest.raises(InvalidInputError, match="f0"):
+            TlsParams(UValue(1e6), f0=f0)
+
     def test_too_few_cold_points(self):
         pts = [QPoint(10 ** k, 0.150, UValue(1e6, 1e4)) for k in range(6)]
         with pytest.raises(DatasetError):
@@ -180,9 +186,3 @@ class TestJacobian:
             J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)
             assert np.all(J[self.n == 0, 3] == 0.0)
 
-
-def test_photon_number_closed_form():
-    # n = 2 Ql^2 P / (Qc hbar w^2)
-    omega = 2 * math.pi * F0
-    expected = 2 * 1e5 ** 2 * 1e-15 / (2e5 * HBAR * omega ** 2)
-    assert photon_number(1e-15, F0, 1e5, 2e5) == pytest.approx(expected, rel=1e-12)

@@ -99,6 +99,11 @@ class TestPropagate:
         with pytest.raises(InvalidInputError):
             propagate(lambda x: math.inf, [UValue(1, 0.1)])
 
+    def test_overflowing_variance(self):
+        # (grad * sigma)^2 = 1e400 is past the largest float
+        with pytest.raises(InvalidInputError, match="variance"):
+            propagate(lambda x: 2.0 * x, [UValue(1.0, 1e200)])
+
 
 class TestMcPropagate:
     def test_identity_passthrough(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -229,6 +230,24 @@ class TestFit:
         comps, spec, bg = self.make_spectrum(noise=2.0)
         result = fit_components(spec, bg, comps)
         assert all(s > 0 for s in result.area_sigmas.values())
+
+    @pytest.mark.parametrize("field, value", [
+        ("center", 1e300),  # center +- window rounds to one value
+        ("center", math.nan),
+        ("center_window", math.nan),
+        ("fwhm", math.nan),
+    ])
+    def test_unusable_start_or_bounds_rejected(self, field, value):
+        comps, spec, bg = self.make_spectrum()
+        comps[0] = replace(comps[0], **{field: value})
+        with pytest.raises(InvalidInputError, match="bounds"):
+            fit_components(spec, bg, comps)
+
+    def test_area_guess_uses_bounded_fwhm(self):
+        comps, spec, bg = self.make_spectrum()
+        comps = [replace(c, fwhm=1e300, area=0.0) for c in comps]
+        result = fit_components(spec, bg, comps)
+        assert component_area(result, "Al0") == pytest.approx(600.0 * 1.5, rel=0.02)
 
 
 class TestStrohmeier:
