@@ -2,8 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .uncert import UValue, combine_linear, combine_product, combine_quotient
-from .uncert import propagate, mc_propagate
+from .uncert import UValue, combine_linear, propagate, propagate_joint, mc_propagate
 from .tls import TlsParams, QPoint, q_tls, fit_tls, rescale_q_tls0
 from .spr import SprPoint, fit_through_origin, pool_tangents
 from .budget import (
@@ -12,6 +11,7 @@ from .budget import (
     solve_alox,
     solve_ms_sa,
     solve_hc,
+    solve_hf_pair,
     carbon_thickness,
     budget_fractions,
     solve_budget,

@@ -13,7 +13,8 @@ thickness, and ms_sa is the combined (participation-scaled) loss of the
 metal-substrate and substrate-air interfaces.  The solvers below invert
 this system in sequence: oxide regrowth between the two HF measurements
 isolates tan_alox, the HF tangent then yields ms_sa, and the untreated
-tangent yields the fabrication-hydrocarbon term.
+tangent yields the fabrication-hydrocarbon term.  ``solve_budget``
+propagates the whole chain from its primitive inputs in one Jacobian.
 
 Participation ratios are not published for the resonator geometry; the
 shipped defaults (r_ma = 0.105, r_sa = 1.15) are back-solved from the
@@ -24,13 +25,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 from .errors import (
     DegenerateSystemError,
     InconsistentInputsWarning,
     InvalidInputError,
 )
-from .uncert import UValue, propagate
+from .uncert import UValue, propagate, propagate_joint
 
 __all__ = [
     "ParticipationConfig",
@@ -38,6 +40,7 @@ __all__ = [
     "solve_alox",
     "solve_ms_sa",
     "solve_hc",
+    "solve_hf_pair",
     "carbon_thickness",
     "budget_fractions",
     "solve_budget",
@@ -48,6 +51,10 @@ DERIVED_R_SA = 1.15
 
 CARBON_MONOLAYER_AT_PCT = 7.6
 CARBON_MONOLAYER_NM = 0.5
+
+CHANNELS = ("alox", "hydrocarbon", "ms_sa")
+MS_SA_NEGATIVE = "MS+SA remainder has a negative central value"
+HC_NEGATIVE = "hydrocarbon tangent has a negative central value"
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,53 @@ class BudgetResult:
     warnings: tuple = ()
 
 
+def _ms_sa(tan_hf, tan_alox, t_hf, r_ma, t0):
+    return tan_hf - tan_alox * r_ma * t_hf / t0
+
+
+def _hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, r_ma, t0):
+    tan_alox = (tan_hf90 - tan_hf) * t0 / ((t_hf90 - t_hf) * r_ma)
+    return tan_alox, _ms_sa(tan_hf, tan_alox, t_hf, r_ma, t0)
+
+
+def _hc(tan_untreated, tan_alox, ms_sa, t_ox, t_hc, r_ma, r_sa, t0):
+    return ((t0 / t_hc) / (r_ma + r_sa)
+            * (tan_untreated - r_ma * (t_ox / t0) * tan_alox - ms_sa))
+
+
+def _fractions(tan_untreated, tan_alox, tan_hc, ms_sa, t_ox, t_hc, r_ma, r_sa, t0):
+    """Raw percent shares of CHANNELS in the untreated-device tangent."""
+    return (r_ma * (t_ox / t0) * tan_alox / tan_untreated * 100.0,
+            (r_ma + r_sa) * (t_hc / t0) * tan_hc / tan_untreated * 100.0,
+            ms_sa / tan_untreated * 100.0)
+
+
+def _chain(tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_ox, t_hc, r_ma, r_sa, t0):
+    """(tan_alox, ms_sa, tan_hc, *raw fractions) from the primitive inputs."""
+    tan_alox, ms_sa = _hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, r_ma, t0)
+    tan_hc = _hc(tan_untreated, tan_alox, ms_sa, t_ox, t_hc, r_ma, r_sa, t0)
+    return (tan_alox, ms_sa, tan_hc,
+            *_fractions(tan_untreated, tan_alox, tan_hc, ms_sa, t_ox, t_hc, r_ma, r_sa, t0))
+
+
+def _check(t_hf=None, t_hf90=None, t_untreated_ox=None, t_hc=None) -> None:
+    """Reject negative thicknesses and an HF pair without oxide regrowth."""
+    named = {"t_hf": t_hf, "t_hf90": t_hf90, "t_untreated_ox": t_untreated_ox, "t_hc": t_hc}
+    for name, t in named.items():
+        if t is not None and t.value < 0:
+            raise InvalidInputError(f"{name} must be >= 0 nm, got {t.value}")
+    if t_hf90 is not None and t_hf90.value <= t_hf.value:
+        raise DegenerateSystemError("regrown oxide must be thicker than fresh oxide")
+
+
+def _renormalize(raw: list[UValue]) -> tuple[dict, float]:
+    total = sum(v.value for v in raw)
+    if total <= 0:
+        raise DegenerateSystemError("all budget terms are zero")
+    renorm = 100.0 / total
+    return {k: UValue(v.value * renorm, v.sigma) for k, v in zip(CHANNELS, raw)}, renorm
+
+
 def solve_alox(
     tan_hf: UValue,
     tan_hf90: UValue,
@@ -86,13 +140,7 @@ def solve_alox(
 
     tan_alox = (1/r_ma) (tan_hf90 - tan_hf) t0 / (t_hf90 - t_hf)
     """
-    if t_hf90.value <= t_hf.value:
-        raise DegenerateSystemError("regrown oxide must be thicker than fresh oxide")
-
-    def f(a, b, c, d, r):
-        return (b - a) * cfg.t0 / ((d - c) * r)
-
-    return propagate(f, [tan_hf, tan_hf90, t_hf, t_hf90, cfg.r_ma])
+    return solve_hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, cfg)[0]
 
 
 def solve_ms_sa(
@@ -103,20 +151,15 @@ def solve_ms_sa(
 ) -> UValue:
     """Participation-scaled remainder of the HF tangent after the oxide term.
 
-    ms_sa = tan_hf - r_ma (t_hf/t0) tan_alox.  A negative central value is
-    flagged with a warning, not rejected: uncertainties can straddle zero.
+    ms_sa = tan_hf - r_ma (t_hf/t0) tan_alox, for independent inputs; a
+    ``tan_alox`` solved from the same ``tan_hf`` needs ``solve_hf_pair``.
+    A negative central value is flagged with a warning, not rejected:
+    uncertainties can straddle zero.
     """
-
-    def f(thf, ta, t, r):
-        return thf - ta * r * t / cfg.t0
-
-    out = propagate(f, [tan_hf, tan_alox, t_hf, cfg.r_ma])
+    _check(t_hf)
+    out = propagate(partial(_ms_sa, t0=cfg.t0), [tan_hf, tan_alox, t_hf, cfg.r_ma])
     if out.value < 0:
-        warnings.warn(
-            "MS+SA remainder has a negative central value",
-            InconsistentInputsWarning,
-            stacklevel=2,
-        )
+        warnings.warn(MS_SA_NEGATIVE, InconsistentInputsWarning, stacklevel=2)
     return out
 
 
@@ -132,23 +175,28 @@ def solve_hc(
 
     tan_hc = (t0/t_hc) / (r_ma + r_sa)
              * (tan_untreated - r_ma (t_ox/t0) tan_alox - ms_sa)
+
+    for independent inputs (``solve_budget`` solves the whole chain).
     """
+    _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc)
     if t_hc.value == 0:
         raise DegenerateSystemError("hydrocarbon thickness is zero")
-
-    def f(tu, ta, ms, tox, thc, rma, rsa):
-        return (cfg.t0 / thc) / (rma + rsa) * (tu - rma * (tox / cfg.t0) * ta - ms)
-
     out = propagate(
-        f, [tan_untreated, tan_alox, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa]
+        partial(_hc, t0=cfg.t0),
+        [tan_untreated, tan_alox, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa],
     )
     if out.value < 0:
-        warnings.warn(
-            "hydrocarbon tangent has a negative central value",
-            InconsistentInputsWarning,
-            stacklevel=2,
-        )
+        warnings.warn(HC_NEGATIVE, InconsistentInputsWarning, stacklevel=2)
     return out
+
+
+def solve_hf_pair(tan_hf: UValue, tan_hf90: UValue, t_hf: UValue, t_hf90: UValue,
+                  cfg: ParticipationConfig) -> tuple[UValue, UValue]:
+    """(tan_alox, ms_sa) from one propagation over the HF pair's inputs."""
+    _check(t_hf, t_hf90)
+    (tan_alox, ms_sa), _ = propagate_joint(
+        partial(_hf_pair, t0=cfg.t0), [tan_hf, tan_hf90, t_hf, t_hf90, cfg.r_ma])
+    return tan_alox, ms_sa
 
 
 def carbon_thickness(at_pct_carbon: float) -> float:
@@ -172,35 +220,19 @@ def budget_fractions(
 ) -> tuple[dict, float]:
     """Percent share of each loss channel in the untreated-device tangent.
 
+    The inputs are independent (``solve_budget`` solves the whole chain).
     Central values are renormalized to sum to exactly 100; the
     renormalization factor is returned alongside (it is ~1 when the
     tangents solve the forward model consistently).
     """
+    _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc)
     if tan_untreated.value <= 0:
         raise DegenerateSystemError("untreated tangent must be positive")
-
-    def frac_alox(tu, ta, tox, rma):
-        return rma * (tox / cfg.t0) * ta / tu * 100.0
-
-    def frac_hc(tu, th, thc, rma, rsa):
-        return (rma + rsa) * (thc / cfg.t0) * th / tu * 100.0
-
-    def frac_ms(tu, ms):
-        return ms / tu * 100.0
-
-    raw = {
-        "alox": propagate(frac_alox, [tan_untreated, tan_alox, t_untreated_ox, cfg.r_ma]),
-        "hydrocarbon": propagate(
-            frac_hc, [tan_untreated, tan_hc, t_hc, cfg.r_ma, cfg.r_sa]
-        ),
-        "ms_sa": propagate(frac_ms, [tan_untreated, ms_sa]),
-    }
-    total = sum(v.value for v in raw.values())
-    if total <= 0:
-        raise DegenerateSystemError("all budget terms are zero")
-    renorm = 100.0 / total
-    fractions = {k: UValue(v.value * renorm, v.sigma) for k, v in raw.items()}
-    return fractions, renorm
+    raw, _ = propagate_joint(
+        partial(_fractions, t0=cfg.t0),
+        [tan_untreated, tan_alox, tan_hc, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa],
+    )
+    return _renormalize(raw)
 
 
 def solve_budget(
@@ -213,23 +245,27 @@ def solve_budget(
     t_hc: UValue,
     cfg: ParticipationConfig,
 ) -> BudgetResult:
-    """Run the full solver chain and assemble the budget."""
-    caught: list[str] = []
-    with warnings.catch_warnings(record=True) as wlist:
-        warnings.simplefilter("always", InconsistentInputsWarning)
-        tan_alox = solve_alox(tan_hf, tan_hf90, t_hf, t_hf90, cfg)
-        ms_sa = solve_ms_sa(tan_hf, tan_alox, t_hf, cfg)
-        tan_hc = solve_hc(tan_untreated, tan_alox, ms_sa, t_untreated_ox, t_hc, cfg)
-        fractions, renorm = budget_fractions(
-            tan_untreated, tan_alox, tan_hc, ms_sa, t_untreated_ox, t_hc, cfg
-        )
-        caught = [str(w.message) for w in wlist
-                  if issubclass(w.category, InconsistentInputsWarning)]
+    """Solve the treatment system and assemble the budget.
+
+    Tangents and fractions come from one propagation over the primitive
+    inputs, so their sigmas keep the correlations between them.
+    """
+    _check(t_hf, t_hf90, t_untreated_ox, t_hc)
+    if t_hc.value == 0 or tan_untreated.value <= 0:
+        raise DegenerateSystemError("hydrocarbon thickness and untreated tangent "
+                                    "must be positive")
+    (tan_alox, ms_sa, tan_hc, *raw), _ = propagate_joint(
+        partial(_chain, t0=cfg.t0),
+        [tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untreated_ox, t_hc,
+         cfg.r_ma, cfg.r_sa],
+    )
+    fractions, renorm = _renormalize(raw)
     return BudgetResult(
         tan_alox=tan_alox,
         tan_ms_sa=ms_sa,
         tan_hc=tan_hc,
         fractions=fractions,
         renormalization=renorm,
-        warnings=tuple(caught),
+        warnings=tuple(msg for msg, v in ((MS_SA_NEGATIVE, ms_sa), (HC_NEGATIVE, tan_hc))
+                       if v.value < 0),
     )

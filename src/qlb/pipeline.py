@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import reprlib
-import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -34,7 +33,7 @@ from .constants import CONSTANTS_TABLE
 from .errors import (
     ConfigurationError,
     DatasetError,
-    InconsistentInputsWarning,
+    InvalidInputError,
     StageNotConfigured,
     dataset_float,
 )
@@ -254,12 +253,14 @@ def load_config(path) -> AnalysisConfig:
 # CSV ingestion
 
 
-def _read_csv(path: Path, columns: tuple[str, ...],
-              text: tuple[str, ...] = ()) -> list[dict]:
-    """Non-blank data rows of a headed CSV as {column: value} dicts.
+def _read_csv(path: Path, columns: tuple[str, ...], make,
+              text: tuple[str, ...] = ()) -> list:
+    """``make(row)`` for each non-blank data row of a headed CSV.
 
-    Every column not listed in ``text`` is parsed as a finite float; a bad
-    or missing cell raises DatasetError naming the file, line and column.
+    ``row`` maps each column to its cell, parsed as a finite float unless
+    the column is listed in ``text``.  A bad or missing cell, or a row that
+    ``make`` rejects or cannot convert (InvalidInputError, ArithmeticError),
+    raises DatasetError naming the file and line.
     """
     rows = []
     with Path(path).open(newline="") as fh:
@@ -271,41 +272,49 @@ def _read_csv(path: Path, columns: tuple[str, ...],
             if not any((row[c] or "").strip() for c in columns):
                 continue
             line = reader.line_num
-            rows.append({
-                c: row[c] if c in text else dataset_float(row[c], path, line, repr(c))
-                for c in columns
-            })
+            try:
+                rows.append(make({
+                    c: row[c] if c in text else dataset_float(row[c], path, line, repr(c))
+                    for c in columns
+                }))
+            except (InvalidInputError, ArithmeticError) as exc:
+                raise DatasetError(f"{path}, line {line}: {exc}") from exc
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return rows
 
 
 def read_q_grid(path: Path) -> list[tls_mod.QPoint]:
-    rows = _read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"))
-    return [
-        tls_mod.QPoint(r["n_bar"], r["temperature_K"], UValue(r["q_int"], r["sigma"]))
-        for r in rows
-    ]
+    return _read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"), lambda r: (
+        tls_mod.QPoint(r["n_bar"], r["temperature_K"], UValue(r["q_int"], r["sigma"]))))
+
+
+def _spr_point(r: dict) -> tuple[str, spr_mod.SprPoint]:
+    q = r["q_tls0"]  # convert Q +- sigma to 1/Q +- sigma/(Q^2)
+    return r["treatment"], spr_mod.SprPoint(r["p_ms"],
+                                            UValue(1.0 / q, r["sigma_q"] / q ** 2))
 
 
 def read_spr_points(path: Path) -> dict[str, list[spr_mod.SprPoint]]:
-    rows = _read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"), text=("treatment",))
     grouped: dict[str, list[spr_mod.SprPoint]] = {}
-    for r in rows:
-        q = r["q_tls0"]
-        sq = r["sigma_q"]
-        # convert Q +- sigma to 1/Q +- sigma/(Q^2)
-        grouped.setdefault(r["treatment"], []).append(
-            spr_mod.SprPoint(r["p_ms"], UValue(1.0 / q, sq / q ** 2))
-        )
+    for label, point in _read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"),
+                                  _spr_point, text=("treatment",)):
+        grouped.setdefault(label, []).append(point)
     return grouped
 
 
 def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
-    rows = _read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"))
-    times = [r["time_hours"] for r in rows]
-    thick = [UValue(r["thickness_nm"], r["sigma_nm"]) for r in rows]
-    return times, thick
+    times: list[float] = []
+
+    def point(r):
+        thickness = UValue(r["thickness_nm"], r["sigma_nm"])
+        if r["time_hours"] <= (times[-1] if times else 0.0):
+            raise InvalidInputError("time_hours must be > 0 and strictly ascending, "
+                                    f"got {r['time_hours']}")
+        times.append(r["time_hours"])
+        return thickness
+
+    return times, _read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), point)
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +424,9 @@ def _stage_budget(config: AnalysisConfig, fragment: dict, warnings_out: list):
     hf_n1 = config.treatments.get("hf", {}).get("tan_delta_n1")
     hf90_n1 = config.treatments.get("hf_90_days", {}).get("tan_delta_n1")
     if hf_n1 is not None and hf90_n1 is not None:
-        with warnings.catch_warnings(record=True) as wl:
-            warnings.simplefilter("always", InconsistentInputsWarning)
-            alox_n1 = budget_mod.solve_alox(hf_n1, hf90_n1, t_hf, t_hf90, cfg)
-            ms_sa_n1 = budget_mod.solve_ms_sa(hf_n1, alox_n1, t_hf, cfg)
-        warnings_out.extend(f"budget[n=1]: {w.message}" for w in wl)
+        alox_n1, ms_sa_n1 = budget_mod.solve_hf_pair(hf_n1, hf90_n1, t_hf, t_hf90, cfg)
+        if ms_sa_n1.value < 0:
+            warnings_out.append(f"budget[n=1]: {budget_mod.MS_SA_NEGATIVE}")
         entry["single_photon"] = {
             "tan_alox": _uv(alox_n1),
             "tan_ms_sa": _uv(ms_sa_n1),
@@ -466,6 +473,12 @@ def _stage_qubit(config: AnalysisConfig, fragment: dict, warnings_out: list):
 def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     if config.xps is None or config.xps["spectrum_file"] is None:
         raise StageNotConfigured("xps.spectrum_file is not configured")
+    known = sorted(c.label for c in config.xps["components"])
+    for key in ("metal_labels", "oxide_labels"):
+        unknown = [label for label in config.xps[key] if label not in known]
+        if unknown or not config.xps[key]:
+            raise ConfigurationError(f"xps.{key}: {unknown or 'no label'} must name "
+                                     f"components of xps.components {known}")
     spec = xps_mod.load_spectrum(config.xps["spectrum_file"])
     cal = config.xps["calibration"]
     if cal is not None:

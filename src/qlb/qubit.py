@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .constants import EPS0
 from .errors import DegenerateSystemError, InvalidInputError
-from .uncert import UValue, combine_linear, propagate
+from .uncert import UValue, combine_linear, propagate, propagate_joint
 
 __all__ = [
     "QubitGeometry",
@@ -90,31 +90,39 @@ def predict_inv_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
     ])
 
 
+def _reciprocal(v: UValue) -> UValue:
+    """1/v, with the relative sigma carried over (first order)."""
+    rel = v.sigma / v.value
+    return UValue(1.0 / v.value, rel / v.value)
+
+
+def _loss_terms(geom: QubitGeometry, tan_capacitor, tan_alox_leads, tan_ms_leads):
+    """Capacitor and junction-lead terms of the surface loss sum 1/Q."""
+    return (geom.p_capacitor * tan_capacitor,
+            geom.p_ma_leads * tan_alox_leads + geom.p_ms_leads * tan_ms_leads)
+
+
 def predict_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
     """Surface-loss-limited quality factor, Q = 1/(1/Q)."""
     inv_q = predict_inv_q(geom, tangents)
     if inv_q.value == 0:
         raise DegenerateSystemError("zero predicted loss, Q undefined")
-    rel = inv_q.sigma / inv_q.value
-    return UValue(1.0 / inv_q.value, rel / inv_q.value)
+    return _reciprocal(inv_q)
 
 
 def surface_fractions(geom: QubitGeometry, tangents: TangentSet) -> tuple[UValue, UValue]:
     """Percent split of surface loss between capacitor pads and junction leads."""
-
-    def cap_frac(tc, ta, tm):
-        total = (geom.p_capacitor * tc + geom.p_ma_leads * ta + geom.p_ms_leads * tm)
-        return geom.p_capacitor * tc / total * 100.0
-
-    def leads_frac(tc, ta, tm):
-        total = (geom.p_capacitor * tc + geom.p_ma_leads * ta + geom.p_ms_leads * tm)
-        return (geom.p_ma_leads * ta + geom.p_ms_leads * tm) / total * 100.0
-
-    inputs = [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads]
-    total = predict_inv_q(geom, tangents)
-    if total.value == 0:
+    if predict_inv_q(geom, tangents).value == 0:
         raise DegenerateSystemError("zero total loss")
-    return propagate(cap_frac, inputs), propagate(leads_frac, inputs)
+
+    def shares(tc, ta, tm):
+        cap, leads = _loss_terms(geom, tc, ta, tm)
+        total = cap + leads
+        return cap / total * 100.0, leads / total * 100.0
+
+    (cap, leads), _ = propagate_joint(
+        shares, [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads])
+    return cap, leads
 
 
 def junction_capacitance(junction: JunctionDims) -> UValue:
@@ -168,22 +176,16 @@ def solve_barrier_tangent(
         raise DegenerateSystemError("zero junction capacitance")
 
     def barrier(qm, iqs, cj):
-        return (1.0 / qm) * (c_shunt + cj) / cj - (c_shunt / cj) * iqs
+        tan_barrier = (1.0 / qm) * (c_shunt + cj) / cj - (c_shunt / cj) * iqs
+        return tan_barrier, cj / (c_shunt + cj) * tan_barrier
 
-    inputs = [q_measured, inv_q_surfaces, c_jj]
-    tan_barrier = propagate(barrier, inputs)
-
-    def scaled(qm, iqs, cj):
-        return cj / (c_shunt + cj) * barrier(qm, iqs, cj)
-
-    contribution = propagate(scaled, inputs)
+    (tan_barrier, contribution), _ = propagate_joint(
+        barrier, [q_measured, inv_q_surfaces, c_jj])
     if contribution.value <= 0:
         raise DegenerateSystemError(
             "barrier contribution is non-positive; surfaces already exceed measured loss"
         )
-    rel = contribution.sigma / contribution.value
-    limiting_q = UValue(1.0 / contribution.value, rel / contribution.value)
-    return BarrierSolve(tan_barrier, contribution, limiting_q)
+    return BarrierSolve(tan_barrier, contribution, _reciprocal(contribution))
 
 
 def three_way_budget(
@@ -195,29 +197,23 @@ def three_way_budget(
     """Percent budget {capacitor, junction_leads, barrier} of measured loss.
 
     Surface terms are scaled by the shunt's energy share; the barrier term
-    is the residual, so central values sum to exactly 100.
+    is the residual, so central values sum to exactly 100.  All three come
+    from one propagation over (tangents, c_jj, q_measured).
     """
+    if q_measured.value <= 0:
+        raise InvalidInputError("measured Q must be positive")
     cs = geom.c_shunt
 
-    def cap_pct(tc, cj, qm):
-        return (cs / (cs + cj)) * geom.p_capacitor * tc * qm * 100.0
+    def shares(tc, ta, tm, cj, qm):
+        cap, leads = _loss_terms(geom, tc, ta, tm)
+        cap_pct = (cs / (cs + cj)) * cap * qm * 100.0
+        leads_pct = (cs / (cs + cj)) * leads * qm * 100.0
+        return cap_pct, leads_pct, 100.0 - cap_pct - leads_pct
 
-    def leads_pct(ta, tm, cj, qm):
-        return (cs / (cs + cj)) * (geom.p_ma_leads * ta + geom.p_ms_leads * tm) * qm * 100.0
-
-    capacitor = propagate(cap_pct, [tangents.tan_capacitor, c_jj, q_measured])
-    leads = propagate(
-        leads_pct, [tangents.tan_alox_leads, tangents.tan_ms_leads, c_jj, q_measured]
-    )
-
-    inv_q_surf = predict_inv_q(geom, tangents)
-    solve = solve_barrier_tangent(q_measured, inv_q_surf, c_jj, cs)
-    barrier_central = 100.0 - capacitor.value - leads.value
-    barrier_sigma = propagate(
-        lambda c, qm: c * qm * 100.0, [solve.scaled_contribution, q_measured]
-    ).sigma
-    return {
-        "capacitor": capacitor,
-        "junction_leads": leads,
-        "barrier": UValue(barrier_central, barrier_sigma),
-    }
+    (capacitor, leads, barrier), _ = propagate_joint(shares, [
+        tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads,
+        c_jj, q_measured])
+    if barrier.value <= 0:
+        raise DegenerateSystemError("barrier share is non-positive; surfaces already "
+                                    "exceed measured loss")
+    return {"capacitor": capacitor, "junction_leads": leads, "barrier": barrier}

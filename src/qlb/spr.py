@@ -36,6 +36,8 @@ class SprPoint:
             raise InvalidInputError(f"p_ms must be > 0, got {self.p_ms}")
         if self.inv_q.value <= 0 or self.inv_q.sigma <= 0:
             raise InvalidInputError("inv_q needs positive value and sigma")
+        if not 1e-150 < self.inv_q.sigma < 1e150:  # keeps the weight 1/sigma^2 finite
+            raise InvalidInputError(f"inv_q sigma out of range, got {self.inv_q.sigma}")
 
 
 def fit_through_origin(points: Sequence[SprPoint]) -> UValue:

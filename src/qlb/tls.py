@@ -148,9 +148,10 @@ def fit_tls(
     if positive_n.size == 0 or positive_n.max() / positive_n.min() < 100.0:
         raise DatasetError("points must span at least 2 decades in n_bar")
     T = np.array([p.temperature for p in kept])
-    y = np.array([1.0 / p.q_int.value for p in kept])
+    q = np.array([p.q_int.value for p in kept])
+    y = 1.0 / q
     # sigma(1/Q) = sigma_Q / Q^2
-    sig = np.array([max(p.q_int.sigma, 0.0) / p.q_int.value ** 2 for p in kept])
+    sig = np.array([p.q_int.sigma for p in kept]) / q ** 2
     sig[sig == 0] = np.median(sig[sig > 0]) if np.any(sig > 0) else 1.0
 
     if init is None:
@@ -181,8 +182,11 @@ def fit_tls(
     def jac(theta):
         return _model_inv_q_jac(theta, n, T, th, ln_T, ln_n) / sig[:, None]
 
-    res = least_squares(resid, theta0, jac=jac, bounds=(lower, upper),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
+    try:
+        res = least_squares(resid, theta0, jac=jac, bounds=(lower, upper),
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
+    except ValueError as exc:  # extreme data: a non-finite model or a start past a bound
+        raise ConvergenceError(f"TLS fit failed: {exc}") from exc
     if not res.success:
         raise ConvergenceError("TLS fit did not converge",
                                residual=float(np.max(np.abs(res.fun))))

@@ -2,7 +2,9 @@
 
 Every measured or derived quantity in the loss budget is a ``UValue``:
 a central value plus a one-standard-deviation Gaussian uncertainty.
-Inputs are treated as independent; covariances are not modeled.
+Inputs are treated as independent.  Quantities derived from shared
+inputs are correlated: ``propagate_joint`` propagates a whole chain from
+its primitive inputs in one Jacobian and returns the output covariance.
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -16,14 +18,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ConfigurationError, DegenerateSystemError
+from .errors import InvalidInputError, ConfigurationError
 
 __all__ = [
     "UValue",
     "combine_linear",
-    "combine_product",
-    "combine_quotient",
     "propagate",
+    "propagate_joint",
     "mc_propagate",
 ]
 
@@ -76,58 +77,46 @@ def combine_linear(terms: Sequence[tuple[float, UValue]]) -> UValue:
     return UValue(value, math.sqrt(var))
 
 
-def combine_product(a: UValue, b: UValue) -> UValue:
-    """Product with relative sigmas added in quadrature (first order)."""
-    a, b = _as_uvalue(a), _as_uvalue(b)
-    value = a.value * b.value
-    # d(ab) = b*da + a*db; avoids 0/0 when a central value is zero
-    sigma = math.hypot(b.value * a.sigma, a.value * b.sigma)
-    return UValue(value, abs(sigma))
+def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
+                    step: float = 1e-6, abs_step_floor: float = 1e-12,
+                    ) -> tuple[list[UValue], list[list[float]]]:
+    """First-order propagation of a vector-valued ``f`` of independent inputs.
 
-
-def combine_quotient(a: UValue, b: UValue) -> UValue:
-    """Quotient a/b with relative sigmas added in quadrature (first order)."""
-    a, b = _as_uvalue(a), _as_uvalue(b)
-    if b.value == 0:
-        raise DegenerateSystemError("division by UValue with zero central value")
-    value = a.value / b.value
-    sigma = math.hypot(a.sigma / b.value, value * b.sigma / b.value)
-    return UValue(value, abs(sigma))
-
-
-def propagate(
-    f: Callable[..., float],
-    inputs: Sequence[UValue],
-    step: float = 1e-6,
-    abs_step_floor: float = 1e-12,
-) -> UValue:
-    """First-order Taylor propagation with a central finite-difference gradient.
-
-    ``step`` is relative to each input magnitude, with an absolute floor so
-    inputs at zero still get a usable stencil.
+    The Jacobian J of ``f`` at the input means comes from central finite
+    differences; ``step`` is relative to each input magnitude, with an
+    absolute floor so inputs at zero still get a usable stencil.  Returns
+    one UValue per output of ``f`` and their covariance J diag(sigma^2) J^T.
     """
     inputs = [_as_uvalue(v) for v in inputs]
     means = [v.value for v in inputs]
-    center = float(f(*means))
-    if not math.isfinite(center):
+    center = [float(y) for y in f(*means)]
+    if not all(map(math.isfinite, center)):
         raise InvalidInputError("function is non-finite at the input means")
-    var = 0.0
+    columns = []  # sigma_i * df/dx_i for each input with a nonzero sigma
     for i, v in enumerate(inputs):
         if v.sigma == 0.0:
             continue
         h = max(abs(means[i]) * step, abs_step_floor)
-        hi = list(means)
-        lo = list(means)
+        hi, lo = list(means), list(means)
         hi[i] += h
         lo[i] -= h
-        grad = (float(f(*hi)) - float(f(*lo))) / (2.0 * h)
-        if not math.isfinite(grad):
+        grads = [(float(a) - float(b)) / (2.0 * h) for a, b in zip(f(*hi), f(*lo))]
+        if not all(map(math.isfinite, grads)):
             raise InvalidInputError(f"gradient non-finite in input {i}")
-        term = grad * v.sigma  # a product overflows to inf; ** 2 would raise
-        var += term * term
-    if not math.isfinite(var):
+        # a product overflows to inf, where ** 2 would raise
+        columns.append([g * v.sigma for g in grads])
+    n = len(center)
+    cov = [[sum(c[j] * c[k] for c in columns) for k in range(n)] for j in range(n)]
+    if not all(math.isfinite(cov[j][j]) for j in range(n)):
         raise InvalidInputError("propagated variance is not finite")
-    return UValue(center, math.sqrt(var))
+    return [UValue(y, math.sqrt(cov[j][j])) for j, y in enumerate(center)], cov
+
+
+def propagate(f: Callable[..., float], inputs: Sequence[UValue],
+              step: float = 1e-6, abs_step_floor: float = 1e-12) -> UValue:
+    """First-order propagation of a scalar ``f``; see ``propagate_joint``."""
+    (out,), _ = propagate_joint(lambda *x: (f(*x),), inputs, step, abs_step_floor)
+    return out
 
 
 def mc_propagate(

@@ -266,8 +266,9 @@ def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
 def load_spectrum(path) -> XpsSpectrum:
     """Read a two-column CSV (binding_energy_eV, counts) with header.
 
-    A missing, non-numeric or non-finite cell raises DatasetError naming
-    the file and line.
+    A missing, non-numeric or non-finite cell, negative counts or a binding
+    energy not above the previous row's raise DatasetError naming the file
+    and line.
     """
     path = Path(path)
     rows = []
@@ -286,8 +287,12 @@ def load_spectrum(path) -> XpsSpectrum:
             if not "".join(row).strip():
                 continue
             line = reader.line_num
-            rows.append((dataset_float(row[0], path, line, 1),
-                         dataset_float(row[1] if len(row) > 1 else None, path, line, 2)))
+            energy = dataset_float(row[0], path, line, 1)
+            counts = dataset_float(row[1] if len(row) > 1 else None, path, line, 2)
+            if counts < 0 or (rows and energy <= rows[-1][0]):
+                raise DatasetError(f"{path}, line {line}: counts must be >= 0 and binding "
+                                   f"energies strictly ascending, got {energy}, {counts}")
+            rows.append((energy, counts))
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     be = np.array([r[0] for r in rows])
@@ -430,8 +435,11 @@ def fit_components(
     def jac(p):
         return _peak_model_jac(x, model, p) * w[:, None]
 
-    res = least_squares(resid, p0, jac=jac, bounds=(np.array(lower), np.array(upper)),
-                        xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
+    try:
+        res = least_squares(resid, p0, jac=jac, bounds=(np.array(lower), np.array(upper)),
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
+    except ValueError as exc:  # extreme data: the model overflowed to a non-finite value
+        raise ConvergenceError(f"component fit failed: {exc}") from exc
     if not res.success:
         raise ConvergenceError("component fit did not converge",
                                residual=float(np.max(np.abs(res.fun))))
@@ -528,6 +536,8 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     d = np.array([v.value for v in thicknesses])
     sig = np.array([v.sigma if v.sigma > 0 else 1.0 for v in thicknesses])
     w = 1.0 / sig
+    if not np.all(np.isfinite(w)):
+        raise DatasetError("thickness sigmas too small for a finite weight 1/sigma")
 
     best = None
     # candidates leaving >= 2 points per regime, plus the all-linear case

@@ -7,6 +7,7 @@ from qlb.budget import (
     solve_alox,
     solve_budget,
     solve_hc,
+    solve_hf_pair,
     solve_ms_sa,
 )
 from qlb.errors import (
@@ -43,6 +44,13 @@ class TestSolverRoundTrip:
         assert m.value == pytest.approx(ms_sa, rel=1e-9)
         assert h.value == pytest.approx(tan_hc, rel=1e-9)
 
+    def test_hf_pair_matches_the_step_solvers(self):
+        args = (UValue(1.77e-3, 0.08e-3), UValue(2.51e-3, 0.29e-3),
+                UValue(1.90, 0.05), UValue(3.11, 0.09), CFG)
+        alox, ms_sa = solve_hf_pair(*args)
+        assert alox == solve_alox(*args)
+        assert ms_sa.value == solve_ms_sa(args[0], alox, args[2], CFG).value
+
     def test_fractions_sum_and_consistency(self):
         tan_alox, ms_sa, tan_hc = 1.2e-2, 5.0e-4, 3.5e-3
         f_hf, f_hf90, f_untr = forward_tangents(
@@ -78,6 +86,28 @@ class TestSolverGuards:
         with pytest.warns(InconsistentInputsWarning):
             solve_hc(UValue(1e-4), UValue(1e-2), UValue(5e-4),
                      UValue(2.7), UValue(0.5), CFG)
+
+    @pytest.mark.parametrize("solve", [
+        lambda t: solve_alox(UValue(1e-3), UValue(2e-3), t, UValue(3.0), CFG),
+        lambda t: solve_hf_pair(UValue(1e-3), UValue(2e-3), t, UValue(3.0), CFG),
+        lambda t: solve_ms_sa(UValue(1e-3), UValue(1e-2), t, CFG),
+        lambda t: solve_hc(UValue(3e-3), UValue(1e-2), UValue(5e-4), t, UValue(0.5), CFG),
+        lambda t: solve_hc(UValue(3e-3), UValue(1e-2), UValue(5e-4), UValue(2.7), t, CFG),
+        lambda t: budget_fractions(UValue(3e-3), UValue(1e-2), UValue(3e-3), UValue(5e-4),
+                                   t, UValue(0.5), CFG),
+        lambda t: solve_budget(UValue(1.77e-3), UValue(2.51e-3), UValue(3.19e-3),
+                               UValue(1.9), UValue(3.1), UValue(2.7), t, CFG),
+    ])
+    def test_negative_thickness_rejected(self, solve):
+        with pytest.raises(InvalidInputError, match="must be >= 0"):
+            solve(UValue(-0.1, 0.05))
+
+    def test_budget_reports_negative_tangents(self):
+        # an HF tangent below the regrowth slope leaves a negative MS+SA remainder
+        result = solve_budget(UValue(1e-4, 1e-5), UValue(2.51e-3), UValue(3.19e-3),
+                              UValue(1.9), UValue(3.1), UValue(2.7), UValue(0.5), CFG)
+        assert result.tan_ms_sa.value < 0
+        assert result.warnings == ("MS+SA remainder has a negative central value",)
 
     def test_participation_validation(self):
         with pytest.raises(InvalidInputError):

@@ -172,6 +172,14 @@ class TestStages:
         assert prov["config_sha256"] == config.config_sha256
         assert "participation.r_ma" in prov["derived_ratio_flags"]
 
+    def test_single_photon_ladder_warns_on_negative_remainder(self, tmp_path):
+        path = write_config(tmp_path, lambda raw: raw["treatments"]["hf"].update(
+            tan_delta_n1={"value": 0.5e-4, "sigma": 0.1e-4}))
+        frag = run_stage("budget", load_config(path))
+        assert frag["stages"]["budget"]["single_photon"]["tan_ms_sa"]["value"] < 0
+        assert frag["warnings"] == [
+            "budget[n=1]: MS+SA remainder has a negative central value"]
+
     def test_unconfigured_stages_skipped(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw.pop("kinetics"))
         report = run_report(load_config(path))
@@ -262,6 +270,43 @@ class TestCli:
         assert rc == 3
         assert f"{bad}, line 3" in capsys.readouterr().err
 
+    # a parsable cell that the row's domain object rejects: (stage, column, value)
+    CSV_ROW_REJECTS = {
+        "tls-temperature": ("tls-fit", 1, "-1"),
+        "spr-zero-q": ("spr-fit", 2, "0"),
+        "spr-zero-sigma": ("spr-fit", 3, "0"),
+        "xps-negative-counts": ("xps-fit", 1, "-1"),
+        "kinetics-time-not-ascending": ("kinetics", 0, "1"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CSV_ROW_REJECTS))
+    def test_rejected_csv_row_is_dataset_error(self, tmp_path, capsys, case):
+        stage, column, value = self.CSV_ROW_REJECTS[case]
+        name, set_file = self.CSV_READERS[stage]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[column] = value
+        lines[2] = ",".join(cells)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+        assert rc == 3
+        assert f"{bad}, line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("treatment,key,name", [
+        ("hf", "t_ox", "t_hf"),
+        ("hf_90_days", "t_ox", "t_hf90"),
+        ("untreated", "t_ox", "t_untreated_ox"),
+        ("untreated", "t_hc", "t_hc"),
+    ])
+    def test_negative_thickness_exits_2(self, tmp_path, capsys, treatment, key, name):
+        cfg = write_config(tmp_path, lambda raw: raw["treatments"][treatment].update(
+            {key: {"value": -1.0, "sigma": 0.05}}))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "budget"])
+        assert rc == 2
+        assert f"{name} must be >= 0" in capsys.readouterr().err
+
     def test_report_fails_on_bad_csv_named_like_a_config_key(self, tmp_path, capsys):
         # the error text names the file; only an absent input skips a stage
         lines = (DATA_DIR / "kinetics_native_oxide.csv").read_text().splitlines()
@@ -349,6 +394,10 @@ CONFIG_DEFECTS = {
     "negative-sigma": (("qubit", "q_measured", "sigma"), -1.0, "qubit.q_measured.sigma"),
     "int-points-file": (("kinetics", "points_file"), 3, "kinetics.points_file"),
     "missing-key": (("strohmeier",), {"lambda_m_nm": 2.6}, "strohmeier.lambda_ox_nm"),
+    "unknown-oxide-label": (("xps", "oxide_labels"), ["Al_int", "x"], "xps.oxide_labels"),
+    "unknown-metal-label": (("xps", "metal_labels"), ["Al0_1/2"], "xps.metal_labels"),
+    "empty-oxide-labels": (("xps", "oxide_labels"), [], "xps.oxide_labels"),
+    "empty-metal-labels": (("xps", "metal_labels"), [], "xps.metal_labels"),
 }
 
 
@@ -397,3 +446,37 @@ def test_mutated_config_never_raises(tmp_path_factory, mutations):
     rc = cli.main(["--config", str(work / "config.yaml"), "--out", str(work / "out"),
                    "report"])
     assert rc in {0, 2, 3, 4, 5}
+
+
+# bundled CSV name -> config setter, for every CSV reader
+CSV_SETTERS = dict(TestCli.CSV_READERS.values())
+# one data cell of a bundled CSV: (file name, line index, column index)
+CSV_CELLS = [(name, line, column)
+             for name in sorted(CSV_SETTERS)
+             for line, text in enumerate((DATA_DIR / name).read_text().splitlines())
+             if line > 0
+             for column, cell in enumerate(text.split(","))
+             if cell not in {"hf", "hf_90_days", "untreated"}]
+CELL_PALETTE = ["0", "-0", "-1", "1e300", "-1e300", "1e-300", "1e-320", "nan", "abc", ""]
+
+
+@settings(max_examples=30)
+@given(st.lists(st.tuples(st.sampled_from(CSV_CELLS), st.sampled_from(CELL_PALETTE)),
+                min_size=1, max_size=3))
+def test_mutated_csv_never_raises(tmp_path_factory, mutations):
+    work = tmp_path_factory.getbasetemp() / "csv-fuzz"
+    work.mkdir(exist_ok=True)
+    raw = bundled_tree()
+    files = {}
+    for (name, line, column), value in mutations:
+        lines = files.setdefault(name, (DATA_DIR / name).read_text().splitlines())
+        cells = lines[line].split(",")
+        cells[column] = value
+        lines[line] = ",".join(cells)
+    for name, lines in files.items():
+        (work / name).write_text("\n".join(lines) + "\n")
+        CSV_SETTERS[name](raw, str(work / name))
+    (work / "config.yaml").write_text(yaml.safe_dump(raw))
+    rc = cli.main(["--config", str(work / "config.yaml"), "--out", str(work / "out"),
+                   "report"])
+    assert rc in {0, 2, 3, 4}

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlb.errors import ConfigurationError, DegenerateSystemError, InvalidInputError
+from qlb.errors import ConfigurationError, InvalidInputError
 from qlb.uncert import (
     UValue,
     combine_linear,
-    combine_product,
-    combine_quotient,
     mc_propagate,
     propagate,
+    propagate_joint,
 )
 
 
@@ -57,25 +56,6 @@ class TestCombineLinear:
         )
 
 
-class TestProductQuotient:
-    def test_product_example(self):
-        out = combine_product(UValue(10, 1), UValue(10, 1))
-        assert out.value == pytest.approx(100)
-        assert out.sigma == pytest.approx(math.sqrt(200), rel=1e-12)
-
-    def test_product_identity(self):
-        out = combine_product(UValue(4.2, 0.3), UValue(1, 0))
-        assert out.value == pytest.approx(4.2) and out.sigma == pytest.approx(0.3)
-
-    def test_quotient_exact_scaling(self):
-        out = combine_quotient(UValue(6, 0.6), UValue(3, 0))
-        assert out.value == pytest.approx(2) and out.sigma == pytest.approx(0.2)
-
-    def test_quotient_zero_denominator(self):
-        with pytest.raises(DegenerateSystemError):
-            combine_quotient(UValue(1, 0.1), UValue(0, 0.1))
-
-
 class TestPropagate:
     def test_sum_matches_combine_linear(self):
         out = propagate(lambda a, b: a + b, [UValue(2, 0.3), UValue(1, 0.4)])
@@ -103,6 +83,31 @@ class TestPropagate:
         # (grad * sigma)^2 = 1e400 is past the largest float
         with pytest.raises(InvalidInputError, match="variance"):
             propagate(lambda x: 2.0 * x, [UValue(1.0, 1e200)])
+
+
+class TestPropagateJoint:
+    def test_sum_and_difference_covariance(self):
+        # closed form: var = sa^2 + sb^2 on the diagonal, sa^2 - sb^2 off it
+        outs, cov = propagate_joint(lambda a, b: (a + b, a - b),
+                                    [UValue(2, 0.3), UValue(1, 0.4)])
+        assert [o.value for o in outs] == pytest.approx([3.0, 1.0])
+        assert [o.sigma for o in outs] == pytest.approx([0.5, 0.5], rel=1e-6)
+        assert cov[0] + cov[1] == pytest.approx([0.25, -0.07, -0.07, 0.25], rel=1e-6)
+
+    def test_each_output_matches_propagate(self):
+        f = (lambda x, y: x * y, lambda x, y: x / y, lambda x, y: math.exp(x) - y)
+        inputs = [UValue(1.3, 0.1), UValue(0.7, 0.05)]
+        outs, _ = propagate_joint(lambda x, y: [g(x, y) for g in f], inputs)
+        assert outs == [propagate(g, inputs) for g in f]
+
+    def test_exact_inputs_give_zero_covariance(self):
+        outs, cov = propagate_joint(lambda a, b: (a * b, a), [UValue(2.0), UValue(3.0)])
+        assert [o.sigma for o in outs] == [0.0, 0.0]
+        assert cov == [[0.0, 0.0], [0.0, 0.0]]
+
+    def test_nonfinite_output_rejected(self):
+        with pytest.raises(InvalidInputError):
+            propagate_joint(lambda x: (x, math.inf), [UValue(1, 0.1)])
 
 
 class TestMcPropagate:
