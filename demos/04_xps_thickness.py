@@ -3,21 +3,21 @@
 A forward-model Al2p spectrum with a known oxide thickness is generated,
 a Shirley background is estimated, the spin-orbit doublets are fitted,
 and the Strohmeier formula turns the oxide/metal area ratio back into a
-thickness.
+thickness.  Its 1-sigma comes from the fit covariance of the two summed
+areas, correlation included.
 """
 
 import numpy as np
 
-from qlb.uncert import UValue
 from qlb.xps import (
     PeakComponent,
     StrohmeierConstants,
     XpsSpectrum,
-    component_area,
     fit_components,
     invert_strohmeier,
     shirley_background,
     strohmeier_thickness,
+    summed_areas,
     synthesize_spectrum,
 )
 
@@ -45,9 +45,8 @@ sel = (spec.binding_energy >= 66.0) & (spec.binding_energy <= 84.0)
 windowed = XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
 result = fit_components(windowed, bg, comps)
 
-i_ox = component_area(result, "Al_oxide")
-i_m = component_area(result, "Al0")
-d = strohmeier_thickness(UValue(i_ox), UValue(i_m), consts)
-print(f"target thickness   = {target_nm:.3f} nm")
-print(f"recovered thickness = {d.value:.3f} nm "
+(i_ox, i_m), area_cov = summed_areas(result, ["Al_oxide"], ["Al0"])
+d = strohmeier_thickness(i_ox, i_m, consts, area_cov)
+print(f"target thickness    = {target_nm:.3f} nm")
+print(f"recovered thickness = {d.value:.3f} +- {d.sigma:.3f} nm "
       f"({100 * (d.value / target_nm - 1):+.2f}%)")

@@ -495,21 +495,12 @@ def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
         warnings_out.append(
             f"xps-fit: constraint(s) active at bounds: {list(result.boundary_active)}"
         )
-    areas = {
-        c.label: c.area for c in result.components
-    }
-    metal = config.xps["metal_labels"]
-    oxide = config.xps["oxide_labels"]
-    i_m = sum(xps_mod.component_area(result, lbl) for lbl in metal)
-    i_ox = sum(xps_mod.component_area(result, lbl) for lbl in oxide)
-    sig_m = float(np.hypot.reduce([result.area_sigmas.get(lbl, 0.0) for lbl in metal]))
-    sig_ox = float(np.hypot.reduce([result.area_sigmas.get(lbl, 0.0) for lbl in oxide]))
-    thickness = xps_mod.strohmeier_thickness(
-        UValue(i_ox, sig_ox), UValue(i_m, sig_m), config.strohmeier
-    )
+    (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
+                                                 config.xps["metal_labels"])
+    thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
     fragment["xps_fit"] = {
         "energy_shift_eV": spec.metadata.get("energy_shift_eV", 0.0),
-        "areas": areas,
+        "areas": {c.label: c.area for c in result.components},
         "oxide_thickness_nm": _uv(thickness),
         "strohmeier_constants": {
             "lambda_m_nm": config.strohmeier.lambda_m,

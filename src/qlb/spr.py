@@ -38,6 +38,10 @@ class SprPoint:
             raise InvalidInputError("inv_q needs positive value and sigma")
         if not 1e-150 < self.inv_q.sigma < 1e150:  # keeps the weight 1/sigma^2 finite
             raise InvalidInputError(f"inv_q sigma out of range, got {self.inv_q.sigma}")
+        # keeps the point's terms w x^2 and w x y of the weighted sums finite
+        if not math.isfinite(self.p_ms * max(self.p_ms, self.inv_q.value)
+                             / self.inv_q.sigma ** 2):
+            raise InvalidInputError(f"p_ms {self.p_ms} overflows the weighted fit sums")
 
 
 def fit_through_origin(points: Sequence[SprPoint]) -> UValue:

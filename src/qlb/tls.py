@@ -27,6 +27,7 @@ from .uncert import UValue
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
 
 DEFAULT_QP_CUTOFF_K = 0.120
+Q_TLS0_BOUNDS = (1.0, 1e12)  # fit range of q_tls0
 
 
 @dataclass(frozen=True)
@@ -75,15 +76,19 @@ def _tanh_factor(f0: float, temperature):
     return np.tanh(HBAR * 2.0 * np.pi * f0 / (2.0 * K_B * temperature))
 
 
+def _q_tls(n, T, th, q_tls0, D, beta1, beta2):
+    """Q_TLS(n, T) for scalars or arrays, with th = tanh(hbar w / 2 kB T)."""
+    return q_tls0 * np.sqrt(1.0 + n ** beta2 / (D * T ** beta1) * th) / th
+
+
 def q_tls(n_bar: float, temperature: float, params: TlsParams) -> float:
     """Evaluate Q_TLS(n_bar, T) for the given parameters."""
     if temperature <= 0:
         raise InvalidInputError("temperature must be > 0")
     if n_bar < 0:
         raise InvalidInputError("n_bar must be >= 0")
-    th = _tanh_factor(params.f0, temperature)
-    sat = n_bar ** params.beta2 / (params.D * temperature ** params.beta1)
-    return params.q_tls0.value * math.sqrt(1.0 + sat * th) / th
+    return _q_tls(n_bar, temperature, _tanh_factor(params.f0, temperature),
+                  params.q_tls0.value, params.D, params.beta1, params.beta2)
 
 
 def rescale_q_tls0(params: TlsParams, n_bar: float, temperature: float) -> UValue:
@@ -102,9 +107,7 @@ def _physical(theta):
 
 
 def _model_inv_q(n, T, th, q_tls0, D, beta1, beta2, q_other):
-    sat = n ** beta2 / (D * T ** beta1)
-    qtls = q_tls0 * np.sqrt(1.0 + sat * th) / th
-    return 1.0 / qtls + 1.0 / q_other
+    return 1.0 / _q_tls(n, T, th, q_tls0, D, beta1, beta2) + 1.0 / q_other
 
 
 def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
@@ -156,6 +159,9 @@ def fit_tls(
 
     if init is None:
         q_init = float(np.max([p.q_int.value for p in kept]))
+        if not Q_TLS0_BOUNDS[0] <= q_init <= Q_TLS0_BOUNDS[1]:  # q_tls0 starts there
+            raise DatasetError(f"largest q_int {q_init:g} is outside the q_tls0 fit "
+                               "range [{:g}, {:g}]".format(*Q_TLS0_BOUNDS))
         init = TlsParams(UValue(q_init), D=1.0, beta1=1.0, beta2=1.0,
                          q_other=10.0 * q_init, f0=f0)
 
@@ -169,8 +175,8 @@ def fit_tls(
         np.log(init.q_tls0.value), np.log(init.D), init.beta1, init.beta2,
         np.log(init.q_other),
     ])
-    lower = np.array([np.log(1.0), lo_logD, lo_beta1, lo_beta2, np.log(1.0)])
-    upper = np.array([np.log(1e12), hi_logD, hi_beta1, hi_beta2, np.log(1e14)])
+    lower = np.array([np.log(Q_TLS0_BOUNDS[0]), lo_logD, lo_beta1, lo_beta2, np.log(1.0)])
+    upper = np.array([np.log(Q_TLS0_BOUNDS[1]), hi_logD, hi_beta1, hi_beta2, np.log(1e14)])
 
     th = _tanh_factor(f0, T)
     ln_T = np.log(T)
@@ -184,7 +190,7 @@ def fit_tls(
 
     try:
         res = least_squares(resid, theta0, jac=jac, bounds=(lower, upper),
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
     except ValueError as exc:  # extreme data: a non-finite model or a start past a bound
         raise ConvergenceError(f"TLS fit failed: {exc}") from exc
     if not res.success:

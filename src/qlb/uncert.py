@@ -2,9 +2,9 @@
 
 Every measured or derived quantity in the loss budget is a ``UValue``:
 a central value plus a one-standard-deviation Gaussian uncertainty.
-Inputs are treated as independent.  Quantities derived from shared
-inputs are correlated: ``propagate_joint`` propagates a whole chain from
-its primitive inputs in one Jacobian and returns the output covariance.
+Inputs are independent unless their covariance is given.  Quantities
+derived from shared inputs are correlated: ``propagate_joint`` takes a
+whole chain in one Jacobian and returns the output covariance.
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -79,43 +79,52 @@ def combine_linear(terms: Sequence[tuple[float, UValue]]) -> UValue:
 
 def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
                     step: float = 1e-6, abs_step_floor: float = 1e-12,
+                    covariance: Sequence[Sequence[float]] | None = None,
                     ) -> tuple[list[UValue], list[list[float]]]:
-    """First-order propagation of a vector-valued ``f`` of independent inputs.
+    """First-order propagation of a vector-valued ``f`` of the inputs.
 
     The Jacobian J of ``f`` at the input means comes from central finite
     differences; ``step`` is relative to each input magnitude, with an
     absolute floor so inputs at zero still get a usable stencil.  Returns
-    one UValue per output of ``f`` and their covariance J diag(sigma^2) J^T.
+    one UValue per output of ``f`` and their covariance J C J^T, with C the
+    inputs' ``covariance`` if given (it replaces their sigmas), else diag(sigma^2).
     """
     inputs = [_as_uvalue(v) for v in inputs]
     means = [v.value for v in inputs]
+    if covariance is not None and [len(r) for r in covariance] != [len(inputs)] * len(inputs):
+        raise InvalidInputError(f"covariance must be {len(inputs)} x {len(inputs)}")
     center = [float(y) for y in f(*means)]
     if not all(map(math.isfinite, center)):
         raise InvalidInputError("function is non-finite at the input means")
-    columns = []  # sigma_i * df/dx_i for each input with a nonzero sigma
+    grads = []  # (i, df/dx_i) for each input with a nonzero variance
     for i, v in enumerate(inputs):
-        if v.sigma == 0.0:
+        if (v.sigma if covariance is None else covariance[i][i]) == 0.0:
             continue
         h = max(abs(means[i]) * step, abs_step_floor)
         hi, lo = list(means), list(means)
         hi[i] += h
         lo[i] -= h
-        grads = [(float(a) - float(b)) / (2.0 * h) for a, b in zip(f(*hi), f(*lo))]
-        if not all(map(math.isfinite, grads)):
+        grad = [(float(a) - float(b)) / (2.0 * h) for a, b in zip(f(*hi), f(*lo))]
+        if not all(map(math.isfinite, grad)):
             raise InvalidInputError(f"gradient non-finite in input {i}")
-        # a product overflows to inf, where ** 2 would raise
-        columns.append([g * v.sigma for g in grads])
+        grads.append((i, grad))
     n = len(center)
-    cov = [[sum(c[j] * c[k] for c in columns) for k in range(n)] for j in range(n)]
+    if covariance is None:  # products overflow to inf, where ** 2 would raise
+        columns = [[g * inputs[i].sigma for g in grad] for i, grad in grads]
+        cov = [[sum(c[j] * c[k] for c in columns) for k in range(n)] for j in range(n)]
+    else:
+        cov = [[sum(ga[j] * covariance[a][b] * gb[k] for a, ga in grads for b, gb in grads)
+                for k in range(n)] for j in range(n)]
     if not all(math.isfinite(cov[j][j]) for j in range(n)):
         raise InvalidInputError("propagated variance is not finite")
-    return [UValue(y, math.sqrt(cov[j][j])) for j, y in enumerate(center)], cov
+    # max: rounding can leave a variance of correlated inputs a hair below 0
+    return [UValue(y, math.sqrt(max(cov[j][j], 0.0))) for j, y in enumerate(center)], cov
 
 
-def propagate(f: Callable[..., float], inputs: Sequence[UValue],
-              step: float = 1e-6, abs_step_floor: float = 1e-12) -> UValue:
-    """First-order propagation of a scalar ``f``; see ``propagate_joint``."""
-    (out,), _ = propagate_joint(lambda *x: (f(*x),), inputs, step, abs_step_floor)
+def propagate(f: Callable[..., float], inputs: Sequence[UValue], **options) -> UValue:
+    """First-order propagation of a scalar ``f``; ``options`` and the method
+    as for ``propagate_joint``."""
+    (out,), _ = propagate_joint(lambda *x: (f(*x),), inputs, **options)
     return out
 
 

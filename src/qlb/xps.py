@@ -41,6 +41,7 @@ __all__ = [
     "calibrate_energy",
     "shirley_background",
     "fit_components",
+    "summed_areas",
     "strohmeier_thickness",
     "fit_kinetics",
     "synthesize_spectrum",
@@ -125,6 +126,11 @@ class StrohmeierConstants:
         if not 0.0 < self.theta <= 90.0:
             raise InvalidInputError("theta must be in (0, 90] degrees")
 
+    def coefficients(self) -> tuple[float, float]:
+        """(k, pref) of the Strohmeier formula d = k ln(pref I_ox / I_m + 1)."""
+        return (self.lambda_ox * math.sin(math.radians(self.theta)),
+                (self.n_m / self.n_ox) * (self.lambda_m / self.lambda_ox))
+
 
 @dataclass(frozen=True)
 class KineticsFit:
@@ -158,8 +164,10 @@ class FitResult:
     """Outcome of a multicomponent fit."""
 
     components: tuple  # fitted PeakComponents incl. generated 1/2 partners
-    covariance: np.ndarray
-    area_sigmas: dict  # template label -> sigma of its total area
+    params: np.ndarray  # fitted (center, fwhm, area) per template
+    covariance: np.ndarray  # C, of params
+    area_rows: dict  # template label -> row T, its total area T . params
+    area_sigmas: dict  # template label -> sigma of its total area, sqrt(T C T^T)
     boundary_active: tuple  # labels of parameters pinned at a constraint
     residual_norm: float
 
@@ -200,42 +208,36 @@ def _lineshape_grad(x, shape, center, fwhm, area):
     return value, d_center, d_fwhm, unit
 
 
-def _peak_model(x, model, p):
-    """Sum of the ``model`` peaks at p = (center, fwhm, area) per component.
-
-    Only shape, doublet and splitting are read from the templates; doublet
-    1/2 partners are added at center + splitting with 1/DOUBLET_AREA_RATIO
-    of the area.
-    """
-    total = np.zeros_like(x)
+def _peaks(model):
+    """(template index, label, center offset, area factor) of every peak: the
+    doublet rule, a 1/2 partner of the same shape and fwhm per doublet."""
     for i, c in enumerate(model):
-        center, fwhm, area = p[3 * i], p[3 * i + 1], p[3 * i + 2]
-        total += _lineshape(x, c.shape, center, fwhm, area)
+        yield i, c.label, 0.0, 1.0
         if c.doublet:
-            total += _lineshape(
-                x, c.shape, center + c.splitting, fwhm, area / DOUBLET_AREA_RATIO,
-            )
+            yield i, c.label + "_1/2", c.splitting, 1.0 / DOUBLET_AREA_RATIO
+
+
+def _peak_model(x, model, p):
+    """Sum of the ``model`` peaks at p = (center, fwhm, area) per template;
+    only shape, doublet and splitting are read from the templates."""
+    total = np.zeros_like(x)
+    for i, _, offset, factor in _peaks(model):
+        total += _lineshape(x, model[i].shape, p[3 * i] + offset, p[3 * i + 1],
+                            p[3 * i + 2] * factor)
     return total
 
 
 def _peak_model_jac(x, model, p):
     """Jacobian of ``_peak_model`` with respect to p; a doublet's 1/2
     partner is accumulated into its 3/2 member's columns."""
-    J = np.empty((x.size, len(p)))
-    for i, c in enumerate(model):
-        center, fwhm, area = p[3 * i], p[3 * i + 1], p[3 * i + 2]
-        _, d_center, d_fwhm, d_area = _lineshape_grad(x, c.shape, center, fwhm, area)
-        if c.doublet:
-            _, dc, dw, da = _lineshape_grad(
-                x, c.shape, center + c.splitting, fwhm, area / DOUBLET_AREA_RATIO,
-            )
-            d_center += dc
-            d_fwhm += dw
-            d_area += da / DOUBLET_AREA_RATIO
-        J[:, 3 * i] = d_center
-        J[:, 3 * i + 1] = d_fwhm
-        J[:, 3 * i + 2] = d_area
-    return J
+    JT = np.zeros((len(p), x.size))  # filled by contiguous rows, returned in C order
+    for i, _, offset, factor in _peaks(model):
+        _, d_center, d_fwhm, unit = _lineshape_grad(x, model[i].shape, p[3 * i] + offset,
+                                                    p[3 * i + 1], p[3 * i + 2] * factor)
+        JT[3 * i] += d_center
+        JT[3 * i + 1] += d_fwhm
+        JT[3 * i + 2] += unit * factor
+    return np.ascontiguousarray(JT.T)
 
 
 def _component_sum(x, components):
@@ -244,19 +246,14 @@ def _component_sum(x, components):
 
 
 def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
-    """Materialize the 1/2 partners of all doublet components."""
-    out = []
-    for c in components:
-        out.append(c)
-        if c.doublet:
-            out.append(replace(
-                c,
-                label=c.label + "_1/2",
-                center=c.center + c.splitting,
-                area=c.area / DOUBLET_AREA_RATIO,
-                doublet=False,
-            ))
-    return out
+    """Every peak of ``components``, each doublet followed by its 1/2 partner."""
+    return [
+        replace(components[i], label=label, center=components[i].center + offset,
+                area=components[i].area * factor,
+                # a generated partner is a peak, not a template of its own
+                doublet=components[i].doublet and label == components[i].label)
+        for i, label, offset, factor in _peaks(components)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +434,7 @@ def fit_components(
 
     try:
         res = least_squares(resid, p0, jac=jac, bounds=(np.array(lower), np.array(upper)),
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14, max_nfev=20000)
+                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
     except ValueError as exc:  # extreme data: the model overflowed to a non-finite value
         raise ConvergenceError(f"component fit failed: {exc}") from exc
     if not res.success:
@@ -463,61 +460,67 @@ def fit_components(
     # the Poisson-like weights are not true sigmas; rescale by reduced chi2
     dof = max(x.size - res.x.size, 1)
     cov = cov * (2.0 * res.cost / dof)
-    area_sigmas = {}
-    for i, c in enumerate(model):
-        sig = math.sqrt(max(cov[3 * i + 2, 3 * i + 2], 0.0))
-        if c.doublet:
-            # total area = 3/2 of the fitted 3/2-component area
-            sig *= 1.0 + 1.0 / DOUBLET_AREA_RATIO
-        area_sigmas[c.label] = sig
+    area_rows = {c.label: np.zeros(res.x.size) for c in model}
+    for i, _, _, factor in _peaks(model):
+        area_rows[model[i].label][3 * i + 2] += factor
     return FitResult(
         components=tuple(expand_doublets(fitted)),
+        params=res.x,
         covariance=cov,
-        area_sigmas=area_sigmas,
+        area_rows=area_rows,
+        area_sigmas={label: math.sqrt(max(row @ cov @ row, 0.0))
+                     for label, row in area_rows.items()},
         boundary_active=active,
         residual_norm=float(np.sqrt(2.0 * res.cost)),
     )
 
 
-def component_area(result: FitResult, label: str, include_partner: bool = True) -> float:
-    """Total analytic area of a labeled component (plus its 1/2 partner)."""
-    area = 0.0
-    for c in result.components:
-        if c.label == label or (include_partner and c.label == label + "_1/2"):
-            area += c.area
-    return area
+def component_area(result: FitResult, label: str) -> float:
+    """Total area of the template ``label``, a doublet's 1/2 partner included."""
+    if label not in result.area_rows:
+        raise InvalidInputError(f"no fitted template component {label!r}")
+    return float(result.area_rows[label] @ result.params)
+
+
+def summed_areas(result: FitResult, oxide_labels: Sequence[str],
+                 metal_labels: Sequence[str]) -> tuple[list[UValue], list[list[float]]]:
+    """[I_ox, I_m], the summed template areas, and their 2x2 covariance S C S^T,
+    S being the sums' rows: overlapping components' correlations are kept."""
+    groups = (oxide_labels, metal_labels)
+    values = [sum(component_area(result, label) for label in labels) for labels in groups]
+    S = np.array([sum((result.area_rows[label] for label in labels),
+                      np.zeros_like(result.params)) for labels in groups])
+    cov = S @ result.covariance @ S.T
+    areas = [UValue(v, math.sqrt(max(cov[j, j], 0.0))) for j, v in enumerate(values)]
+    return areas, cov.tolist()
 
 
 # ---------------------------------------------------------------------------
 # thickness and kinetics
 
 
-def strohmeier_thickness(
-    i_ox: UValue,
-    i_m: UValue,
-    constants: StrohmeierConstants,
-) -> UValue:
+def strohmeier_thickness(i_ox: UValue, i_m: UValue, constants: StrohmeierConstants,
+                         covariance: Sequence[Sequence[float]] | None = None) -> UValue:
     """Overlayer thickness (nm) from the oxide/metal peak intensity ratio.
 
     d = lambda_ox sin(theta) ln( (N_m/N_ox)(I_ox/I_m)(lambda_m/lambda_ox) + 1 )
+    ``covariance`` is that of (I_ox, I_m), as from ``summed_areas``; default independent.
     """
     if i_m.value <= 0:
         raise DegenerateSystemError("metal intensity must be positive")
     if i_ox.value < 0:
         raise InvalidInputError("oxide intensity must be >= 0")
-    k = constants.lambda_ox * math.sin(math.radians(constants.theta))
-    pref = (constants.n_m / constants.n_ox) * (constants.lambda_m / constants.lambda_ox)
+    k, pref = constants.coefficients()
 
     def f(ox, m):
         return k * math.log(pref * (ox / m) + 1.0)
 
-    return propagate(f, [i_ox, i_m])
+    return propagate(f, [i_ox, i_m], covariance=covariance)
 
 
 def invert_strohmeier(d: float, constants: StrohmeierConstants) -> float:
     """Intensity ratio I_ox/I_m that yields thickness ``d`` (test oracle)."""
-    k = constants.lambda_ox * math.sin(math.radians(constants.theta))
-    pref = (constants.n_m / constants.n_ox) * (constants.lambda_m / constants.lambda_ox)
+    k, pref = constants.coefficients()
     return (math.exp(d / k) - 1.0) / pref
 
 

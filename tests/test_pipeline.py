@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,7 @@ class TestCli:
         "tls-temperature": ("tls-fit", 1, "-1"),
         "spr-zero-q": ("spr-fit", 2, "0"),
         "spr-zero-sigma": ("spr-fit", 3, "0"),
+        "spr-p-ms-overflow": ("spr-fit", 1, "1e300"),
         "xps-negative-counts": ("xps-fit", 1, "-1"),
         "kinetics-time-not-ascending": ("kinetics", 0, "1"),
     }
@@ -293,6 +295,32 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
         assert rc == 3
         assert f"{bad}, line 3" in capsys.readouterr().err
+
+    def test_xps_zero_count_exits_4(self, tmp_path, capsys):
+        # the fit never meets its 1e-14 tolerances on a spectrum with a zero count
+        # and stops at least_squares' default cap of 100 evaluations per parameter
+        name, set_file = self.CSV_READERS["xps-fit"]
+        text = (DATA_DIR / name).read_text()
+        assert text.count("\n74.25,") == 1
+        bad = tmp_path / name
+        bad.write_text(re.sub(r"\n74\.25,[^\n]*", "\n74.25,0", text))
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
+        assert rc == 4
+        assert "component fit did not converge" in capsys.readouterr().err
+
+    def test_tls_q_int_above_fit_range_exits_3(self, tmp_path, capsys):
+        name, set_file = self.CSV_READERS["tls-fit"]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[2] = "1e13"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "tls-fit"])
+        assert rc == 3
+        assert "q_int 1e+13" in capsys.readouterr().err
 
     @pytest.mark.parametrize("treatment,key,name", [
         ("hf", "t_ox", "t_hf"),

@@ -109,6 +109,50 @@ class TestPropagateJoint:
         with pytest.raises(InvalidInputError):
             propagate_joint(lambda x: (x, math.inf), [UValue(1, 0.1)])
 
+    @pytest.mark.parametrize("rho", [-0.9, -0.3, 0.0, 0.6])
+    def test_correlated_linear_pair_exact(self, rho):
+        sa, sb = 0.3, 0.4
+        cov_in = [[sa * sa, rho * sa * sb], [rho * sa * sb, sb * sb]]
+        outs, cov = propagate_joint(lambda a, b: (a + b, a - b),
+                                    [UValue(2, sa), UValue(1, sb)], covariance=cov_in)
+        assert outs[0].sigma ** 2 == pytest.approx(sa ** 2 + sb ** 2 + 2 * rho * sa * sb,
+                                                   rel=1e-9)
+        assert outs[1].sigma ** 2 == pytest.approx(sa ** 2 + sb ** 2 - 2 * rho * sa * sb,
+                                                   rel=1e-9)
+        assert cov[0][1] == pytest.approx(sa ** 2 - sb ** 2, rel=1e-9)
+        single = propagate(lambda a, b: a + b, [UValue(2, sa), UValue(1, sb)],
+                           covariance=cov_in)
+        assert single == outs[0]
+
+    def test_default_is_independent_and_unchanged(self):
+        f = lambda a, b, c: (a * b / c, math.log(a) + b ** 2, math.exp(-c) * a)
+        inputs = [UValue(2.5, 0.1), UValue(-0.7, 0.05), UValue(1.3, 0.2)]
+        outs, cov = propagate_joint(f, inputs)
+        # outputs of the implementation that had no covariance option
+        pinned = [(-1.346153846153846, 0.23459672952692268),
+                  (1.406290731874155, 0.08062257747690378),
+                  (0.6813294825850315, 0.1389644930902409)]
+        pinned_cov = [
+            [0.05503562550472811, -0.00888461538406005, -0.02968822668843179],
+            [-0.00888461538406005, 0.006499999999019353, 0.0010901271719978818],
+            [-0.02968822668843179, 0.0010901271719978818, 0.019311130339827606],
+        ]
+        assert [(o.value, o.sigma) for o in outs] == pytest.approx(pinned, rel=1e-15)
+        for row, pinned_row in zip(cov, pinned_cov):
+            assert row == pytest.approx(pinned_row, rel=1e-15)
+        diagonal = [[v.sigma ** 2 if j == k else 0.0 for k, v in enumerate(inputs)]
+                    for j in range(3)]
+        outs_diag, cov_diag = propagate_joint(f, inputs, covariance=diagonal)
+        assert [o.sigma for o in outs_diag] == pytest.approx([o.sigma for o in outs],
+                                                             rel=1e-15)
+        for row, diag_row in zip(cov_diag, cov):
+            assert row == pytest.approx(diag_row, rel=1e-14)
+
+    def test_covariance_shape_checked(self):
+        with pytest.raises(InvalidInputError, match="2 x 2"):
+            propagate_joint(lambda a, b: (a + b,), [UValue(1, 0.1), UValue(2, 0.1)],
+                            covariance=[[0.01]])
+
 
 class TestMcPropagate:
     def test_identity_passthrough(self):

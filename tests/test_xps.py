@@ -31,6 +31,7 @@ from qlb.xps import (
     load_spectrum,
     shirley_background,
     strohmeier_thickness,
+    summed_areas,
     synthesize_spectrum,
 )
 
@@ -243,11 +244,68 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="bounds"):
             fit_components(spec, bg, comps)
 
+    def test_summed_areas_follow_the_fit_covariance(self):
+        comps, spec, bg = self.make_spectrum(noise=2.0)
+        result = fit_components(spec, bg, comps)
+        (i_ox, i_m), cov = summed_areas(result, ["Al3+"], ["Al0"])
+        assert i_ox.value == component_area(result, "Al3+")
+        assert i_m.value == component_area(result, "Al0")
+        assert [i_ox.sigma, i_m.sigma] == pytest.approx(
+            [result.area_sigmas["Al3+"], result.area_sigmas["Al0"]], rel=1e-12)
+        # total area = fitted 3/2 area x (1 + 1/ratio): its variance scales by the square
+        var_32 = result.covariance[5, 5]
+        assert cov[0][0] == pytest.approx(var_32 * 1.5 ** 2, rel=1e-12)
+        assert cov[0][1] == pytest.approx(cov[1][0], rel=1e-12)
+        (both, _), _ = summed_areas(result, ["Al0", "Al3+"], ["Al0"])
+        assert both.sigma ** 2 == pytest.approx(cov[0][0] + cov[1][1] + 2 * cov[0][1],
+                                                 rel=1e-9)
+
+    def test_unknown_label_rejected(self):
+        comps, spec, bg = self.make_spectrum()
+        result = fit_components(spec, bg, comps)
+        with pytest.raises(InvalidInputError, match="Al0_1/2"):
+            component_area(result, "Al0_1/2")
+
     def test_area_guess_uses_bounded_fwhm(self):
         comps, spec, bg = self.make_spectrum()
         comps = [replace(c, fwhm=1e300, area=0.0) for c in comps]
         result = fit_components(spec, bg, comps)
         assert component_area(result, "Al0") == pytest.approx(600.0 * 1.5, rel=0.02)
+
+
+class TestThicknessSigma:
+    """The first-order thickness sigma against a seeded noise Monte Carlo."""
+
+    def test_sigma_matches_scatter_over_noise_draws(self):
+        # the bundled spectrum's generator (scripts/make_bundled_data.py), other seeds
+        consts = StrohmeierConstants()
+        i_ox = invert_strohmeier(2.69, consts) * 1000.0
+        truth = [
+            PeakComponent("Al0", "lorentzian", 72.6, 0.45, area=1000.0 * 2 / 3,
+                          doublet=True),
+            PeakComponent("Al_int", "gaussian", 74.1, 1.3, area=0.25 * i_ox * 2 / 3,
+                          doublet=True),
+            PeakComponent("Al3+", "gaussian", 75.5, 1.7, area=0.75 * i_ox * 2 / 3,
+                          doublet=True),
+        ]
+        # the bundled config's templates, fitted as the report does
+        templates = [replace(c, area=0.0) for c in truth]
+        templates[2] = replace(templates[2], center_window=0.5)
+        values, sigmas = [], []
+        for seed in range(1000, 1100):
+            spec = synthesize_spectrum(truth, background_kind=("shirley", 60.0, 220.0),
+                                       noise_sigma=3.0, seed=seed)
+            spec = calibrate_energy(spec, "Al0", 72.6)
+            bg = shirley_background(spec, 70.0, 80.0)
+            sel = (spec.binding_energy >= 70.0) & (spec.binding_energy <= 80.0)
+            windowed = XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
+            result = fit_components(windowed, bg, templates)
+            (ox, m), cov = summed_areas(result, ["Al_int", "Al3+"], ["Al0"])
+            d = strohmeier_thickness(ox, m, consts, cov)
+            values.append(d.value)
+            sigmas.append(d.sigma)
+        scatter = float(np.std(values, ddof=1))
+        assert float(np.median(sigmas)) == pytest.approx(scatter, rel=0.2)
 
 
 class TestStrohmeier:
