@@ -307,6 +307,9 @@ def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
     times: list[float] = []
 
     def point(r):
+        if not (r["sigma_nm"] > 0 and math.isfinite(1.0 / r["sigma_nm"])):
+            raise InvalidInputError("sigma_nm must be > 0 with a finite weight 1/sigma, "
+                                    f"got {r['sigma_nm']}")
         thickness = UValue(r["thickness_nm"], r["sigma_nm"])
         if r["time_hours"] <= (times[-1] if times else 0.0):
             raise InvalidInputError("time_hours must be > 0 and strictly ascending, "

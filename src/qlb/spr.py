@@ -13,8 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import DatasetError, InvalidInputError, DegenerateSystemError
-from .uncert import UValue
+import numpy as np
+
+from .errors import DatasetError, InvalidInputError
+from .uncert import UValue, weighted_lstsq
 
 __all__ = [
     "SprPoint",
@@ -38,10 +40,17 @@ class SprPoint:
             raise InvalidInputError("inv_q needs positive value and sigma")
         if not 1e-150 < self.inv_q.sigma < 1e150:  # keeps the weight 1/sigma^2 finite
             raise InvalidInputError(f"inv_q sigma out of range, got {self.inv_q.sigma}")
-        # keeps the point's terms w x^2 and w x y of the weighted sums finite
+        # keeps the point's weighted terms w x^2 and w x y finite
         if not math.isfinite(self.p_ms * max(self.p_ms, self.inv_q.value)
                              / self.inv_q.sigma ** 2):
-            raise InvalidInputError(f"p_ms {self.p_ms} overflows the weighted fit sums")
+            raise InvalidInputError(f"p_ms {self.p_ms} overflows the weighted fit")
+
+
+def _fit(columns, values: Sequence[UValue]) -> list[UValue]:
+    """Weighted least-squares coefficients of ``values`` on the design ``columns``."""
+    coef, cov, _ = weighted_lstsq(np.column_stack(columns), [v.value for v in values],
+                                  [v.sigma for v in values])
+    return [UValue(float(c), float(s)) for c, s in zip(coef, np.sqrt(np.diag(cov)))]
 
 
 def fit_through_origin(points: Sequence[SprPoint]) -> UValue:
@@ -52,13 +61,7 @@ def fit_through_origin(points: Sequence[SprPoint]) -> UValue:
     """
     if not points:
         raise DatasetError("no points to fit")
-    sxy = 0.0
-    sxx = 0.0
-    for p in points:
-        w = 1.0 / p.inv_q.sigma ** 2
-        sxy += w * p.p_ms * p.inv_q.value
-        sxx += w * p.p_ms * p.p_ms
-    return UValue(sxy / sxx, 1.0 / math.sqrt(sxx))
+    return _fit([[p.p_ms for p in points]], [p.inv_q for p in points])[0]
 
 
 def fit_with_intercept(points: Sequence[SprPoint]) -> tuple[UValue, UValue]:
@@ -69,35 +72,12 @@ def fit_with_intercept(points: Sequence[SprPoint]) -> tuple[UValue, UValue]:
     """
     if len(points) < 2:
         raise DatasetError("need >= 2 points for an intercept fit")
-    sw = swx = swy = swxx = swxy = 0.0
-    for p in points:
-        w = 1.0 / p.inv_q.sigma ** 2
-        x, y = p.p_ms, p.inv_q.value
-        sw += w
-        swx += w * x
-        swy += w * y
-        swxx += w * x * x
-        swxy += w * x * y
-    delta = sw * swxx - swx * swx
-    if delta <= 0:
-        raise DegenerateSystemError("degenerate design matrix (identical x values?)")
-    slope = (sw * swxy - swx * swy) / delta
-    intercept = (swxx * swy - swx * swxy) / delta
-    return (
-        UValue(slope, math.sqrt(sw / delta)),
-        UValue(intercept, math.sqrt(swxx / delta)),
-    )
+    return tuple(_fit([[p.p_ms for p in points], np.ones(len(points))],
+                      [p.inv_q for p in points]))
 
 
 def pool_tangents(values: Sequence[UValue]) -> UValue:
     """Inverse-variance weighted mean of per-chip tangents."""
     if not values:
         raise DatasetError("no values to pool")
-    sw = swv = 0.0
-    for v in values:
-        if v.sigma == 0:
-            raise DegenerateSystemError("cannot pool a value with sigma = 0")
-        w = 1.0 / v.sigma ** 2
-        sw += w
-        swv += w * v.value
-    return UValue(swv / sw, 1.0 / math.sqrt(sw))
+    return _fit([np.ones(len(values))], values)[0]

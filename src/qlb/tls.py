@@ -21,8 +21,8 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .constants import HBAR, K_B
-from .errors import ConvergenceError, DatasetError, InvalidInputError
-from .uncert import UValue
+from .errors import DatasetError, InvalidInputError
+from .uncert import UValue, bounded_fit
 
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
 
@@ -188,22 +188,9 @@ def fit_tls(
     def jac(theta):
         return _model_inv_q_jac(theta, n, T, th, ln_T, ln_n) / sig[:, None]
 
-    try:
-        res = least_squares(resid, theta0, jac=jac, bounds=(lower, upper),
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    except ValueError as exc:  # extreme data: a non-finite model or a start past a bound
-        raise ConvergenceError(f"TLS fit failed: {exc}") from exc
-    if not res.success:
-        raise ConvergenceError("TLS fit did not converge",
-                               residual=float(np.max(np.abs(res.fun))))
-
+    res, cov_theta = bounded_fit(least_squares, resid, jac, theta0, lower, upper, "TLS fit")
     q0, D, b1, b2, qo = _physical(res.x)
     # covariance in physical parameters via the log-space jacobian
-    J = res.jac
-    try:
-        cov_theta = np.linalg.inv(J.T @ J)
-    except np.linalg.LinAlgError:
-        cov_theta = np.linalg.pinv(J.T @ J)
     scale = np.array([q0, D, 1.0, 1.0, qo])
     cov = cov_theta * np.outer(scale, scale)
     sigma_q0 = float(np.sqrt(max(cov[0, 0], 0.0)))

@@ -6,6 +6,9 @@ Inputs are independent unless their covariance is given.  Quantities
 derived from shared inputs are correlated: ``propagate_joint`` takes a
 whole chain in one Jacobian and returns the output covariance.
 
+Every fit solves here: ``weighted_lstsq`` (SPR slopes, pooling, kinetics)
+and ``bounded_fit`` (the bounded TLS and XPS fits) return the covariance.
+
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
 """
@@ -18,13 +21,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ConfigurationError
+from .errors import (ConfigurationError, ConvergenceError, DegenerateSystemError,
+                     InvalidInputError)
 
 __all__ = [
     "UValue",
     "combine_linear",
     "propagate",
     "propagate_joint",
+    "weighted_lstsq",
+    "bounded_fit",
     "mc_propagate",
 ]
 
@@ -126,6 +132,54 @@ def propagate(f: Callable[..., float], inputs: Sequence[UValue], **options) -> U
     as for ``propagate_joint``."""
     (out,), _ = propagate_joint(lambda *x: (f(*x),), inputs, **options)
     return out
+
+
+def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
+    """(coef, cov, chi2) minimising chi2 = |(A coef - y) / sigma|^2.
+
+    One QR of the whitened design A / sigma, its columns scaled to unit norm:
+    no weighted sum is formed, so columns of any magnitude stay finite.  A sigma
+    <= 0 or not finite, a non-finite weighted system or a rank-deficient design
+    (|R_jj| <= 1e-12 max |R_ii|) raises DegenerateSystemError.
+    """
+    sigma = np.asarray(sigma, dtype=float)
+    if not ((sigma > 0) & np.isfinite(sigma)).all():
+        raise DegenerateSystemError("every sigma must be finite and > 0")
+    with np.errstate(over="ignore"):  # an overflow is raised as an error below
+        Aw = np.asarray(A, dtype=float).reshape(sigma.size, -1) / sigma[:, None]
+        yw = np.asarray(y, dtype=float) / sigma
+    if not (np.isfinite(Aw).all() and np.isfinite(yw).all()):
+        raise DegenerateSystemError("the weighted system is not finite")
+    norms = np.hypot.reduce(Aw, axis=0)  # hypot: no overflow of the squares
+    Q, R = np.linalg.qr(Aw / np.where(norms > 0, norms, 1.0))
+    diag = np.abs(np.diag(R))
+    if diag.size < norms.size or not diag.min() > 1e-12 * diag.max():
+        raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
+    R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled whitened design
+    qty = Q.T @ yw
+    resid = yw - Q @ qty
+    return R_inv @ qty, R_inv @ R_inv.T, float(resid @ resid)
+
+
+def bounded_fit(solve, resid, jac, p0, lower, upper, what: str):
+    """Run ``solve`` (``least_squares``' signature) at 1e-14 tolerances; return
+    its result and (J^T J)^-1 at the solution (pinv if singular).  A solver
+    ValueError (a non-finite model, a start past a bound) or an unconverged
+    result raises ConvergenceError naming ``what``.
+    """
+    try:
+        res = solve(resid, p0, jac=jac, bounds=(lower, upper),
+                    xtol=1e-14, ftol=1e-14, gtol=1e-14)
+    except ValueError as exc:
+        raise ConvergenceError(f"{what} failed: {exc}") from exc
+    if not res.success:
+        raise ConvergenceError(f"{what} did not converge",
+                               residual=float(np.max(np.abs(res.fun))))
+    jtj = res.jac.T @ res.jac
+    try:
+        return res, np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        return res, np.linalg.pinv(jtj)
 
 
 def mc_propagate(

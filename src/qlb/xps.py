@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     dataset_float,
 )
-from .uncert import UValue, propagate
+from .uncert import UValue, bounded_fit, propagate, weighted_lstsq
 
 __all__ = [
     "XpsSpectrum",
@@ -432,14 +432,7 @@ def fit_components(
     def jac(p):
         return _peak_model_jac(x, model, p) * w[:, None]
 
-    try:
-        res = least_squares(resid, p0, jac=jac, bounds=(np.array(lower), np.array(upper)),
-                            xtol=1e-14, ftol=1e-14, gtol=1e-14)
-    except ValueError as exc:  # extreme data: the model overflowed to a non-finite value
-        raise ConvergenceError(f"component fit failed: {exc}") from exc
-    if not res.success:
-        raise ConvergenceError("component fit did not converge",
-                               residual=float(np.max(np.abs(res.fun))))
+    res, cov = bounded_fit(least_squares, resid, jac, p0, lower, upper, "component fit")
 
     fitted = [
         replace(c, center=res.x[3 * i], fwhm=res.x[3 * i + 1], area=res.x[3 * i + 2])
@@ -453,10 +446,6 @@ def fit_components(
         for i in range(len(res.x))
         if math.isclose(res.x[i], lower[i]) or math.isclose(res.x[i], upper[i])
     )
-    try:
-        cov = np.linalg.inv(res.jac.T @ res.jac)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(res.jac.T @ res.jac)
     # the Poisson-like weights are not true sigmas; rescale by reduced chi2
     dof = max(x.size - res.x.size, 1)
     cov = cov * (2.0 * res.cost / dof)
@@ -536,11 +525,8 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
         raise DatasetError("need >= 6 (time, thickness) points")
     if np.any(np.diff(t) <= 0) or t[0] <= 0:
         raise InvalidInputError("times must be positive and strictly ascending")
-    d = np.array([v.value for v in thicknesses])
-    sig = np.array([v.sigma if v.sigma > 0 else 1.0 for v in thicknesses])
-    w = 1.0 / sig
-    if not np.all(np.isfinite(w)):
-        raise DatasetError("thickness sigmas too small for a finite weight 1/sigma")
+    d = [v.value for v in thicknesses]
+    sig = [v.sigma for v in thicknesses]
 
     best = None
     # candidates leaving >= 2 points per regime, plus the all-linear case
@@ -549,16 +535,9 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
         lin = t <= tb
         col_k = np.where(lin, t, tb)
         col_b = np.where(lin, 0.0, np.log(np.maximum(t / tb, 1e-300)))
-        A = np.column_stack([col_k, col_b]) * w[:, None]
-        rhs = d * w
-        if np.all(lin):
-            coef, *_ = np.linalg.lstsq(A[:, :1], rhs, rcond=None)
-            k, b = float(coef[0]), 0.0
-        else:
-            coef, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-            k, b = float(coef[0]), float(coef[1])
-        pred = k * col_k + b * col_b
-        chi2 = float(np.sum(((pred - d) * w) ** 2))
+        design = [col_k] if np.all(lin) else [col_k, col_b]
+        coef, _, chi2 = weighted_lstsq(np.column_stack(design), d, sig)
+        k, b = float(coef[0]), (float(coef[1]) if coef.size > 1 else 0.0)
         if best is None or chi2 < best[0]:
             best = (chi2, tb, k, b, np.all(lin))
 

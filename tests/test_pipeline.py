@@ -226,6 +226,21 @@ class TestCli:
         report = load_report(tmp_path / "out" / "report.json")
         assert list(report["stages"]) == ["budget"]
 
+    @pytest.mark.parametrize("order", ["after", "before", "split"])
+    def test_flags_before_or_after_the_subcommand(self, tmp_path, capsys, order):
+        cfg = write_config(tmp_path)
+        flags = ["--config", str(cfg), "--out", str(tmp_path / "out"), "--seed", "7",
+                 "--format", "plot-csv"]
+        argv = {"after": ["spr-fit"] + flags,
+                "before": flags + ["spr-fit"],
+                "split": flags[:4] + ["spr-fit"] + flags[4:]}[order]
+        assert cli.main(argv) == 0
+        report = load_report(tmp_path / "out" / "report.json")
+        assert list(report["stages"]) == ["spr_fit"]
+        assert report["provenance"]["seed"] == 7
+        assert report["provenance"]["config_sha256"] == load_config(cfg).config_sha256
+        assert (tmp_path / "out" / "spr_fit.csv").is_file()
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("surprise: 1\n")
@@ -279,6 +294,8 @@ class TestCli:
         "spr-p-ms-overflow": ("spr-fit", 1, "1e300"),
         "xps-negative-counts": ("xps-fit", 1, "-1"),
         "kinetics-time-not-ascending": ("kinetics", 0, "1"),
+        "kinetics-sigma-zero": ("kinetics", 2, "0"),
+        "kinetics-sigma-weight-overflow": ("kinetics", 2, "1e-320"),
     }
 
     @pytest.mark.parametrize("case", sorted(CSV_ROW_REJECTS))
@@ -295,6 +312,23 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
         assert rc == 3
         assert f"{bad}, line 3" in capsys.readouterr().err
+
+    def test_spr_large_p_ms_fits_with_finite_intercept(self, tmp_path, capsys):
+        # p_ms 1e140 passes the row checks; the intercept fit must stay finite
+        name, set_file = self.CSV_READERS["spr-fit"]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "1e140"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "spr-fit"])
+        assert rc == 0
+        fit = load_report(tmp_path / "out" / "report.json")["stages"]["spr_fit"][cells[0]]
+        for part in ("slope", "intercept"):
+            assert math.isfinite(fit["intercept_diagnostic"][part]["value"])
+            assert math.isfinite(fit["intercept_diagnostic"][part]["sigma"])
 
     def test_xps_zero_count_exits_4(self, tmp_path, capsys):
         # the fit never meets its 1e-14 tolerances on a spectrum with a zero count

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlb.errors import ConfigurationError, InvalidInputError
+from qlb.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    DegenerateSystemError,
+    InvalidInputError,
+)
 from qlb.uncert import (
     UValue,
+    bounded_fit,
     combine_linear,
     mc_propagate,
     propagate,
     propagate_joint,
+    weighted_lstsq,
 )
 
 
@@ -152,6 +159,112 @@ class TestPropagateJoint:
         with pytest.raises(InvalidInputError, match="2 x 2"):
             propagate_joint(lambda a, b: (a + b,), [UValue(1, 0.1), UValue(2, 0.1)],
                             covariance=[[0.01]])
+
+
+class TestWeightedLstsq:
+    """The core against the closed-form weighted sums it replaces."""
+
+    @staticmethod
+    def data(seed=0, n=8):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(0.5, 3.0, n)
+        sigma = rng.uniform(0.05, 0.5, n)
+        y = 1.7 * x + 0.4 + rng.normal(0.0, sigma)
+        return x, y, sigma, 1.0 / sigma ** 2
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slope_through_origin(self, seed):
+        x, y, sigma, w = self.data(seed)
+        (slope,), cov, chi2 = weighted_lstsq(x[:, None], y, sigma)
+        sxx = np.sum(w * x * x)
+        expected = np.sum(w * x * y) / sxx
+        assert slope == pytest.approx(expected, rel=1e-14)
+        assert math.sqrt(cov[0, 0]) == pytest.approx(1.0 / math.sqrt(sxx), rel=1e-14)
+        assert chi2 == pytest.approx(np.sum(w * (y - expected * x) ** 2), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slope_and_intercept(self, seed):
+        x, y, sigma, w = self.data(seed)
+        coef, cov, _ = weighted_lstsq(np.column_stack([x, np.ones_like(x)]), y, sigma)
+        sw, swx, swy = np.sum(w), np.sum(w * x), np.sum(w * y)
+        swxx, swxy = np.sum(w * x * x), np.sum(w * x * y)
+        delta = sw * swxx - swx ** 2
+        assert coef[0] == pytest.approx((sw * swxy - swx * swy) / delta, rel=1e-12)
+        assert coef[1] == pytest.approx((swxx * swy - swx * swxy) / delta, rel=1e-12)
+        assert cov[0, 0] == pytest.approx(sw / delta, rel=1e-12)
+        assert cov[1, 1] == pytest.approx(swxx / delta, rel=1e-12)
+        assert cov[0, 1] == pytest.approx(-swx / delta, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_inverse_variance_pooling(self, seed):
+        _, y, sigma, w = self.data(seed)
+        (mean,), cov, _ = weighted_lstsq(np.ones((y.size, 1)), y, sigma)
+        assert mean == pytest.approx(np.sum(w * y) / np.sum(w), rel=1e-14)
+        assert math.sqrt(cov[0, 0]) == pytest.approx(1.0 / math.sqrt(np.sum(w)), rel=1e-14)
+
+    def test_collinear_design_rejected(self):
+        x = np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(DegenerateSystemError, match="rank"):
+            weighted_lstsq(np.column_stack([x, 3.0 * x]), x, np.ones(4))
+        with pytest.raises(DegenerateSystemError, match="rank"):
+            weighted_lstsq(np.column_stack([x, np.zeros(4)]), x, np.ones(4))
+        with pytest.raises(DegenerateSystemError, match="rank"):
+            weighted_lstsq(np.ones((1, 2)), [1.0], [1.0])  # fewer rows than columns
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
+    def test_unusable_sigma_rejected(self, sigma):
+        with pytest.raises(DegenerateSystemError, match="sigma"):
+            weighted_lstsq(np.ones((3, 1)), [1.0, 2.0, 3.0], [1.0, sigma, 1.0])
+
+    def test_overflowing_weighted_system_rejected(self):
+        with pytest.raises(DegenerateSystemError, match="not finite"):
+            weighted_lstsq(np.ones((2, 1)), [1.0, 2.0], [1.0, 1e-320])
+
+    def test_columns_of_extreme_scale_stay_finite(self):
+        # weighted sums of these columns would overflow (1e300 x 1e300) or
+        # underflow; the solve stays finite and recovers an exact line
+        x = np.array([1.0, 2.0, 3.0, 5.0])
+        A = np.column_stack([1e150 * x, 1e-150 * np.ones(4)])
+        y = 2.0 * x + 3.0
+        coef, cov, chi2 = weighted_lstsq(A, y, np.full(4, 1e-3))
+        assert np.all(np.isfinite(coef)) and np.all(np.isfinite(np.sqrt(np.diag(cov))))
+        assert coef[0] * 1e150 == pytest.approx(2.0, rel=1e-12)
+        assert coef[1] * 1e-150 == pytest.approx(3.0, rel=1e-12)
+        assert np.all(np.diag(cov) > 0)
+        assert chi2 == pytest.approx(0.0, abs=1e-18)
+
+
+class TestBoundedFit:
+    @staticmethod
+    def solver(**result):
+        def solve(resid, p0, **kwargs):
+            assert kwargs["xtol"] == kwargs["ftol"] == kwargs["gtol"] == 1e-14
+            return type("Result", (), dict(result, fun=np.array([-3.0, 2.0])))()
+        return solve
+
+    def test_returns_result_and_inverse_normal_matrix(self):
+        J = np.array([[2.0, 0.0], [1.0, 1.0]])
+        res, cov = bounded_fit(self.solver(success=True, jac=J), None, None, [0, 0],
+                               [-1, -1], [1, 1], "toy fit")
+        assert res.success
+        assert np.allclose(cov @ (J.T @ J), np.eye(2))
+
+    def test_singular_normal_matrix_uses_pinv(self):
+        J = np.array([[1.0, 1.0], [2.0, 2.0]])
+        _, cov = bounded_fit(self.solver(success=True, jac=J), None, None, [0, 0],
+                             [-1, -1], [1, 1], "toy fit")
+        assert np.allclose(cov, np.linalg.pinv(J.T @ J))
+
+    def test_unconverged_result_is_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="toy fit did not converge") as info:
+            bounded_fit(self.solver(success=False), None, None, [0], [-1], [1], "toy fit")
+        assert info.value.residual == 3.0
+
+    def test_solver_value_error_is_convergence_error(self):
+        def solve(*args, **kwargs):
+            raise ValueError("Residuals are not finite in the initial point.")
+        with pytest.raises(ConvergenceError, match="toy fit failed: Residuals"):
+            bounded_fit(solve, None, None, [0], [-1], [1], "toy fit")
 
 
 class TestMcPropagate:
