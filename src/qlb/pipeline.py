@@ -15,6 +15,7 @@ import json
 import math
 import reprlib
 from collections import namedtuple
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
@@ -33,6 +34,7 @@ from .constants import CONSTANTS_TABLE
 from .errors import (
     ConfigurationError,
     DatasetError,
+    DegenerateSystemError,
     InvalidInputError,
     StageNotConfigured,
     dataset_float,
@@ -310,6 +312,10 @@ def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
         if not (r["sigma_nm"] > 0 and math.isfinite(1.0 / r["sigma_nm"])):
             raise InvalidInputError("sigma_nm must be > 0 with a finite weight 1/sigma, "
                                     f"got {r['sigma_nm']}")
+        ratio = r["thickness_nm"] / r["sigma_nm"]
+        if not math.isfinite(ratio * ratio):  # a term of the fit's chi2
+            raise InvalidInputError(f"thickness_nm {r['thickness_nm']} over sigma_nm "
+                                    f"{r['sigma_nm']} overflows the weighted fit")
         thickness = UValue(r["thickness_nm"], r["sigma_nm"])
         if r["time_hours"] <= (times[-1] if times else 0.0):
             raise InvalidInputError("time_hours must be > 0 and strictly ascending, "
@@ -326,6 +332,15 @@ def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
 
 def _uv(v: UValue) -> dict:
     return {"value": v.value, "sigma": v.sigma}
+
+
+@contextmanager
+def _fitting(path: Path):
+    """A fit that the dataset at ``path`` makes degenerate is a dataset error."""
+    try:
+        yield
+    except DegenerateSystemError as exc:
+        raise DatasetError(f"{path}: {exc}") from exc
 
 
 def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
@@ -360,12 +375,11 @@ def _stage_spr_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     for label, tr in sorted(config.treatments.items()):
         if tr["points_file"] is None:
             continue
-        grouped = read_spr_points(tr["points_file"])
-        pts = grouped.get(label)
+        pts = read_spr_points(tr["points_file"]).get(label)
         if pts is None:
-            # file may hold several treatments; take all rows if unlabeled match
-            pts = [p for g in grouped.values() for p in g]
-        tangent = spr_mod.fit_through_origin(pts)
+            raise DatasetError(f"{tr['points_file']}: no rows for treatment {label!r}")
+        with _fitting(tr["points_file"]):
+            tangent = spr_mod.fit_through_origin(pts)
         entry = {
             "tan_delta": _uv(tangent),
             "n_points": len(pts),
@@ -376,7 +390,8 @@ def _stage_spr_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
             ],
         }
         if len(pts) >= 2:
-            slope, intercept = spr_mod.fit_with_intercept(pts)
+            with _fitting(tr["points_file"]):
+                slope, intercept = spr_mod.fit_with_intercept(pts)
             entry["intercept_diagnostic"] = {
                 "slope": _uv(slope), "intercept": _uv(intercept),
             }
@@ -500,7 +515,8 @@ def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
         )
     (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
                                                  config.xps["metal_labels"])
-    thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
+    with _fitting(config.xps["spectrum_file"]):  # a metal area fitted to 0
+        thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
     fragment["xps_fit"] = {
         "energy_shift_eV": spec.metadata.get("energy_shift_eV", 0.0),
         "areas": {c.label: c.area for c in result.components},
@@ -520,7 +536,8 @@ def _stage_kinetics(config: AnalysisConfig, fragment: dict, warnings_out: list):
     if config.kinetics is None or config.kinetics["points_file"] is None:
         raise StageNotConfigured("kinetics.points_file is not configured")
     times, thick = read_kinetics(config.kinetics["points_file"])
-    fit = xps_mod.fit_kinetics(times, thick)
+    with _fitting(config.kinetics["points_file"]):
+        fit = xps_mod.fit_kinetics(times, thick)
     if fit.degenerate_log:
         warnings_out.append("kinetics: purely linear data, log segment degenerate")
     fragment["kinetics"] = {

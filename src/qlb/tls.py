@@ -62,8 +62,11 @@ class QPoint:
             raise InvalidInputError("temperature must be > 0")
         if self.n_bar < 0:
             raise InvalidInputError("n_bar must be >= 0")
-        if self.q_int.value <= 0:
-            raise InvalidInputError("q_int must be > 0")
+        q, sigma = self.q_int.value, self.q_int.sigma
+        # the fit's value 1/Q and its sigma/Q^2 must be finite and positive
+        if not (q > 0 and 0.0 < 1.0 / q < math.inf and 0.0 < sigma / q / q < math.inf):
+            raise InvalidInputError(f"q_int {q} +- {sigma} must be > 0 with a finite, "
+                                    "positive 1/Q and sigma/Q^2")
 
 
 def _check_f0(f0: float):
@@ -127,8 +130,6 @@ def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
 def fit_tls(
     points: Sequence[QPoint],
     f0: float,
-    init: TlsParams | None = None,
-    bounds: dict | None = None,
     qp_cutoff_temperature: float = DEFAULT_QP_CUTOFF_K,
 ) -> tuple[TlsParams, np.ndarray]:
     """Fit the TLS model to measured Q_int(n_bar, T) points.
@@ -136,9 +137,12 @@ def fit_tls(
     Points at or above the quasiparticle cutoff temperature are dropped.
     Fits 1/Q_int residuals weighted by their sigma using bounded damped
     least squares in log-parameter space for the positive scale parameters,
-    with the analytic Jacobian of ``_model_inv_q_jac``.  Returns the fitted
-    parameters (q_tls0 sigma from the covariance diagonal) and the full 5x5
-    covariance matrix in the order (q_tls0, D, beta1, beta2, q_other).
+    with the analytic Jacobian of ``_model_inv_q_jac``.  The start and the
+    bounds are fixed: q_tls0 = max q_int in ``Q_TLS0_BOUNDS``, D = 1 in
+    [1e-8, 1e8], beta1 = beta2 = 1 in [0.05, 4], q_other = 10 max q_int in
+    [1, 1e14].  Returns the fitted parameters (q_tls0 sigma from the
+    covariance diagonal) and the full 5x5 covariance matrix in the order
+    (q_tls0, D, beta1, beta2, q_other).
     """
     _check_f0(f0)
     kept = [p for p in points if p.temperature < qp_cutoff_temperature]
@@ -155,28 +159,15 @@ def fit_tls(
     y = 1.0 / q
     # sigma(1/Q) = sigma_Q / Q^2
     sig = np.array([p.q_int.sigma for p in kept]) / q ** 2
-    sig[sig == 0] = np.median(sig[sig > 0]) if np.any(sig > 0) else 1.0
 
-    if init is None:
-        q_init = float(np.max([p.q_int.value for p in kept]))
-        if not Q_TLS0_BOUNDS[0] <= q_init <= Q_TLS0_BOUNDS[1]:  # q_tls0 starts there
-            raise DatasetError(f"largest q_int {q_init:g} is outside the q_tls0 fit "
-                               "range [{:g}, {:g}]".format(*Q_TLS0_BOUNDS))
-        init = TlsParams(UValue(q_init), D=1.0, beta1=1.0, beta2=1.0,
-                         q_other=10.0 * q_init, f0=f0)
-
-    bounds = bounds or {}
-    lo_beta1, hi_beta1 = bounds.get("beta1", (0.05, 4.0))
-    lo_beta2, hi_beta2 = bounds.get("beta2", (0.05, 4.0))
-    lo_logD, hi_logD = np.log(bounds.get("D", (1e-8, 1e8)))
-
+    q_init = float(np.max(q))
+    if not Q_TLS0_BOUNDS[0] <= q_init <= Q_TLS0_BOUNDS[1]:  # q_tls0 starts there
+        raise DatasetError(f"largest q_int {q_init:g} is outside the q_tls0 fit "
+                           "range [{:g}, {:g}]".format(*Q_TLS0_BOUNDS))
     # theta = (log q_tls0, log D, beta1, beta2, log q_other)
-    theta0 = np.array([
-        np.log(init.q_tls0.value), np.log(init.D), init.beta1, init.beta2,
-        np.log(init.q_other),
-    ])
-    lower = np.array([np.log(Q_TLS0_BOUNDS[0]), lo_logD, lo_beta1, lo_beta2, np.log(1.0)])
-    upper = np.array([np.log(Q_TLS0_BOUNDS[1]), hi_logD, hi_beta1, hi_beta2, np.log(1e14)])
+    theta0 = np.array([np.log(q_init), 0.0, 1.0, 1.0, np.log(10.0 * q_init)])
+    lower = np.array([np.log(Q_TLS0_BOUNDS[0]), np.log(1e-8), 0.05, 0.05, np.log(1.0)])
+    upper = np.array([np.log(Q_TLS0_BOUNDS[1]), np.log(1e8), 4.0, 4.0, np.log(1e14)])
 
     th = _tanh_factor(f0, T)
     ln_T = np.log(T)

@@ -84,14 +84,13 @@ def combine_linear(terms: Sequence[tuple[float, UValue]]) -> UValue:
 
 
 def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
-                    step: float = 1e-6, abs_step_floor: float = 1e-12,
                     covariance: Sequence[Sequence[float]] | None = None,
                     ) -> tuple[list[UValue], list[list[float]]]:
     """First-order propagation of a vector-valued ``f`` of the inputs.
 
     The Jacobian J of ``f`` at the input means comes from central finite
-    differences; ``step`` is relative to each input magnitude, with an
-    absolute floor so inputs at zero still get a usable stencil.  Returns
+    differences, each step 1e-6 of its input's magnitude with an absolute
+    floor of 1e-12, so inputs at zero still get a usable stencil.  Returns
     one UValue per output of ``f`` and their covariance J C J^T, with C the
     inputs' ``covariance`` if given (it replaces their sigmas), else diag(sigma^2).
     """
@@ -106,7 +105,7 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
     for i, v in enumerate(inputs):
         if (v.sigma if covariance is None else covariance[i][i]) == 0.0:
             continue
-        h = max(abs(means[i]) * step, abs_step_floor)
+        h = max(abs(means[i]) * 1e-6, 1e-12)
         hi, lo = list(means), list(means)
         hi[i] += h
         lo[i] -= h
@@ -127,10 +126,11 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
     return [UValue(y, math.sqrt(max(cov[j][j], 0.0))) for j, y in enumerate(center)], cov
 
 
-def propagate(f: Callable[..., float], inputs: Sequence[UValue], **options) -> UValue:
-    """First-order propagation of a scalar ``f``; ``options`` and the method
+def propagate(f: Callable[..., float], inputs: Sequence[UValue],
+              covariance: Sequence[Sequence[float]] | None = None) -> UValue:
+    """First-order propagation of a scalar ``f``; ``covariance`` and the method
     as for ``propagate_joint``."""
-    (out,), _ = propagate_joint(lambda *x: (f(*x),), inputs, **options)
+    (out,), _ = propagate_joint(lambda *x: (f(*x),), inputs, covariance)
     return out
 
 
@@ -139,8 +139,8 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
 
     One QR of the whitened design A / sigma, its columns scaled to unit norm:
     no weighted sum is formed, so columns of any magnitude stay finite.  A sigma
-    <= 0 or not finite, a non-finite weighted system or a rank-deficient design
-    (|R_jj| <= 1e-12 max |R_ii|) raises DegenerateSystemError.
+    <= 0 or not finite, a non-finite weighted system or chi2, or a rank-deficient
+    design (|R_jj| <= 1e-12 max |R_ii|) raises DegenerateSystemError.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0) & np.isfinite(sigma)).all():
@@ -158,7 +158,11 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
     R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled whitened design
     qty = Q.T @ yw
     resid = yw - Q @ qty
-    return R_inv @ qty, R_inv @ R_inv.T, float(resid @ resid)
+    with np.errstate(over="ignore"):  # an overflow is raised as an error below
+        chi2 = float(resid @ resid)
+    if not math.isfinite(chi2):
+        raise DegenerateSystemError("chi2 of the weighted fit is not finite")
+    return R_inv @ qty, R_inv @ R_inv.T, chi2
 
 
 def bounded_fit(solve, resid, jac, p0, lower, upper, what: str):

@@ -49,6 +49,7 @@ __all__ = [
 
 DOUBLET_SPLITTING_EV = 0.44
 DOUBLET_AREA_RATIO = 2.0  # 3/2 component carries twice the 1/2 area
+FWHM_BOUNDS_EV = (0.05, 5.0)  # fit range of every component's fwhm
 
 _GAUSS_NORM = math.sqrt(4.0 * math.log(2.0) / math.pi)
 
@@ -81,9 +82,9 @@ class PeakComponent:
     """One fitted (or template) peak.
 
     ``doublet`` marks the 3/2 member of a spin-orbit pair; the 1/2 partner
-    is generated from it (center + splitting, half the area, same shape and
-    fwhm) and never fitted independently.  ``center_window`` bounds the
-    center during fitting (eV, half-width).
+    is generated from it (center + DOUBLET_SPLITTING_EV, half the area, same
+    shape and fwhm) and never fitted independently.  ``center_window``
+    bounds the center during fitting (eV, half-width).
     """
 
     label: str
@@ -92,7 +93,6 @@ class PeakComponent:
     fwhm: float  # eV
     area: float = 0.0
     doublet: bool = False
-    splitting: float = DOUBLET_SPLITTING_EV
     center_window: float = 0.2
 
     def __post_init__(self):
@@ -214,12 +214,12 @@ def _peaks(model):
     for i, c in enumerate(model):
         yield i, c.label, 0.0, 1.0
         if c.doublet:
-            yield i, c.label + "_1/2", c.splitting, 1.0 / DOUBLET_AREA_RATIO
+            yield i, c.label + "_1/2", DOUBLET_SPLITTING_EV, 1.0 / DOUBLET_AREA_RATIO
 
 
 def _peak_model(x, model, p):
     """Sum of the ``model`` peaks at p = (center, fwhm, area) per template;
-    only shape, doublet and splitting are read from the templates."""
+    only shape and doublet are read from the templates."""
     total = np.zeros_like(x)
     for i, _, offset, factor in _peaks(model):
         total += _lineshape(x, model[i].shape, p[3 * i] + offset, p[3 * i + 1],
@@ -301,20 +301,19 @@ def calibrate_energy(
     spectrum: XpsSpectrum,
     reference_label: str,
     reference_energy: float,
-    search_window: float = 2.0,
 ) -> XpsSpectrum:
     """Shift the energy axis so the reference peak maximum sits at its
     nominal binding energy.
 
-    The reference peak is located as the intensity maximum within
-    +-search_window eV of the nominal energy; it must be a genuine local
-    maximum (flat spectra raise a calibration error).
+    The reference peak is located as the intensity maximum within +-2.0 eV
+    of the nominal energy; it must be a genuine local maximum (flat spectra
+    raise a calibration error).
     """
     be, iy = spectrum.binding_energy, spectrum.intensity
-    mask = np.abs(be - reference_energy) <= search_window
+    mask = np.abs(be - reference_energy) <= 2.0
     if not np.any(mask):
         raise CalibrationError(
-            f"{reference_label}: window +-{search_window} eV around "
+            f"{reference_label}: window +-2.0 eV around "
             f"{reference_energy} eV is outside the scan"
         )
     idx_window = np.flatnonzero(mask)
@@ -338,15 +337,15 @@ def shirley_background(
     spectrum: XpsSpectrum,
     lo: float,
     hi: float,
-    tolerance: float | None = None,
-    max_iterations: int = 50,
 ) -> np.ndarray:
     """Iterative Shirley background over [lo, hi] (binding energy, eV).
 
     Anchored to 3-sample endpoint averages; the background above the
     low-energy anchor at each point is proportional to the integrated
     signal-above-background on the high-kinetic-energy (lower binding
-    energy) side.  Returns the background on the samples inside [lo, hi].
+    energy) side.  Returns the background on the samples inside [lo, hi]
+    once an iteration moves it by < 1e-6 max(|i_hi - i_lo|, |i_hi|, |i_lo|, 1),
+    and raises ConvergenceError after 50 iterations that do not.
     """
     be, iy = spectrum.binding_energy, spectrum.intensity
     if lo < be[0] or hi > be[-1] or lo >= hi:
@@ -358,12 +357,9 @@ def shirley_background(
     y = iy[sel]
     i_lo = float(np.mean(y[:3]))
     i_hi = float(np.mean(y[-3:]))
-    span = abs(i_hi - i_lo)
-    scale = max(span, abs(i_hi), abs(i_lo), 1.0)
-    if tolerance is None:
-        tolerance = 1e-6 * scale
+    tolerance = 1e-6 * max(abs(i_hi - i_lo), abs(i_hi), abs(i_lo), 1.0)
     bg = np.full_like(y, i_lo)
-    for _ in range(max_iterations):
+    for _ in range(50):
         signal = y - bg
         cum = _cumtrapz(signal, x)
         total = cum[-1]
@@ -393,13 +389,13 @@ def fit_components(
     spectrum: XpsSpectrum,
     background: np.ndarray,
     model: Sequence[PeakComponent],
-    fwhm_bounds: tuple[float, float] = (0.05, 5.0),
 ) -> FitResult:
     """Constrained least squares of the background-subtracted spectrum.
 
     Fit parameters per template component: center (bounded by its
-    ``center_window``), fwhm, area.  Doublet 1/2 partners are generated
-    exactly (shared fwhm, +splitting, half area), never fitted.  Weights
+    ``center_window``), fwhm (bounded by ``FWHM_BOUNDS_EV``), area (>= 0).
+    Doublet 1/2 partners are generated exactly (shared fwhm,
+    +DOUBLET_SPLITTING_EV, half area), never fitted.  Weights
     are Poisson-like, 1/max(I, 1).  The model is evaluated straight from the
     parameter vector, with the analytic Jacobian of ``_peak_model_jac``.
     """
@@ -416,11 +412,11 @@ def fit_components(
         if c.center_window <= 0:
             raise InvalidInputError(f"{c.label}: empty constraint window")
         # the area guess takes the fwhm the fit starts from, inside its bounds
-        fwhm0 = min(max(c.fwhm, fwhm_bounds[0]), fwhm_bounds[1])
+        fwhm0 = min(max(c.fwhm, FWHM_BOUNDS_EV[0]), FWHM_BOUNDS_EV[1])
         area0 = c.area if c.area > 0 else max(float(np.max(y)), 0.0) * fwhm0
         p0 += [c.center, c.fwhm, area0]
-        lower += [c.center - c.center_window, fwhm_bounds[0], 0.0]
-        upper += [c.center + c.center_window, fwhm_bounds[1], np.inf]
+        lower += [c.center - c.center_window, FWHM_BOUNDS_EV[0], 0.0]
+        upper += [c.center + c.center_window, FWHM_BOUNDS_EV[1], np.inf]
     p0 = np.clip(p0, lower, upper)
     if not (np.all(np.isfinite(p0)) and np.all(np.less(lower, upper))):
         raise InvalidInputError("component start values and bounds must be finite "

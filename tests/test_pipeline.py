@@ -296,6 +296,9 @@ class TestCli:
         "kinetics-time-not-ascending": ("kinetics", 0, "1"),
         "kinetics-sigma-zero": ("kinetics", 2, "0"),
         "kinetics-sigma-weight-overflow": ("kinetics", 2, "1e-320"),
+        "kinetics-thickness-overflow": ("kinetics", 1, "1e300"),
+        "tls-sigma-zero": ("tls-fit", 3, "0"),
+        "tls-q-underflow": ("tls-fit", 2, "1e-320"),
     }
 
     @pytest.mark.parametrize("case", sorted(CSV_ROW_REJECTS))
@@ -329,6 +332,36 @@ class TestCli:
         for part in ("slope", "intercept"):
             assert math.isfinite(fit["intercept_diagnostic"][part]["value"])
             assert math.isfinite(fit["intercept_diagnostic"][part]["sigma"])
+
+    def test_spr_treatment_without_rows_exits_3(self, tmp_path, capsys):
+        # a treatment must find its own label in its points file
+        spr = str(DATA_DIR / "spr_points.csv")
+        cfg = write_config(tmp_path, lambda raw: raw["treatments"].update(
+            hf_30_days={"tan_delta": 2.0e-3, "points_file": spr}))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "spr-fit"])
+        assert rc == 3
+        assert f"{spr}: no rows for treatment 'hf_30_days'" in capsys.readouterr().err
+
+    # a dataset that leaves a weighted fit degenerate: (stage, rewrite of the data lines)
+    DEGENERATE_DATASETS = {
+        "spr-one-p-ms": ("spr-fit", lambda lines: [
+            re.sub(r"^hf,[^,]*,", "hf,0.0002,", line) for line in lines]),
+        "kinetics-last-sigma-1e-150": ("kinetics", lambda lines: lines[:-1] + [
+            ",".join(lines[-1].split(",")[:2] + ["1e-150"])]),
+        "kinetics-last-sigma-1e-300": ("kinetics", lambda lines: lines[:-1] + [
+            ",".join(lines[-1].split(",")[:2] + ["1e-300"])]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE_DATASETS))
+    def test_degenerate_dataset_exits_3(self, tmp_path, capsys, case):
+        stage, rewrite = self.DEGENERATE_DATASETS[case]
+        name, set_file = self.CSV_READERS[stage]
+        bad = tmp_path / name
+        bad.write_text("\n".join(rewrite((DATA_DIR / name).read_text().splitlines())) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert str(bad) in capsys.readouterr().err
 
     def test_xps_zero_count_exits_4(self, tmp_path, capsys):
         # the fit never meets its 1e-14 tolerances on a spectrum with a zero count

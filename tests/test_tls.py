@@ -70,6 +70,12 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             QPoint(1.0, 0.01, UValue(-1.0, 0.0))
 
+    @pytest.mark.parametrize("q,sigma", [(1e6, 0.0), (1e-320, 1e4), (1e200, 1.0)])
+    def test_point_without_finite_fit_weight_rejected(self, q, sigma):
+        # 1/Q and sigma/Q^2 must both be finite and > 0
+        with pytest.raises(InvalidInputError, match="sigma/Q"):
+            QPoint(1.0, 0.01, UValue(q, sigma))
+
 
 class TestRescale:
     def test_relative_sigma_preserved(self):

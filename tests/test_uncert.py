@@ -220,6 +220,11 @@ class TestWeightedLstsq:
         with pytest.raises(DegenerateSystemError, match="not finite"):
             weighted_lstsq(np.ones((2, 1)), [1.0, 2.0], [1.0, 1e-320])
 
+    def test_overflowing_chi2_rejected(self):
+        # each weighted value is finite, their squared residuals are not
+        with pytest.raises(DegenerateSystemError, match="chi2"):
+            weighted_lstsq(np.ones((2, 1)), [1e200, -1e200], [1.0, 1.0])
+
     def test_columns_of_extreme_scale_stay_finite(self):
         # weighted sums of these columns would overflow (1e300 x 1e300) or
         # underflow; the solve stays finite and recovers an exact line
