@@ -1,6 +1,6 @@
 """Command-line driver for the analysis stages.
 
-Subcommands run single stages (``tls-fit``, ``spr-fit``, ``budget``,
+Commands run single stages (``tls-fit``, ``spr-fit``, ``budget``,
 ``qubit``, ``xps-fit``, ``kinetics``) or the full pipeline (``report``).
 Exit codes: 0 success, 2 configuration error, 3 dataset error,
 4 convergence error, 5 I/O error.
@@ -19,40 +19,23 @@ from .errors import QlbError
 EXIT_IO_ERROR = 5
 
 
-def _flags(top: bool) -> argparse.ArgumentParser:
-    """The flags every command takes, before or after the subcommand.
-
-    The subcommands' copies default to SUPPRESS, so a flag given only
-    before the subcommand is not reset by the subcommand's parse.
-    """
-    def default(value):
-        return value if top else argparse.SUPPRESS
-
-    flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument(
-        "--config",
-        default=default(os.environ.get("QLB_CONFIG")),
-        help="analysis config file (or set QLB_CONFIG); "
-             "defaults to the bundled paper-defaults config",
-    )
-    flags.add_argument("--out", default=default("qlb-out"), help="output directory")
-    flags.add_argument("--seed", type=int, default=default(0),
-                       help="random seed (provenance)")
-    flags.add_argument("--format", choices=("json", "plot-csv"), default=default("json"))
-    return flags
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command is a positional, so the flags go before or after it."""
     parser = argparse.ArgumentParser(
         prog="qlb",
         description="Surface loss budgeting for superconducting resonators and qubits",
-        parents=[_flags(top=True)],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    stage_flags = _flags(top=False)
-    for stage in pipeline.STAGES:
-        sub.add_parser(stage, help=f"run the {stage} stage", parents=[stage_flags])
-    sub.add_parser("report", help="run every configured stage", parents=[stage_flags])
+    parser.add_argument("command", choices=(*pipeline.STAGES, "report"),
+                        help="run one stage, or every configured stage (report)")
+    parser.add_argument(
+        "--config",
+        default=os.environ.get("QLB_CONFIG"),
+        help="analysis config file (or set QLB_CONFIG); "
+             "defaults to the bundled paper-defaults config",
+    )
+    parser.add_argument("--out", default="qlb-out", help="output directory")
+    parser.add_argument("--seed", type=int, default=0, help="random seed (provenance)")
+    parser.add_argument("--format", choices=("json", "plot-csv"), default="json")
     return parser
 
 

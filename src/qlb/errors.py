@@ -1,10 +1,15 @@
-"""Exception hierarchy shared by all analysis stages.
+"""Exception hierarchy shared by all analysis stages, and the dataset reader.
 
 Each error class carries the process exit code used by the command-line
 driver, so stage wrappers can map failures to machine-readable categories.
+``read_csv`` reads every dataset file (Q grid, SPR points, kinetics, XPS
+spectrum): a missing header column, a bad cell or a rejected row is a
+DatasetError (exit 3) that names the file.
 """
 
+import csv
 import math
+from pathlib import Path
 
 
 class QlbError(Exception):
@@ -35,24 +40,6 @@ class StageNotConfigured(DatasetError):
     """A stage's input is absent from the config; a report skips the stage."""
 
 
-def dataset_float(cell, path, line: int, column) -> float:
-    """Parse one dataset cell as a finite float.
-
-    A missing (None or blank), non-numeric or non-finite cell raises a
-    DatasetError that names the file, line and column.
-    """
-    try:
-        value = float(cell)
-    except (TypeError, ValueError):
-        missing = cell is None or not cell.strip()
-        problem = "missing value" if missing else f"non-numeric value {cell!r}"
-    else:
-        if math.isfinite(value):
-            return value
-        problem = f"non-finite value {cell!r}"
-    raise DatasetError(f"{path}, line {line}, column {column}: {problem}")
-
-
 class ConvergenceError(QlbError):
     """Iterative procedure failed to converge within its iteration cap."""
 
@@ -81,3 +68,53 @@ class InconsistentInputsWarning(UserWarning):
     Not fatal: uncertainties can legitimately straddle zero, so the value
     is returned with this warning instead of raising.
     """
+
+
+def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -> list:
+    """``make(*cells)`` for each data row of a headed CSV, in file order.
+
+    The header names each of ``columns``, in any order; ``make`` gets their
+    cells in that order, each a finite float unless its column is in ``text``.
+    Rows whose cells of ``columns`` are all blank are skipped.  A missing
+    column, a bad cell (file, line and column) or a row that ``make`` rejects
+    or cannot convert (InvalidInputError, ArithmeticError) raises DatasetError.
+    """
+    def number(cell: str) -> float:
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ValueError(f"non-numeric value {cell!r}" if cell.strip()
+                             else "missing value") from None
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {cell!r}")
+        return value
+
+    rows = []
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        header = {name: i for i, name in enumerate(next(reader, ()))}
+        missing = sorted(set(columns) - set(header))
+        if missing:
+            raise DatasetError(f"{path}: missing column(s) {missing}")
+        spec = [(header[c], str if c in text else number) for c in columns]
+        for row in reader:
+            try:
+                values = [parse(row[i]) for i, parse in spec]
+            except (IndexError, ValueError):  # a short, blank or bad row: find which
+                cells = [row[i] if i < len(row) else "" for i, _ in spec]
+                if not any(cell.strip() for cell in cells):
+                    continue
+                values = []
+                for column, cell, (_, parse) in zip(columns, cells, spec):
+                    try:
+                        values.append(parse(cell))
+                    except ValueError as exc:
+                        raise DatasetError(f"{path}, line {reader.line_num}, "
+                                           f"column {column!r}: {exc}") from None
+            try:
+                rows.append(make(*values))
+            except (InvalidInputError, ArithmeticError) as exc:
+                raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from exc
+    if not rows:
+        raise DatasetError(f"{path}: no data rows")
+    return rows

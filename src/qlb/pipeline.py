@@ -37,7 +37,7 @@ from .errors import (
     DegenerateSystemError,
     InvalidInputError,
     StageNotConfigured,
-    dataset_float,
+    read_csv,
 )
 from .uncert import UValue
 
@@ -255,52 +255,20 @@ def load_config(path) -> AnalysisConfig:
 # CSV ingestion
 
 
-def _read_csv(path: Path, columns: tuple[str, ...], make,
-              text: tuple[str, ...] = ()) -> list:
-    """``make(row)`` for each non-blank data row of a headed CSV.
-
-    ``row`` maps each column to its cell, parsed as a finite float unless
-    the column is listed in ``text``.  A bad or missing cell, or a row that
-    ``make`` rejects or cannot convert (InvalidInputError, ArithmeticError),
-    raises DatasetError naming the file and line.
-    """
-    rows = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(columns) - set(reader.fieldnames or ())
-        if missing:
-            raise DatasetError(f"{path}: missing column(s) {sorted(missing)}")
-        for row in reader:
-            if not any((row[c] or "").strip() for c in columns):
-                continue
-            line = reader.line_num
-            try:
-                rows.append(make({
-                    c: row[c] if c in text else dataset_float(row[c], path, line, repr(c))
-                    for c in columns
-                }))
-            except (InvalidInputError, ArithmeticError) as exc:
-                raise DatasetError(f"{path}, line {line}: {exc}") from exc
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    return rows
-
-
 def read_q_grid(path: Path) -> list[tls_mod.QPoint]:
-    return _read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"), lambda r: (
-        tls_mod.QPoint(r["n_bar"], r["temperature_K"], UValue(r["q_int"], r["sigma"]))))
+    return read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"),
+                    lambda n, t, q, sigma: tls_mod.QPoint(n, t, UValue(q, sigma)))
 
 
-def _spr_point(r: dict) -> tuple[str, spr_mod.SprPoint]:
-    q = r["q_tls0"]  # convert Q +- sigma to 1/Q +- sigma/(Q^2)
-    return r["treatment"], spr_mod.SprPoint(r["p_ms"],
-                                            UValue(1.0 / q, r["sigma_q"] / q ** 2))
+def _spr_point(label: str, p_ms: float, q: float, sigma_q: float):
+    # convert Q +- sigma to 1/Q +- sigma/(Q^2)
+    return label, spr_mod.SprPoint(p_ms, UValue(1.0 / q, sigma_q / q ** 2))
 
 
 def read_spr_points(path: Path) -> dict[str, list[spr_mod.SprPoint]]:
     grouped: dict[str, list[spr_mod.SprPoint]] = {}
-    for label, point in _read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"),
-                                  _spr_point, text=("treatment",)):
+    for label, point in read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"),
+                                 _spr_point, text=("treatment",)):
         grouped.setdefault(label, []).append(point)
     return grouped
 
@@ -308,22 +276,22 @@ def read_spr_points(path: Path) -> dict[str, list[spr_mod.SprPoint]]:
 def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
     times: list[float] = []
 
-    def point(r):
-        if not (r["sigma_nm"] > 0 and math.isfinite(1.0 / r["sigma_nm"])):
+    def point(time, thickness, sigma):
+        if not (sigma > 0 and math.isfinite(1.0 / sigma)):
             raise InvalidInputError("sigma_nm must be > 0 with a finite weight 1/sigma, "
-                                    f"got {r['sigma_nm']}")
-        ratio = r["thickness_nm"] / r["sigma_nm"]
+                                    f"got {sigma}")
+        ratio = thickness / sigma
         if not math.isfinite(ratio * ratio):  # a term of the fit's chi2
-            raise InvalidInputError(f"thickness_nm {r['thickness_nm']} over sigma_nm "
-                                    f"{r['sigma_nm']} overflows the weighted fit")
-        thickness = UValue(r["thickness_nm"], r["sigma_nm"])
-        if r["time_hours"] <= (times[-1] if times else 0.0):
+            raise InvalidInputError(f"thickness_nm {thickness} over sigma_nm "
+                                    f"{sigma} overflows the weighted fit")
+        value = UValue(thickness, sigma)
+        if time <= (times[-1] if times else 0.0):
             raise InvalidInputError("time_hours must be > 0 and strictly ascending, "
-                                    f"got {r['time_hours']}")
-        times.append(r["time_hours"])
-        return thickness
+                                    f"got {time}")
+        times.append(time)
+        return value
 
-    return times, _read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), point)
+    return times, read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), point)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +340,13 @@ def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
 
 def _stage_spr_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     results = {}
+    grouped = {}  # points_file -> its points by treatment; each file is read once
     for label, tr in sorted(config.treatments.items()):
         if tr["points_file"] is None:
             continue
-        pts = read_spr_points(tr["points_file"]).get(label)
+        if tr["points_file"] not in grouped:
+            grouped[tr["points_file"]] = read_spr_points(tr["points_file"])
+        pts = grouped[tr["points_file"]].get(label)
         if pts is None:
             raise DatasetError(f"{tr['points_file']}: no rows for treatment {label!r}")
         with _fitting(tr["points_file"]):

@@ -67,6 +67,9 @@ class QPoint:
         if not (q > 0 and 0.0 < 1.0 / q < math.inf and 0.0 < sigma / q / q < math.inf):
             raise InvalidInputError(f"q_int {q} +- {sigma} must be > 0 with a finite, "
                                     "positive 1/Q and sigma/Q^2")
+        r = q / sigma  # 1/Q over its sigma; r * r, as r ** 2 raises on overflow
+        if not math.isfinite(r * r):  # a term of the fit's chi2
+            raise InvalidInputError(f"q_int {q} over sigma {sigma} overflows the weighted fit")
 
 
 def _check_f0(f0: float):

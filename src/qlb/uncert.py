@@ -90,7 +90,9 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
 
     The Jacobian J of ``f`` at the input means comes from central finite
     differences, each step 1e-6 of its input's magnitude with an absolute
-    floor of 1e-12, so inputs at zero still get a usable stencil.  Returns
+    floor of 1e-12, so inputs at zero still get a usable stencil; a ValueError
+    or ArithmeticError that ``f`` raises at a stencil point raises
+    DegenerateSystemError naming the input.  Returns
     one UValue per output of ``f`` and their covariance J C J^T, with C the
     inputs' ``covariance`` if given (it replaces their sigmas), else diag(sigma^2).
     """
@@ -109,7 +111,11 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
         hi, lo = list(means), list(means)
         hi[i] += h
         lo[i] -= h
-        grad = [(float(a) - float(b)) / (2.0 * h) for a, b in zip(f(*hi), f(*lo))]
+        try:
+            grad = [(float(a) - float(b)) / (2.0 * h) for a, b in zip(f(*hi), f(*lo))]
+        except (ValueError, ArithmeticError) as exc:  # e.g. a log's argument crosses 0
+            raise DegenerateSystemError(
+                f"function undefined at input {i} = {means[i]:g} +- {h:g}: {exc}") from exc
         if not all(map(math.isfinite, grad)):
             raise InvalidInputError(f"gradient non-finite in input {i}")
         grads.append((i, grad))

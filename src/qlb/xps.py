@@ -12,7 +12,6 @@ serves as the independent oracle for the fitting routines.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -27,7 +26,7 @@ from .errors import (
     DatasetError,
     DegenerateSystemError,
     InvalidInputError,
-    dataset_float,
+    read_csv,
 )
 from .uncert import UValue, bounded_fit, propagate, weighted_lstsq
 
@@ -261,40 +260,24 @@ def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
 
 
 def load_spectrum(path) -> XpsSpectrum:
-    """Read a two-column CSV (binding_energy_eV, counts) with header.
+    """Read a headed CSV with columns binding_energy_eV and counts.
 
-    A missing, non-numeric or non-finite cell, negative counts or a binding
-    energy not above the previous row's raise DatasetError naming the file
-    and line.
+    A missing column, a missing, non-numeric or non-finite cell, negative
+    counts or a binding energy not above the previous row's raise
+    DatasetError naming the file (and the line).
     """
-    path = Path(path)
-    rows = []
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or len(header) < 2:
-            raise DatasetError(f"{path}: missing header row")
-        try:
-            float(header[0])
-        except ValueError:
-            pass
-        else:
-            raise DatasetError(f"{path}: header row required, got numeric first row")
-        for row in reader:
-            if not "".join(row).strip():
-                continue
-            line = reader.line_num
-            energy = dataset_float(row[0], path, line, 1)
-            counts = dataset_float(row[1] if len(row) > 1 else None, path, line, 2)
-            if counts < 0 or (rows and energy <= rows[-1][0]):
-                raise DatasetError(f"{path}, line {line}: counts must be >= 0 and binding "
-                                   f"energies strictly ascending, got {energy}, {counts}")
-            rows.append((energy, counts))
-    if not rows:
-        raise DatasetError(f"{path}: no data rows")
-    be = np.array([r[0] for r in rows])
-    iy = np.array([r[1] for r in rows])
-    return XpsSpectrum(be, iy, metadata={"source_file": str(path)})
+    energies: list[float] = []
+
+    def sample(energy, counts):
+        if counts < 0 or (energies and energy <= energies[-1]):
+            raise InvalidInputError("counts must be >= 0 and binding energies strictly "
+                                    f"ascending, got {energy}, {counts}")
+        energies.append(energy)
+        return counts
+
+    counts = read_csv(path, ("binding_energy_eV", "counts"), sample)
+    return XpsSpectrum(np.array(energies), np.array(counts),
+                       metadata={"source_file": str(Path(path))})
 
 
 def calibrate_energy(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlb import cli, pipeline
-from qlb.errors import ConfigurationError
+from qlb.errors import ConfigurationError, DatasetError, read_csv
 from qlb.pipeline import (
     STAGES,
     emit,
@@ -241,6 +241,13 @@ class TestCli:
         assert report["provenance"]["config_sha256"] == load_config(cfg).config_sha256
         assert (tmp_path / "out" / "spr_fit.csv").is_file()
 
+    @pytest.mark.parametrize("argv", [[], ["--seed", "7"], ["bogus"], ["report", "budget"]])
+    def test_missing_or_unknown_command_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "usage: qlb" in capsys.readouterr().err
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("surprise: 1\n")
@@ -299,6 +306,7 @@ class TestCli:
         "kinetics-thickness-overflow": ("kinetics", 1, "1e300"),
         "tls-sigma-zero": ("tls-fit", 3, "0"),
         "tls-q-underflow": ("tls-fit", 2, "1e-320"),
+        "tls-sigma-weight-overflow": ("tls-fit", 3, "1e-300"),
     }
 
     @pytest.mark.parametrize("case", sorted(CSV_ROW_REJECTS))
@@ -315,6 +323,42 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
         assert rc == 3
         assert f"{bad}, line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_missing_header_column_exits_3(self, tmp_path, capsys, stage):
+        name, set_file = self.CSV_READERS[stage]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        header = lines[0].split(",")
+        lines[0] = ",".join(header[:-1] + ["renamed"])
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert f"{bad}: missing column(s) [{header[-1]!r}]" in capsys.readouterr().err
+
+    def test_spr_points_file_read_once(self, tmp_path, monkeypatch):
+        # the bundled config points every treatment at one spr_points.csv
+        reads = []
+        monkeypatch.setattr(pipeline, "read_spr_points",
+                            lambda path: reads.append(path) or read_spr_points(path))
+        frag = run_stage("spr-fit", load_config(write_config(tmp_path)))
+        assert sorted(frag["stages"]["spr_fit"]) == ["hf", "hf_90_days", "untreated"]
+        assert reads == [DATA_DIR / "spr_points.csv"]
+
+    def test_xps_without_metal_peak_exits_3(self, tmp_path, capsys):
+        # a metal area fitted to ~0 puts the Strohmeier log's stencil below its domain
+        name, set_file = self.CSV_READERS["xps-fit"]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        lines[1:] = [f"{e},60" if 70 <= float(e) <= 74 else f"{e},{c}"
+                     for e, c in (line.split(",") for line in lines[1:])]
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: (set_file(raw, str(bad)),
+                                                  raw["xps"].update(calibration=None)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
+        assert rc == 3
+        assert f"{bad}: " in capsys.readouterr().err
 
     def test_spr_large_p_ms_fits_with_finite_intercept(self, tmp_path, capsys):
         # p_ms 1e140 passes the row checks; the intercept fit must stay finite
@@ -433,6 +477,13 @@ class TestCli:
         assert rc == 0
         assert (out / "report.json").is_file()
         assert (out / "budget.csv").is_file()
+
+
+def test_read_csv_counts_blank_lines_in_line_numbers(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("a,b\n1,2\n\n3,abc\n")
+    with pytest.raises(DatasetError, match=r"points.csv, line 4, column 'b': non-numeric"):
+        read_csv(path, ("a", "b"), lambda a, b: (a, b))
 
 
 class TestPinnedFit:

@@ -91,6 +91,11 @@ class TestPropagate:
         with pytest.raises(InvalidInputError, match="variance"):
             propagate(lambda x: 2.0 * x, [UValue(1.0, 1e200)])
 
+    def test_undefined_at_stencil_point(self):
+        # the stencil's 1e-12 floor reaches below 0, where log is undefined
+        with pytest.raises(DegenerateSystemError, match="input 0"):
+            propagate(math.log, [UValue(1e-13, 1.0)])
+
 
 class TestPropagateJoint:
     def test_sum_and_difference_covariance(self):
