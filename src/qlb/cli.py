@@ -14,7 +14,7 @@ import os
 import sys
 
 from . import pipeline
-from .errors import QlbError
+from .errors import QlbError, StageNotConfigured
 
 EXIT_IO_ERROR = 5
 
@@ -49,11 +49,8 @@ def main(argv=None) -> int:
         else:
             report = pipeline.run_report(config, stages=(args.command,),
                                           seed=args.seed)
-            if not report["stages"]:
-                # a single requested stage must actually run
-                reason = report["skipped"][0]["reason"] if report["skipped"] else "?"
-                print(f"error [dataset]: {reason}", file=sys.stderr)
-                return 3
+            if report["skipped"]:  # a single requested stage must actually run
+                raise StageNotConfigured(report["skipped"][0]["reason"])
         written = pipeline.emit(report, args.out, fmt=args.format)
         if args.format == "plot-csv":
             # always keep the JSON alongside the plot tables

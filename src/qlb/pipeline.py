@@ -53,7 +53,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-STAGES = ("tls-fit", "spr-fit", "budget", "qubit", "xps-fit", "kinetics")
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +71,6 @@ class AnalysisConfig:
     treatments: dict  # label -> dict with tan_delta / t_ox / t_hc / points_file
     xps: dict | None = None  # "components" holds PeakComponents
     kinetics: dict | None = None
-    base_dir: Path = field(default_factory=Path)
     defaults_used: list = field(default_factory=list)
     derived_flags: list = field(default_factory=list)
     config_sha256: str = ""
@@ -244,7 +242,6 @@ def load_config(path) -> AnalysisConfig:
         treatments=tree["treatments"],
         xps=xps,
         kinetics=tree["kinetics"],
-        base_dir=path.parent,
         defaults_used=defaults_used,
         derived_flags=derived_flags,
         config_sha256=hashlib.sha256(raw_bytes).hexdigest(),
@@ -311,7 +308,7 @@ def _fitting(path: Path):
         raise DatasetError(f"{path}: {exc}") from exc
 
 
-def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
+def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     if config.tls["points_file"] is None:
         raise StageNotConfigured("tls.points_file is not configured")
     points = read_q_grid(config.tls["points_file"])
@@ -320,7 +317,7 @@ def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
                                    qp_cutoff_temperature=cutoff)
     n1 = tls_mod.rescale_q_tls0(params, config.tls["rescale_n_bar"],
                                 config.tls["rescale_temperature_k"])
-    fragment["tls_fit"] = {
+    return {
         "q_tls0": _uv(params.q_tls0),
         "D": params.D,
         "beta1": params.beta1,
@@ -338,7 +335,7 @@ def _stage_tls_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     }
 
 
-def _stage_spr_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
+def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     results = {}
     grouped = {}  # points_file -> its points by treatment; each file is read once
     for label, tr in sorted(config.treatments.items()):
@@ -374,7 +371,7 @@ def _stage_spr_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
         results[label] = entry
     if not results:
         raise StageNotConfigured("no treatment has a points_file configured")
-    fragment["spr_fit"] = results
+    return results
 
 
 def _require_treatment(config: AnalysisConfig, label: str, key: str) -> UValue:
@@ -384,7 +381,7 @@ def _require_treatment(config: AnalysisConfig, label: str, key: str) -> UValue:
     return tr[key]
 
 
-def _stage_budget(config: AnalysisConfig, fragment: dict, warnings_out: list):
+def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
     cfg = config.participation
     tan_hf = _require_treatment(config, "hf", "tan_delta")
     tan_hf90 = _require_treatment(config, "hf_90_days", "tan_delta")
@@ -420,10 +417,10 @@ def _stage_budget(config: AnalysisConfig, fragment: dict, warnings_out: list):
             "tan_alox": _uv(alox_n1),
             "tan_ms_sa": _uv(ms_sa_n1),
         }
-    fragment["budget"] = entry
+    return entry
 
 
-def _stage_qubit(config: AnalysisConfig, fragment: dict, warnings_out: list):
+def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
     geom = config.qubit
     if not config.qubit_tangents:
         raise DatasetError("qubit stage needs qubit.tangents")
@@ -456,10 +453,10 @@ def _stage_qubit(config: AnalysisConfig, fragment: dict, warnings_out: list):
             "limiting_q": _uv(solve.limiting_q),
             "budget_pct": {k: _uv(v) for k, v in budget3.items()},
         }
-    fragment["qubit"] = entry
+    return entry
 
 
-def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
+def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     if config.xps is None or config.xps["spectrum_file"] is None:
         raise StageNotConfigured("xps.spectrum_file is not configured")
     known = sorted(c.label for c in config.xps["components"])
@@ -488,7 +485,7 @@ def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
                                                  config.xps["metal_labels"])
     with _fitting(config.xps["spectrum_file"]):  # a metal area fitted to 0
         thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
-    fragment["xps_fit"] = {
+    return {
         "energy_shift_eV": spec.metadata.get("energy_shift_eV", 0.0),
         "areas": {c.label: c.area for c in result.components},
         "oxide_thickness_nm": _uv(thickness),
@@ -503,7 +500,7 @@ def _stage_xps_fit(config: AnalysisConfig, fragment: dict, warnings_out: list):
     }
 
 
-def _stage_kinetics(config: AnalysisConfig, fragment: dict, warnings_out: list):
+def _stage_kinetics(config: AnalysisConfig, warnings_out: list) -> dict:
     if config.kinetics is None or config.kinetics["points_file"] is None:
         raise StageNotConfigured("kinetics.points_file is not configured")
     times, thick = read_kinetics(config.kinetics["points_file"])
@@ -511,7 +508,7 @@ def _stage_kinetics(config: AnalysisConfig, fragment: dict, warnings_out: list):
         fit = xps_mod.fit_kinetics(times, thick)
     if fit.degenerate_log:
         warnings_out.append("kinetics: purely linear data, log segment degenerate")
-    fragment["kinetics"] = {
+    return {
         "k_lin_nm_per_hour": fit.k_lin,
         "t_break_hours": fit.t_break,
         "log_a": fit.log_a,
@@ -533,16 +530,16 @@ _STAGE_FUNCS = {
     "xps-fit": _stage_xps_fit,
     "kinetics": _stage_kinetics,
 }
+STAGES = tuple(_STAGE_FUNCS)
 
 
 def run_stage(stage: str, config: AnalysisConfig) -> dict:
     """Execute one stage, returning a report fragment {stages, warnings}."""
     if stage not in _STAGE_FUNCS:
         raise ConfigurationError(f"unknown stage {stage!r}; choose from {STAGES}")
-    fragment: dict = {}
     warns: list[str] = []
-    _STAGE_FUNCS[stage](config, fragment, warns)
-    return {"stages": fragment, "warnings": warns}
+    entry = _STAGE_FUNCS[stage](config, warns)
+    return {"stages": {stage.replace("-", "_"): entry}, "warnings": warns}
 
 
 def run_report(config: AnalysisConfig, stages=STAGES, seed: int = 0) -> dict:

@@ -168,7 +168,6 @@ class FitResult:
     area_rows: dict  # template label -> row T, its total area T . params
     area_sigmas: dict  # template label -> sigma of its total area, sqrt(T C T^T)
     boundary_active: tuple  # labels of parameters pinned at a constraint
-    residual_norm: float
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +438,6 @@ def fit_components(
         area_sigmas={label: math.sqrt(max(row @ cov @ row, 0.0))
                      for label, row in area_rows.items()},
         boundary_active=active,
-        residual_norm=float(np.sqrt(2.0 * res.cost)),
     )
 
 

@@ -462,6 +462,8 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"),
                        "kinetics"])
         assert rc == 3
+        assert ("error [StageNotConfigured]: kinetics.points_file is not configured"
+                in capsys.readouterr().err)
 
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
