@@ -8,6 +8,7 @@ DatasetError (exit 3) that names the file.
 """
 
 import csv
+import io
 import math
 from pathlib import Path
 
@@ -70,14 +71,24 @@ class InconsistentInputsWarning(UserWarning):
     """
 
 
+def _records(reader, path):
+    """The rows of a csv.reader; a row it cannot split (an over-long field,
+    say) is a DatasetError naming file and line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+
+
 def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -> list:
     """``make(*cells)`` for each data row of a headed CSV, in file order.
 
     The header names each of ``columns``, in any order; ``make`` gets their
     cells in that order, each a finite float unless its column is in ``text``.
-    Rows whose cells of ``columns`` are all blank are skipped.  A missing
-    column, a bad cell (file, line and column) or a row that ``make`` rejects
-    or cannot convert (InvalidInputError, ArithmeticError) raises DatasetError.
+    Rows whose cells of ``columns`` are all blank are skipped.  A file that
+    is not UTF-8 text (a leading BOM is dropped), a missing or repeated column,
+    a bad cell (file, line and column) or a row that ``make`` rejects or cannot
+    convert (InvalidInputError, ArithmeticError) raises DatasetError.
     """
     def number(cell: str) -> float:
         try:
@@ -89,32 +100,41 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
             raise ValueError(f"non-finite value {cell!r}")
         return value
 
+    try:  # a BOM before the header is not part of its first name
+        content = Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise DatasetError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+    reader = csv.reader(io.StringIO(content, newline=""))
+    records = _records(reader, path)
+    names = next(records, [])
+    header = {name: i for i, name in enumerate(names)}
+    missing = sorted(set(columns) - set(header))
+    if missing:
+        raise DatasetError(f"{path}: missing column(s) {missing}")
+    repeated = sorted(c for c in columns if names.count(c) > 1)
+    if repeated:
+        raise DatasetError(f"{path}: repeated column(s) {repeated}")
+    spec = [(header[c], str if c in text else number) for c in columns]
     rows = []
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = {name: i for i, name in enumerate(next(reader, ()))}
-        missing = sorted(set(columns) - set(header))
-        if missing:
-            raise DatasetError(f"{path}: missing column(s) {missing}")
-        spec = [(header[c], str if c in text else number) for c in columns]
-        for row in reader:
-            try:
-                values = [parse(row[i]) for i, parse in spec]
-            except (IndexError, ValueError):  # a short, blank or bad row: find which
-                cells = [row[i] if i < len(row) else "" for i, _ in spec]
-                if not any(cell.strip() for cell in cells):
-                    continue
-                values = []
-                for column, cell, (_, parse) in zip(columns, cells, spec):
-                    try:
-                        values.append(parse(cell))
-                    except ValueError as exc:
-                        raise DatasetError(f"{path}, line {reader.line_num}, "
-                                           f"column {column!r}: {exc}") from None
-            try:
-                rows.append(make(*values))
-            except (InvalidInputError, ArithmeticError) as exc:
-                raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from exc
+    for row in records:
+        try:
+            values = [parse(row[i]) for i, parse in spec]
+        except (IndexError, ValueError):  # a short, blank or bad row: find which
+            cells = [row[i] if i < len(row) else "" for i, _ in spec]
+            if not any(cell.strip() for cell in cells):
+                continue
+            values = []
+            for column, cell, (_, parse) in zip(columns, cells, spec):
+                try:
+                    values.append(parse(cell))
+                except ValueError as exc:
+                    raise DatasetError(f"{path}, line {reader.line_num}, "
+                                       f"column {column!r}: {exc}") from None
+        try:
+            rows.append(make(*values))
+        except (InvalidInputError, ArithmeticError) as exc:
+            raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from exc
     if not rows:
         raise DatasetError(f"{path}: no data rows")
     return rows

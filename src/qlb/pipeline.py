@@ -192,19 +192,23 @@ def _validate(tree, base: Path) -> tuple[dict, list, list]:
         if not isinstance(node, bool if spec == BOOL else str):
             raise _bad(where, spec, node)
         if spec == FILE:
-            node = base / node  # an absolute path replaces base
-            if not node.is_file():
-                raise ConfigurationError(f"{where}: file not found: {node}")
+            node = _existing_file(base / node, where)  # an absolute path replaces base
         return node
 
     return check(SCHEMA, tree, ""), defaults_used, derived
 
 
+def _existing_file(path: Path, where: str) -> Path:
+    if path.is_dir():
+        raise ConfigurationError(f"{where}: {path} is a directory, not a file")
+    if not path.is_file():
+        raise ConfigurationError(f"{where}: file not found: {path}")
+    return path
+
+
 def load_config(path) -> AnalysisConfig:
     """Parse and validate an analysis config file against SCHEMA."""
-    path = Path(path)
-    if not path.is_file():
-        raise ConfigurationError(f"config file not found: {path}")
+    path = _existing_file(Path(path), "config")
     raw_bytes = path.read_bytes()
     try:
         # libyaml's C parser when PyYAML was built with it; same safe constructor

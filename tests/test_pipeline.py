@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -337,6 +338,57 @@ class TestCli:
         assert rc == 3
         assert f"{bad}: missing column(s) [{header[-1]!r}]" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_repeated_header_column_exits_3(self, tmp_path, capsys, stage):
+        name, set_file = self.CSV_READERS[stage]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        first = lines[0].split(",")[0]
+        lines = [line + "," + line.split(",")[0] for line in lines]
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert f"{bad}: repeated column(s) [{first!r}]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys, stage):
+        name, set_file = self.CSV_READERS[stage]
+        lines = (DATA_DIR / name).read_bytes().splitlines()
+        lines[2] += b"\xe9"  # a Latin-1 e-acute ends line 3
+        bad = tmp_path / name
+        bad.write_bytes(b"\n".join(lines) + b"\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert f"{bad}, line 3: not UTF-8 text" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_utf8_bom_csv_reads_like_the_plain_file(self, tmp_path, stage):
+        name, set_file = self.CSV_READERS[stage]
+        bom = tmp_path / name
+        bom.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / name).read_bytes())
+        plain = run_stage(stage, load_config(write_config(tmp_path)))
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bom)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 0
+        assert run_stage(stage, load_config(cfg)) == plain
+
+    def test_directory_as_data_file_exits_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, lambda raw: raw["kinetics"].update(
+            points_file=str(tmp_path)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+        assert rc == 2
+        assert (f"kinetics.points_file: {tmp_path} is a directory, not a file"
+                in capsys.readouterr().err)
+
+    def test_directory_as_config_exits_2(self, tmp_path, capsys):
+        rc = cli.main(["--config", str(tmp_path), "--out", str(tmp_path / "out"),
+                       "report"])
+        assert rc == 2
+        assert (f"config: {tmp_path} is a directory, not a file"
+                in capsys.readouterr().err)
+
     def test_spr_points_file_read_once(self, tmp_path, monkeypatch):
         # the bundled config points every treatment at one spr_points.csv
         reads = []
@@ -486,6 +538,52 @@ def test_read_csv_counts_blank_lines_in_line_numbers(tmp_path):
     path.write_text("a,b\n1,2\n\n3,abc\n")
     with pytest.raises(DatasetError, match=r"points.csv, line 4, column 'b': non-numeric"):
         read_csv(path, ("a", "b"), lambda a, b: (a, b))
+
+
+def test_read_csv_over_long_field_is_dataset_error(tmp_path):
+    path = tmp_path / "points.csv"
+    path.write_text("a,b\n1,2\n3," + "4" * 200_000 + "\n")
+    with pytest.raises(DatasetError, match=r"points.csv, line 3: field larger than"):
+        read_csv(path, ("a", "b"), lambda a, b: (a, b))
+
+
+def numeric_leaves(node, prefix=""):
+    """Every int or float leaf of a report, by its dotted path."""
+    if isinstance(node, dict):
+        for key, sub in node.items():
+            yield from numeric_leaves(sub, f"{prefix}.{key}")
+    elif isinstance(node, list):
+        for i, sub in enumerate(node):
+            yield from numeric_leaves(sub, f"{prefix}[{i}]")
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield prefix, node
+
+
+def comparable_leaves(report):
+    for entry in report["stages"]["spr_fit"].values():
+        entry["points"].sort(key=lambda p: p["p_ms"])  # they follow file order
+    return dict(numeric_leaves(report))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_report_does_not_depend_on_row_order(tmp_path, seed):
+    rng = random.Random(seed)
+    files = {}
+    for name in ("tls_points.csv", "spr_points.csv"):
+        header, *rows = (DATA_DIR / name).read_text().splitlines()
+        rng.shuffle(rows)
+        files[name] = tmp_path / name
+        files[name].write_text("\n".join([header, *rows]) + "\n")
+
+    def shuffled(raw):
+        raw["tls"]["points_file"] = str(files["tls_points.csv"])
+        set_spr_files(raw, str(files["spr_points.csv"]))
+
+    base = comparable_leaves(run_report(load_config(write_config(tmp_path))))
+    moved = comparable_leaves(run_report(load_config(write_config(tmp_path, shuffled))))
+    assert moved.keys() == base.keys()
+    for path, value in base.items():
+        assert moved[path] == pytest.approx(value, rel=1e-6), path
 
 
 class TestPinnedFit:
