@@ -10,11 +10,13 @@ participation- and thickness-scaled interface terms,
 
 where r_ma = p_MA/p_MS, r_sa = p_SA/p_MS, t0 is the simulated interface
 thickness, and ms_sa is the combined (participation-scaled) loss of the
-metal-substrate and substrate-air interfaces.  The solvers below invert
-this system in sequence: oxide regrowth between the two HF measurements
-isolates tan_alox, the HF tangent then yields ms_sa, and the untreated
-tangent yields the fabrication-hydrocarbon term.  ``solve_budget``
-propagates the whole chain from its primitive inputs in one Jacobian.
+metal-substrate and substrate-air interfaces.  ``_row`` is this forward
+model, written once: a treatment's coefficients of (tan_alox, tan_hc,
+ms_sa).  Every solver back-substitutes through it (``_solve_row``): the
+difference of the two HF rows isolates tan_alox, the HF row then yields
+ms_sa, and the untreated row yields the fabrication-hydrocarbon term and
+the budget shares.  ``solve_budget`` propagates the whole chain from its
+primitive inputs in one Jacobian.
 
 Participation ratios are not published for the resonator geometry; the
 shipped defaults (r_ma = 0.105, r_sa = 1.15) are back-solved from the
@@ -82,33 +84,37 @@ class BudgetResult:
     warnings: tuple = ()
 
 
-def _ms_sa(tan_hf, tan_alox, t_hf, r_ma, t0):
-    return tan_hf - tan_alox * r_ma * t_hf / t0
+def _row(t_ox, t_hc, r_ma, r_sa, t0):
+    """A treatment's coefficients of (tan_alox, tan_hc, ms_sa), in CHANNELS order."""
+    return r_ma * t_ox / t0, (r_ma + r_sa) * t_hc / t0, 1.0
 
 
-def _hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, r_ma, t0):
-    tan_alox = (tan_hf90 - tan_hf) * t0 / ((t_hf90 - t_hf) * r_ma)
-    return tan_alox, _ms_sa(tan_hf, tan_alox, t_hf, r_ma, t0)
+def _solve_row(tangent, row, known, j):
+    """The j-th unknown of ``tangent = row . x``; ``known`` is x with a 0 in place j."""
+    alox, hc, ms_sa = known
+    return (tangent - (row[0] * alox + row[1] * hc + row[2] * ms_sa)) / row[j]
 
 
-def _hc(tan_untreated, tan_alox, ms_sa, t_ox, t_hc, r_ma, r_sa, t0):
-    return ((t0 / t_hc) / (r_ma + r_sa)
-            * (tan_untreated - r_ma * (t_ox / t0) * tan_alox - ms_sa))
+def _shares(tangent, row, x):
+    """Percent share of each term of ``row . x`` in ``tangent``."""
+    alox, hc, ms_sa = x
+    return (row[0] * alox / tangent * 100.0, row[1] * hc / tangent * 100.0,
+            row[2] * ms_sa / tangent * 100.0)
 
 
-def _fractions(tan_untreated, tan_alox, tan_hc, ms_sa, t_ox, t_hc, r_ma, r_sa, t0):
-    """Raw percent shares of CHANNELS in the untreated-device tangent."""
-    return (r_ma * (t_ox / t0) * tan_alox / tan_untreated * 100.0,
-            (r_ma + r_sa) * (t_hc / t0) * tan_hc / tan_untreated * 100.0,
-            ms_sa / tan_untreated * 100.0)
+def _hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, r_ma, r_sa, t0):
+    """(tan_alox, ms_sa): the HF rows differ only in their oxide coefficient."""
+    hf, hf90 = _row(t_hf, 0.0, r_ma, r_sa, t0), _row(t_hf90, 0.0, r_ma, r_sa, t0)
+    tan_alox = (tan_hf90 - tan_hf) / (hf90[0] - hf[0])
+    return tan_alox, _solve_row(tan_hf, hf, (tan_alox, 0.0, 0.0), 2)
 
 
 def _chain(tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_ox, t_hc, r_ma, r_sa, t0):
-    """(tan_alox, ms_sa, tan_hc, *raw fractions) from the primitive inputs."""
-    tan_alox, ms_sa = _hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, r_ma, t0)
-    tan_hc = _hc(tan_untreated, tan_alox, ms_sa, t_ox, t_hc, r_ma, r_sa, t0)
-    return (tan_alox, ms_sa, tan_hc,
-            *_fractions(tan_untreated, tan_alox, tan_hc, ms_sa, t_ox, t_hc, r_ma, r_sa, t0))
+    """(tan_alox, ms_sa, tan_hc, *raw percent shares of CHANNELS) from the inputs."""
+    tan_alox, ms_sa = _hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, r_ma, r_sa, t0)
+    row = _row(t_ox, t_hc, r_ma, r_sa, t0)
+    tan_hc = _solve_row(tan_untreated, row, (tan_alox, 0.0, ms_sa), 1)
+    return (tan_alox, ms_sa, tan_hc, *_shares(tan_untreated, row, (tan_alox, tan_hc, ms_sa)))
 
 
 def _check(t_hf=None, t_hf90=None, t_untreated_ox=None, t_hc=None) -> None:
@@ -136,10 +142,7 @@ def solve_alox(
     t_hf90: UValue,
     cfg: ParticipationConfig,
 ) -> UValue:
-    """Intrinsic oxide tangent from the oxide-regrowth pair of HF tangents.
-
-    tan_alox = (1/r_ma) (tan_hf90 - tan_hf) t0 / (t_hf90 - t_hf)
-    """
+    """Intrinsic oxide tangent from the oxide-regrowth pair of HF tangents."""
     return solve_hf_pair(tan_hf, tan_hf90, t_hf, t_hf90, cfg)[0]
 
 
@@ -151,13 +154,15 @@ def solve_ms_sa(
 ) -> UValue:
     """Participation-scaled remainder of the HF tangent after the oxide term.
 
-    ms_sa = tan_hf - r_ma (t_hf/t0) tan_alox, for independent inputs; a
-    ``tan_alox`` solved from the same ``tan_hf`` needs ``solve_hf_pair``.
+    The HF row solved for ms_sa, for independent inputs; a ``tan_alox``
+    solved from the same ``tan_hf`` needs ``solve_hf_pair``.
     A negative central value is flagged with a warning, not rejected:
     uncertainties can straddle zero.
     """
     _check(t_hf)
-    out = propagate(partial(_ms_sa, t0=cfg.t0), [tan_hf, tan_alox, t_hf, cfg.r_ma])
+    out = propagate(lambda tan, alox, t, r_ma: _solve_row(
+        tan, _row(t, 0.0, r_ma, cfg.r_sa.value, cfg.t0), (alox, 0.0, 0.0), 2),
+        [tan_hf, tan_alox, t_hf, cfg.r_ma])
     if out.value < 0:
         warnings.warn(MS_SA_NEGATIVE, InconsistentInputsWarning, stacklevel=2)
     return out
@@ -173,18 +178,15 @@ def solve_hc(
 ) -> UValue:
     """Fabrication-hydrocarbon tangent from the untreated-device tangent.
 
-    tan_hc = (t0/t_hc) / (r_ma + r_sa)
-             * (tan_untreated - r_ma (t_ox/t0) tan_alox - ms_sa)
-
-    for independent inputs (``solve_budget`` solves the whole chain).
+    The untreated row solved for tan_hc, for independent inputs
+    (``solve_budget`` solves the whole chain).
     """
     _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc)
     if t_hc.value == 0:
         raise DegenerateSystemError("hydrocarbon thickness is zero")
-    out = propagate(
-        partial(_hc, t0=cfg.t0),
-        [tan_untreated, tan_alox, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa],
-    )
+    out = propagate(lambda tan, alox, m, t_ox, t, r_ma, r_sa: _solve_row(
+        tan, _row(t_ox, t, r_ma, r_sa, cfg.t0), (alox, 0.0, m), 1),
+        [tan_untreated, tan_alox, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa])
     if out.value < 0:
         warnings.warn(HC_NEGATIVE, InconsistentInputsWarning, stacklevel=2)
     return out
@@ -195,7 +197,8 @@ def solve_hf_pair(tan_hf: UValue, tan_hf90: UValue, t_hf: UValue, t_hf90: UValue
     """(tan_alox, ms_sa) from one propagation over the HF pair's inputs."""
     _check(t_hf, t_hf90)
     (tan_alox, ms_sa), _ = propagate_joint(
-        partial(_hf_pair, t0=cfg.t0), [tan_hf, tan_hf90, t_hf, t_hf90, cfg.r_ma])
+        partial(_hf_pair, r_sa=cfg.r_sa.value, t0=cfg.t0),
+        [tan_hf, tan_hf90, t_hf, t_hf90, cfg.r_ma])
     return tan_alox, ms_sa
 
 
@@ -228,10 +231,9 @@ def budget_fractions(
     _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc)
     if tan_untreated.value <= 0:
         raise DegenerateSystemError("untreated tangent must be positive")
-    raw, _ = propagate_joint(
-        partial(_fractions, t0=cfg.t0),
-        [tan_untreated, tan_alox, tan_hc, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa],
-    )
+    raw, _ = propagate_joint(lambda tan, alox, hc, m, t_ox, t, r_ma, r_sa: _shares(
+        tan, _row(t_ox, t, r_ma, r_sa, cfg.t0), (alox, hc, m)),
+        [tan_untreated, tan_alox, tan_hc, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa])
     return _renormalize(raw)
 
 

@@ -317,8 +317,9 @@ def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         raise StageNotConfigured("tls.points_file is not configured")
     points = read_q_grid(config.tls["points_file"])
     cutoff = config.tls["qp_cutoff_temperature_k"]
-    params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0_hz"],
-                                   qp_cutoff_temperature=cutoff)
+    with _fitting(config.tls["points_file"]):  # a temperature that leaves the model inf
+        params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0_hz"],
+                                       qp_cutoff_temperature=cutoff)
     n1 = tls_mod.rescale_q_tls0(params, config.tls["rescale_n_bar"],
                                 config.tls["rescale_temperature_k"])
     return {

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .constants import EPS0
 from .errors import DegenerateSystemError, InvalidInputError
-from .uncert import UValue, combine_linear, propagate, propagate_joint
+from .uncert import UValue, propagate, propagate_joint
 
 __all__ = [
     "QubitGeometry",
@@ -83,11 +83,8 @@ class TangentSet:
 
 def predict_inv_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
     """Total surface loss 1/Q as a participation-weighted tangent sum."""
-    return combine_linear([
-        (geom.p_capacitor, tangents.tan_capacitor),
-        (geom.p_ma_leads, tangents.tan_alox_leads),
-        (geom.p_ms_leads, tangents.tan_ms_leads),
-    ])
+    return propagate(lambda tc, ta, tm: sum(_loss_terms(geom, tc, ta, tm)), [
+        tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads])
 
 
 def _reciprocal(v: UValue) -> UValue:
@@ -112,7 +109,8 @@ def predict_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
 
 def surface_fractions(geom: QubitGeometry, tangents: TangentSet) -> tuple[UValue, UValue]:
     """Percent split of surface loss between capacitor pads and junction leads."""
-    if predict_inv_q(geom, tangents).value == 0:
+    inputs = [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads]
+    if sum(_loss_terms(geom, *(v.value for v in inputs))) == 0:
         raise DegenerateSystemError("zero total loss")
 
     def shares(tc, ta, tm):
@@ -120,8 +118,7 @@ def surface_fractions(geom: QubitGeometry, tangents: TangentSet) -> tuple[UValue
         total = cap + leads
         return cap / total * 100.0, leads / total * 100.0
 
-    (cap, leads), _ = propagate_joint(
-        shares, [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads])
+    (cap, leads), _ = propagate_joint(shares, inputs)
     return cap, leads
 
 

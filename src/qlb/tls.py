@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .constants import HBAR, K_B
-from .errors import DatasetError, InvalidInputError
+from .errors import DatasetError, DegenerateSystemError, InvalidInputError
 from .uncert import UValue, bounded_fit
 
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
@@ -172,15 +172,22 @@ def fit_tls(
     lower = np.array([np.log(Q_TLS0_BOUNDS[0]), np.log(1e-8), 0.05, 0.05, np.log(1.0)])
     upper = np.array([np.log(Q_TLS0_BOUNDS[1]), np.log(1e8), 4.0, 4.0, np.log(1e14)])
 
-    th = _tanh_factor(f0, T)
+    with np.errstate(all="ignore"):  # hbar w / 2 kB T overflows as T -> 0; tanh -> 1
+        th = _tanh_factor(f0, T)
     ln_T = np.log(T)
     ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
 
+    # a model that is not finite is rejected at the start here, later by the solver
     def resid(theta):
-        return (_model_inv_q(n, T, th, *_physical(theta)) - y) / sig
+        with np.errstate(all="ignore"):
+            return (_model_inv_q(n, T, th, *_physical(theta)) - y) / sig
 
     def jac(theta):
-        return _model_inv_q_jac(theta, n, T, th, ln_T, ln_n) / sig[:, None]
+        with np.errstate(all="ignore"):
+            return _model_inv_q_jac(theta, n, T, th, ln_T, ln_n) / sig[:, None]
+
+    if not (np.isfinite(resid(theta0)).all() and np.isfinite(jac(theta0)).all()):
+        raise DegenerateSystemError("the TLS model is not finite at the start of the fit")
 
     res, cov_theta = bounded_fit(least_squares, resid, jac, theta0, lower, upper, "TLS fit")
     q0, D, b1, b2, qo = _physical(res.x)

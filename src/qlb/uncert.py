@@ -145,8 +145,8 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
 
     One QR of the whitened design A / sigma, its columns scaled to unit norm:
     no weighted sum is formed, so columns of any magnitude stay finite.  A sigma
-    <= 0 or not finite, a non-finite weighted system or chi2, or a rank-deficient
-    design (|R_jj| <= 1e-12 max |R_ii|) raises DegenerateSystemError.
+    <= 0 or not finite, a non-finite weighted system, chi2, coef or cov, or a
+    rank-deficient design (|R_jj| <= 1e-12 max |R_ii|) raises DegenerateSystemError.
     """
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0) & np.isfinite(sigma)).all():
@@ -161,14 +161,16 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
     diag = np.abs(np.diag(R))
     if diag.size < norms.size or not diag.min() > 1e-12 * diag.max():
         raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
-    R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled whitened design
     qty = Q.T @ yw
     resid = yw - Q @ qty
-    with np.errstate(over="ignore"):  # an overflow is raised as an error below
-        chi2 = float(resid @ resid)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
+        R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled whitened design
+        coef, cov, chi2 = R_inv @ qty, R_inv @ R_inv.T, float(resid @ resid)
     if not math.isfinite(chi2):
         raise DegenerateSystemError("chi2 of the weighted fit is not finite")
-    return R_inv @ qty, R_inv @ R_inv.T, chi2
+    if not (np.isfinite(coef).all() and np.isfinite(cov).all()):
+        raise DegenerateSystemError("coefficients or covariance of the weighted fit overflow")
+    return coef, cov, chi2
 
 
 def bounded_fit(solve, resid, jac, p0, lower, upper, what: str):

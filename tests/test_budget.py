@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qlb.budget import (
     ParticipationConfig,
@@ -146,3 +148,20 @@ class TestFractionGuards:
         )
         assert sum(v.value for v in fr.values()) == pytest.approx(100.0, abs=1e-9)
         assert all(v.sigma > 0 for v in fr.values())
+
+
+@given(truth=st.tuples(*[st.floats(1e-3, 1e-2)] * 3),  # tan_alox, ms_sa, tan_hc
+       t_hf=st.floats(1.0, 3.0), regrowth=st.floats(0.5, 2.0), t_ox=st.floats(1.0, 4.0),
+       t_hc=st.floats(0.2, 2.0), r_ma=st.floats(0.05, 0.5), r_sa=st.floats(0.5, 2.0))
+def test_budget_recovers_drawn_tangents(truth, t_hf, regrowth, t_ox, t_hc, r_ma, r_sa):
+    # the test's own forward model builds the tangents; the solvers must invert it
+    cfg = ParticipationConfig(r_ma=UValue(r_ma), r_sa=UValue(r_sa))
+    t_hf90 = t_hf + regrowth
+    tangents = forward_tangents(*truth, t_hf, t_hf90, t_ox, t_hc, cfg)
+    thicknesses = [UValue(t) for t in (t_hf, t_hf90, t_ox, t_hc)]
+    result = solve_budget(*map(UValue, tangents), *thicknesses, cfg)
+    solved = (result.tan_alox.value, result.tan_ms_sa.value, result.tan_hc.value)
+    assert solved == pytest.approx(truth, rel=1e-9)
+    assert result.renormalization == pytest.approx(1.0, rel=1e-9)
+    alox, ms_sa = solve_hf_pair(*map(UValue, tangents[:2]), *thicknesses[:2], cfg)
+    assert (alox.value, ms_sa.value) == solved[:2]

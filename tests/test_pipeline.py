@@ -446,6 +446,18 @@ class TestCli:
             ",".join(lines[-1].split(",")[:2] + ["1e-150"])]),
         "kinetics-last-sigma-1e-300": ("kinetics", lambda lines: lines[:-1] + [
             ",".join(lines[-1].split(",")[:2] + ["1e-300"])]),
+        # the fit's covariance overflows: every sigma 1e300, or every p_ms 1e-300 or 1e-320
+        "kinetics-every-sigma-1e300": ("kinetics", lambda lines: lines[:1] + [
+            ",".join(line.split(",")[:2] + ["1e300"]) for line in lines[1:]]),
+        "spr-every-p-ms-1e-300": ("spr-fit", lambda lines: lines[:1] + [
+            re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-300,", line) for line in lines[1:]]),
+        "spr-every-p-ms-1e-320": ("spr-fit", lambda lines: lines[:1] + [
+            re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-320,", line) for line in lines[1:]]),
+        # 1/T overflows, so the TLS model is not finite at the fit's start
+        "tls-one-temperature-1e-320": ("tls-fit", lambda lines: lines[:2] + [
+            re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-320,", lines[2])] + lines[3:]),
+        "tls-every-temperature-1e-320": ("tls-fit", lambda lines: lines[:1] + [
+            re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-320,", line) for line in lines[1:]]),
     }
 
     @pytest.mark.parametrize("case", sorted(DEGENERATE_DATASETS))
@@ -484,6 +496,21 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "tls-fit"])
         assert rc == 3
         assert "q_int 1e+13" in capsys.readouterr().err
+
+    def test_tls_one_temperature_1e_300_exits_4_without_warnings(self, tmp_path, capsys):
+        # the model is finite at the start but not along the solver's path; a numpy
+        # warning would fail this test under the suite's filterwarnings = error
+        name, set_file = self.CSV_READERS["tls-fit"]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[1] = "1e-300"
+        lines[2] = ",".join(cells)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "tls-fit"])
+        assert rc == 4
+        assert "TLS fit failed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("treatment,key,name", [
         ("hf", "t_ox", "t_hf"),
@@ -725,4 +752,24 @@ def test_mutated_csv_never_raises(tmp_path_factory, mutations):
     (work / "config.yaml").write_text(yaml.safe_dump(raw))
     rc = cli.main(["--config", str(work / "config.yaml"), "--out", str(work / "out"),
                    "report"])
+    assert rc in {0, 2, 3, 4}
+
+
+# every numeric column of a bundled CSV: (file name, column index)
+CSV_COLUMNS = sorted({(name, column) for name, _, column in CSV_CELLS})
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "1e300", "-1e300", "1e-300", "1e-320"])
+@pytest.mark.parametrize("name, column", CSV_COLUMNS)
+def test_whole_column_extreme_never_raises(tmp_path, name, column, value):
+    # one numeric column set to one extreme on every data row of its file
+    lines = (DATA_DIR / name).read_text().splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        cells[column] = value
+        lines[i] = ",".join(cells)
+    bad = tmp_path / name
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = write_config(tmp_path, lambda raw: CSV_SETTERS[name](raw, str(bad)))
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
     assert rc in {0, 2, 3, 4}
