@@ -5,6 +5,11 @@ A single YAML config drives every stage.  Its schema is declared once, in
 are rejected, numbers must be finite, every referenced file must exist,
 and any field that falls back to a shipped default is recorded in report
 provenance.
+
+Stages keep two rules.  An input the config leaves out raises
+StageNotConfigured naming its key (``_configured``), so a report skips the
+stage.  Every dataset error raised inside a fit names the file and keeps its
+exit code (``_fitting``).
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from . import xps as xps_mod
 from .constants import CONSTANTS_TABLE
 from .errors import (
     ConfigurationError,
+    ConvergenceError,
     DatasetError,
     DegenerateSystemError,
     InvalidInputError,
@@ -303,21 +309,28 @@ def _uv(v: UValue) -> dict:
     return {"value": v.value, "sigma": v.sigma}
 
 
+def _configured(value, key: str):
+    """``value``; None means the config leaves the stage's input ``key`` out."""
+    if value is None:
+        raise StageNotConfigured(f"{key} is not configured")
+    return value
+
+
 @contextmanager
 def _fitting(path: Path):
-    """A fit that the dataset at ``path`` makes degenerate is a dataset error."""
+    """A fit's error names the dataset at ``path``; a degenerate fit is a dataset error."""
     try:
         yield
-    except DegenerateSystemError as exc:
-        raise DatasetError(f"{path}: {exc}") from exc
+    except (DatasetError, ConvergenceError, DegenerateSystemError) as exc:
+        kind = DatasetError if isinstance(exc, DegenerateSystemError) else type(exc)
+        raise kind(f"{path}: {exc}") from exc
 
 
 def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
-    if config.tls["points_file"] is None:
-        raise StageNotConfigured("tls.points_file is not configured")
-    points = read_q_grid(config.tls["points_file"])
+    path = _configured(config.tls["points_file"], "tls.points_file")
+    points = read_q_grid(path)
     cutoff = config.tls["qp_cutoff_temperature_k"]
-    with _fitting(config.tls["points_file"]):  # a temperature that leaves the model inf
+    with _fitting(path):
         params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0_hz"],
                                        qp_cutoff_temperature=cutoff)
     n1 = tls_mod.rescale_q_tls0(params, config.tls["rescale_n_bar"],
@@ -341,18 +354,19 @@ def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
 
 
 def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
+    files = {label: tr["points_file"] for label, tr in sorted(config.treatments.items())
+             if tr["points_file"] is not None}
     results = {}
     grouped = {}  # points_file -> its points by treatment; each file is read once
-    for label, tr in sorted(config.treatments.items()):
-        if tr["points_file"] is None:
-            continue
-        if tr["points_file"] not in grouped:
-            grouped[tr["points_file"]] = read_spr_points(tr["points_file"])
-        pts = grouped[tr["points_file"]].get(label)
+    for label, path in _configured(files or None, "treatments.*.points_file").items():
+        if path not in grouped:
+            grouped[path] = read_spr_points(path)
+        pts = grouped[path].get(label)
         if pts is None:
-            raise DatasetError(f"{tr['points_file']}: no rows for treatment {label!r}")
-        with _fitting(tr["points_file"]):
+            raise DatasetError(f"{path}: no rows for treatment {label!r}")
+        with _fitting(path):
             tangent = spr_mod.fit_through_origin(pts)
+            line = spr_mod.fit_with_intercept(pts) if len(pts) >= 2 else None
         entry = {
             "tan_delta": _uv(tangent),
             "n_points": len(pts),
@@ -362,9 +376,8 @@ def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
                 for p in pts
             ],
         }
-        if len(pts) >= 2:
-            with _fitting(tr["points_file"]):
-                slope, intercept = spr_mod.fit_with_intercept(pts)
+        if line is not None:
+            slope, intercept = line
             entry["intercept_diagnostic"] = {
                 "slope": _uv(slope), "intercept": _uv(intercept),
             }
@@ -374,27 +387,17 @@ def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
                     f"({intercept:.3g})"
                 )
         results[label] = entry
-    if not results:
-        raise StageNotConfigured("no treatment has a points_file configured")
     return results
-
-
-def _require_treatment(config: AnalysisConfig, label: str, key: str) -> UValue:
-    tr = config.treatments.get(label)
-    if tr is None or tr.get(key) is None:
-        raise DatasetError(f"budget stage needs treatments.{label}.{key}")
-    return tr[key]
 
 
 def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
     cfg = config.participation
-    tan_hf = _require_treatment(config, "hf", "tan_delta")
-    tan_hf90 = _require_treatment(config, "hf_90_days", "tan_delta")
-    tan_untreated = _require_treatment(config, "untreated", "tan_delta")
-    t_hf = _require_treatment(config, "hf", "t_ox")
-    t_hf90 = _require_treatment(config, "hf_90_days", "t_ox")
-    t_untr = _require_treatment(config, "untreated", "t_ox")
-    t_hc = _require_treatment(config, "untreated", "t_hc")
+    tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc = (
+        _configured(config.treatments.get(label, {}).get(key), f"treatments.{label}.{key}")
+        for label, key in (("hf", "tan_delta"), ("hf_90_days", "tan_delta"),
+                           ("untreated", "tan_delta"), ("hf", "t_ox"),
+                           ("hf_90_days", "t_ox"), ("untreated", "t_ox"),
+                           ("untreated", "t_hc")))
 
     result = budget_mod.solve_budget(
         tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc, cfg
@@ -427,11 +430,10 @@ def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
 
 def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
     geom = config.qubit
-    if not config.qubit_tangents:
-        raise DatasetError("qubit stage needs qubit.tangents")
-    entry = {"regimes": {}}
-    for regime, tangents in sorted(config.qubit_tangents.items()):
-        inv_q = qubit_mod.predict_inv_q(geom, tangents)
+    regimes = _configured(config.qubit_tangents or None, "qubit.tangents")
+    entry, inv_qs = {"regimes": {}}, {}
+    for regime, tangents in sorted(regimes.items()):
+        inv_qs[regime] = inv_q = qubit_mod.predict_inv_q(geom, tangents)
         q = qubit_mod.predict_q(geom, tangents)
         cap_pct, leads_pct = qubit_mod.surface_fractions(geom, tangents)
         entry["regimes"][regime] = {
@@ -446,10 +448,9 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
         "c_jj_fF": _uv(c_jj),
         "energy_fraction_pct": _uv(energy_frac.scaled(100.0)),
     }
-    sp = config.qubit_tangents.get("single-photon")
+    sp = regimes.get("single-photon")
     if sp is not None:
-        inv_q_surf = qubit_mod.predict_inv_q(geom, sp)
-        solve = qubit_mod.solve_barrier_tangent(config.q_measured, inv_q_surf,
+        solve = qubit_mod.solve_barrier_tangent(config.q_measured, inv_qs["single-photon"],
                                                 c_jj, geom.c_shunt)
         budget3 = qubit_mod.three_way_budget(geom, sp, config.q_measured, c_jj)
         entry["barrier"] = {
@@ -462,34 +463,31 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
 
 
 def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
-    if config.xps is None or config.xps["spectrum_file"] is None:
-        raise StageNotConfigured("xps.spectrum_file is not configured")
+    path = _configured((config.xps or {}).get("spectrum_file"), "xps.spectrum_file")
     known = sorted(c.label for c in config.xps["components"])
     for key in ("metal_labels", "oxide_labels"):
         unknown = [label for label in config.xps[key] if label not in known]
         if unknown or not config.xps[key]:
             raise ConfigurationError(f"xps.{key}: {unknown or 'no label'} must name "
                                      f"components of xps.components {known}")
-    spec = xps_mod.load_spectrum(config.xps["spectrum_file"])
+    spec = xps_mod.load_spectrum(path)
     cal = config.xps["calibration"]
     if cal is not None:
         spec = xps_mod.calibrate_energy(spec, cal["reference_label"],
                                         cal["reference_energy_ev"])
     lo, hi = config.xps["background_window_ev"]
-    bg = xps_mod.shirley_background(spec, lo, hi)
-    sel = (spec.binding_energy >= lo) & (spec.binding_energy <= hi)
-    windowed = xps_mod.XpsSpectrum(
-        spec.binding_energy[sel], spec.intensity[sel], metadata=dict(spec.metadata)
-    )
-    result = xps_mod.fit_components(windowed, bg, config.xps["components"])
+    with _fitting(path):
+        bg = xps_mod.shirley_background(spec, lo, hi)
+        sel = (spec.binding_energy >= lo) & (spec.binding_energy <= hi)
+        windowed = xps_mod.XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
+        result = xps_mod.fit_components(windowed, bg, config.xps["components"])
+        (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
+                                                     config.xps["metal_labels"])
+        thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
     if result.boundary_active:
         warnings_out.append(
             f"xps-fit: constraint(s) active at bounds: {list(result.boundary_active)}"
         )
-    (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
-                                                 config.xps["metal_labels"])
-    with _fitting(config.xps["spectrum_file"]):  # a metal area fitted to 0
-        thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
     return {
         "energy_shift_eV": spec.metadata.get("energy_shift_eV", 0.0),
         "areas": {c.label: c.area for c in result.components},
@@ -506,10 +504,9 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
 
 
 def _stage_kinetics(config: AnalysisConfig, warnings_out: list) -> dict:
-    if config.kinetics is None or config.kinetics["points_file"] is None:
-        raise StageNotConfigured("kinetics.points_file is not configured")
-    times, thick = read_kinetics(config.kinetics["points_file"])
-    with _fitting(config.kinetics["points_file"]):
+    path = _configured((config.kinetics or {}).get("points_file"), "kinetics.points_file")
+    times, thick = read_kinetics(path)
+    with _fitting(path):
         fit = xps_mod.fit_kinetics(times, thick)
     if fit.degenerate_log:
         warnings_out.append("kinetics: purely linear data, log segment degenerate")
@@ -607,51 +604,43 @@ def load_report(path) -> dict:
 
 
 def _emit_plot_csv(report: dict, out_dir: Path) -> list[Path]:
-    written = []
+    tables = {}  # file name -> (header, rows)
     spr = report["stages"].get("spr_fit")
     if spr:
-        path = out_dir / "spr_fit.csv"
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["treatment", "kind", "p_ms", "inv_q", "sigma", "fit"])
-            for label, entry in sorted(spr.items()):
-                for p in entry["points"]:
-                    w.writerow([label, "point", p["p_ms"], p["inv_q"],
-                                p["sigma"], p["fit"]])
-                slope = entry["tan_delta"]["value"]
-                p_grid = np.linspace(
-                    0.0, 1.1 * max(p["p_ms"] for p in entry["points"]), 25
-                )
-                for x in p_grid:
-                    w.writerow([label, "line", f"{x:.8g}", "", "",
-                                f"{slope * x:.8g}"])
-        written.append(path)
+        rows = []
+        for label, entry in sorted(spr.items()):
+            rows += [[label, "point", p["p_ms"], p["inv_q"], p["sigma"], p["fit"]]
+                     for p in entry["points"]]
+            slope = entry["tan_delta"]["value"]
+            p_grid = np.linspace(0.0, 1.1 * max(p["p_ms"] for p in entry["points"]), 25)
+            rows += [[label, "line", f"{x:.8g}", "", "", f"{slope * x:.8g}"]
+                     for x in p_grid]
+        tables["spr_fit.csv"] = (["treatment", "kind", "p_ms", "inv_q", "sigma", "fit"],
+                                 rows)
     kin = report["stages"].get("kinetics")
     if kin:
-        path = out_dir / "kinetics_fit.csv"
         fit = xps_mod.KineticsFit(
             k_lin=kin["k_lin_nm_per_hour"], t_break=kin["t_break_hours"],
             log_a=kin["log_a"], log_b=kin["log_b"], d_sat=kin["d_sat_nm"],
             degenerate_log=kin["degenerate_log"],
         )
-        with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["kind", "time_hours", "thickness_nm", "sigma_nm"])
-            for p in kin["points"]:
-                w.writerow(["point", p["time_hours"], p["thickness_nm"],
-                            p["sigma_nm"]])
-            tmax = max(p["time_hours"] for p in kin["points"])
-            ts = np.geomspace(min(p["time_hours"] for p in kin["points"]), tmax, 100)
-            for ti, di in zip(ts, fit.thickness(ts)):
-                w.writerow(["line", f"{ti:.6g}", f"{di:.6g}", ""])
-        written.append(path)
+        times = [p["time_hours"] for p in kin["points"]]
+        ts = np.geomspace(min(times), max(times), 100)
+        rows = [["point", p["time_hours"], p["thickness_nm"], p["sigma_nm"]]
+                for p in kin["points"]]
+        rows += [["line", f"{ti:.6g}", f"{di:.6g}", ""]
+                 for ti, di in zip(ts, fit.thickness(ts))]
+        tables["kinetics_fit.csv"] = (["kind", "time_hours", "thickness_nm", "sigma_nm"],
+                                      rows)
     budget_frag = report["stages"].get("budget")
     if budget_frag:
-        path = out_dir / "budget.csv"
+        tables["budget.csv"] = (["channel", "fraction_pct", "sigma_pct"], [
+            [k, v["value"], v["sigma"]]
+            for k, v in sorted(budget_frag["fractions_pct"].items())])
+    written = []
+    for name, (header, rows) in tables.items():
+        path = out_dir / name
         with path.open("w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["channel", "fraction_pct", "sigma_pct"])
-            for k, v in sorted(budget_frag["fractions_pct"].items()):
-                w.writerow([k, v["value"], v["sigma"]])
+            csv.writer(fh).writerows([header, *rows])
         written.append(path)
     return written

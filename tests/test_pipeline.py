@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlb import cli, pipeline
+from qlb import cli, pipeline, qubit
 from qlb.errors import ConfigurationError, DatasetError, read_csv
 from qlb.pipeline import (
     STAGES,
@@ -181,6 +181,15 @@ class TestStages:
         assert frag["stages"]["budget"]["single_photon"]["tan_ms_sa"]["value"] < 0
         assert frag["warnings"] == [
             "budget[n=1]: MS+SA remainder has a negative central value"]
+
+    def test_qubit_barrier_solve_reuses_the_single_photon_loss(self, config, monkeypatch):
+        # predict_inv_q and predict_q per regime; the barrier solve makes no third call
+        calls = []
+        predict_inv_q = qubit.predict_inv_q
+        monkeypatch.setattr(qubit, "predict_inv_q",
+                            lambda *args: calls.append(args) or predict_inv_q(*args))
+        run_stage("qubit", config)
+        assert len(calls) == 4
 
     def test_unconfigured_stages_skipped(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw.pop("kinetics"))
@@ -543,6 +552,67 @@ class TestCli:
         assert rc == 3
         assert ("error [StageNotConfigured]: kinetics.points_file is not configured"
                 in capsys.readouterr().err)
+
+    # an input the config leaves out: (mutation, stage it skips, reason)
+    ABSENT_INPUTS = {
+        "no-qubit-tangents": (lambda raw: raw["qubit"].pop("tangents"), "qubit",
+                              "qubit.tangents is not configured"),
+        "hf-treatment-only": (
+            lambda raw: raw.update(treatments={"hf": raw["treatments"]["hf"]}),
+            "budget", "treatments.hf_90_days.tan_delta is not configured"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(ABSENT_INPUTS))
+    def test_report_skips_stage_without_its_input(self, tmp_path, capsys, case):
+        mutate, stage, reason = self.ABSENT_INPUTS[case]
+        cfg = write_config(tmp_path, mutate)
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+        assert rc == 0
+        report = load_report(tmp_path / "out" / "report.json")
+        assert report["skipped"] == [{"stage": stage, "reason": reason}]
+        assert set(report["stages"]) == {s.replace("-", "_") for s in STAGES if s != stage}
+
+    def test_qubit_stage_without_tangents_is_not_configured(self, tmp_path, capsys):
+        mutate, stage, reason = self.ABSENT_INPUTS["no-qubit-tangents"]
+        cfg = write_config(tmp_path, mutate)
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert f"error [StageNotConfigured]: {reason}" in capsys.readouterr().err
+
+    # an error raised inside a fit names its dataset: (stage, rewrite of the data
+    # lines, xps background window or None, error class, message, exit code)
+    FIT_ERRORS = {
+        "tls-four-rows": ("tls-fit", lambda lines: lines[:5], None, "DatasetError",
+                          "need >= 5 points below 0.12 K", 3),
+        "kinetics-five-rows": ("kinetics", lambda lines: lines[:6], None, "DatasetError",
+                               "need >= 6 (time, thickness) points", 3),
+        "xps-window-15-samples": ("xps-fit", lambda lines: lines, [76.0, 76.7],
+                                  "DatasetError", "need >= 16 samples, got 15", 3),
+        "tls-one-temperature-1e-300": ("tls-fit", lambda lines: lines[:2] + [
+            re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-300,", lines[2])] + lines[3:], None,
+            "ConvergenceError", "TLS fit failed: ", 4),
+        "xps-shirley-diverges": ("xps-fit", lambda lines: lines, [78.0, 78.6],
+                                 "ConvergenceError", "Shirley background did not converge",
+                                 4),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FIT_ERRORS))
+    def test_fit_error_names_the_dataset(self, tmp_path, capsys, case):
+        stage, rewrite, window, kind, message, code = self.FIT_ERRORS[case]
+        name, set_file = self.CSV_READERS[stage]
+        data = tmp_path / name
+        lines = rewrite((DATA_DIR / name).read_text().splitlines())
+        data.write_text("\n".join(lines) + "\n")
+
+        def mutate(raw):
+            set_file(raw, str(data))
+            if window is not None:
+                raw["xps"]["background_window_ev"] = window
+
+        cfg = write_config(tmp_path, mutate)
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+        assert rc == code
+        assert f"error [{kind}]: {data}: {message}" in capsys.readouterr().err
 
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
