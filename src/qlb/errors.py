@@ -57,10 +57,8 @@ class DegenerateSystemError(QlbError, ValueError):
     exit_code = 2
 
 
-class CalibrationError(QlbError):
+class CalibrationError(DatasetError):
     """Reference peak for energy calibration could not be located."""
-
-    exit_code = 3
 
 
 class InconsistentInputsWarning(UserWarning):

@@ -6,10 +6,10 @@ are rejected, numbers must be finite, every referenced file must exist,
 and any field that falls back to a shipped default is recorded in report
 provenance.
 
-Stages keep two rules.  An input the config leaves out raises
-StageNotConfigured naming its key (``_configured``), so a report skips the
-stage.  Every dataset error raised inside a fit names the file and keeps its
-exit code (``_fitting``).
+Stages build the objects they read from the validated sections.  An absent
+input raises StageNotConfigured naming its key before anything is built, so a
+report skips the stage (``_configured``); a fit's dataset error names the file
+(``_fitting``); a value a section's object rejects names its key (``_section``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import reprlib
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
@@ -67,19 +67,19 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class AnalysisConfig:
-    participation: budget_mod.ParticipationConfig
-    qubit: qubit_mod.QubitGeometry
-    qubit_tangents: dict  # regime -> TangentSet
-    q_measured: UValue
-    strohmeier: xps_mod.StrohmeierConstants
-    # the validated sections below keep the YAML key names of SCHEMA
+    """A config as validated: one mapping per SCHEMA section, keyed as in SCHEMA
+    (an absent optional section is None), then the config's provenance."""
+
+    participation: dict
+    qubit: dict
+    strohmeier: dict
     tls: dict
     treatments: dict  # label -> dict with tan_delta / t_ox / t_hc / points_file
-    xps: dict | None = None  # "components" holds PeakComponents
-    kinetics: dict | None = None
-    defaults_used: list = field(default_factory=list)
-    derived_flags: list = field(default_factory=list)
-    config_sha256: str = ""
+    xps: dict | None
+    kinetics: dict | None
+    defaults_used: list
+    derived_flags: list
+    config_sha256: str
 
 
 def paper_defaults_path() -> Path:
@@ -222,40 +222,8 @@ def load_config(path) -> AnalysisConfig:
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
     tree, defaults_used, derived_flags = _validate(raw, path.parent)
-
-    qb, st, xps = tree["qubit"], tree["strohmeier"], tree["xps"]
-    jj = qb["junction"]
-    if xps is not None:
-        xps["components"] = [xps_mod.PeakComponent(
-            label=cn["label"], shape=cn["shape"], center=cn["center_ev"],
-            fwhm=cn["fwhm_ev"], doublet=cn["doublet"],
-            center_window=cn["center_window_ev"],
-        ) for cn in xps["components"]]
-    return AnalysisConfig(
-        participation=budget_mod.ParticipationConfig(**tree["participation"]),
-        qubit=qubit_mod.QubitGeometry(
-            p_capacitor=qb["p_capacitor"], p_ms_leads=qb["p_ms_leads"],
-            p_ma_leads=qb["p_ma_leads"], c_shunt=qb["c_shunt_fF"],
-            junction=qubit_mod.JunctionDims(
-                width=jj["width_nm"], length=jj["length_nm"],
-                barrier_thickness=jj["barrier_thickness_nm"], eps_r=jj["eps_r"],
-            ),
-        ),
-        qubit_tangents={regime: qubit_mod.TangentSet(**node, regime=regime)
-                        for regime, node in qb["tangents"].items() if node is not None},
-        q_measured=qb["q_measured"],
-        strohmeier=xps_mod.StrohmeierConstants(
-            lambda_m=st["lambda_m_nm"], lambda_ox=st["lambda_ox_nm"],
-            n_m=st["n_m"], n_ox=st["n_ox"], theta=st["theta_deg"],
-        ),
-        tls=tree["tls"],
-        treatments=tree["treatments"],
-        xps=xps,
-        kinetics=tree["kinetics"],
-        defaults_used=defaults_used,
-        derived_flags=derived_flags,
-        config_sha256=hashlib.sha256(raw_bytes).hexdigest(),
-    )
+    return AnalysisConfig(**tree, defaults_used=defaults_used, derived_flags=derived_flags,
+                          config_sha256=hashlib.sha256(raw_bytes).hexdigest())
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +282,15 @@ def _configured(value, key: str):
     if value is None:
         raise StageNotConfigured(f"{key} is not configured")
     return value
+
+
+@contextmanager
+def _section(key: str):
+    """A value rejected by the object built from config section ``key`` names ``key``."""
+    try:
+        yield
+    except InvalidInputError as exc:
+        raise ConfigurationError(f"{key}: {exc}") from exc
 
 
 @contextmanager
@@ -391,14 +368,14 @@ def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
 
 
 def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
-    cfg = config.participation
     tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc = (
         _configured(config.treatments.get(label, {}).get(key), f"treatments.{label}.{key}")
         for label, key in (("hf", "tan_delta"), ("hf_90_days", "tan_delta"),
                            ("untreated", "tan_delta"), ("hf", "t_ox"),
                            ("hf_90_days", "t_ox"), ("untreated", "t_ox"),
                            ("untreated", "t_hc")))
-
+    with _section("participation"):
+        cfg = budget_mod.ParticipationConfig(**config.participation)
     result = budget_mod.solve_budget(
         tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc, cfg
     )
@@ -428,11 +405,30 @@ def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
     return entry
 
 
+def _qubit_inputs(config: AnalysisConfig) -> tuple[qubit_mod.QubitGeometry, dict]:
+    """The qubit section's geometry and its TangentSet per configured regime."""
+    qb, jj = config.qubit, config.qubit["junction"]
+    nodes = _configured({regime: node for regime, node in sorted(qb["tangents"].items())
+                         if node is not None} or None, "qubit.tangents")
+    with _section("qubit.junction"):
+        junction = qubit_mod.JunctionDims(width=jj["width_nm"], length=jj["length_nm"],
+                                          barrier_thickness=jj["barrier_thickness_nm"],
+                                          eps_r=jj["eps_r"])
+    with _section("qubit"):
+        geom = qubit_mod.QubitGeometry(
+            p_capacitor=qb["p_capacitor"], p_ms_leads=qb["p_ms_leads"],
+            p_ma_leads=qb["p_ma_leads"], c_shunt=qb["c_shunt_fF"], junction=junction)
+    tangents = {}
+    for regime, node in nodes.items():
+        with _section(f"qubit.tangents.{regime}"):
+            tangents[regime] = qubit_mod.TangentSet(**node, regime=regime)
+    return geom, tangents
+
+
 def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
-    geom = config.qubit
-    regimes = _configured(config.qubit_tangents or None, "qubit.tangents")
+    geom, regimes = _qubit_inputs(config)
     entry, inv_qs = {"regimes": {}}, {}
-    for regime, tangents in sorted(regimes.items()):
+    for regime, tangents in regimes.items():
         inv_qs[regime] = inv_q = qubit_mod.predict_inv_q(geom, tangents)
         q = qubit_mod.predict_q(geom, tangents)
         cap_pct, leads_pct = qubit_mod.surface_fractions(geom, tangents)
@@ -450,9 +446,9 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
     }
     sp = regimes.get("single-photon")
     if sp is not None:
-        solve = qubit_mod.solve_barrier_tangent(config.q_measured, inv_qs["single-photon"],
-                                                c_jj, geom.c_shunt)
-        budget3 = qubit_mod.three_way_budget(geom, sp, config.q_measured, c_jj)
+        solve = qubit_mod.solve_barrier_tangent(config.qubit["q_measured"],
+                                                inv_qs["single-photon"], c_jj, geom.c_shunt)
+        budget3 = qubit_mod.three_way_budget(geom, sp, config.qubit["q_measured"], c_jj)
         entry["barrier"] = {
             "tan_barrier": _uv(solve.tan_barrier),
             "scaled_contribution": _uv(solve.scaled_contribution),
@@ -464,26 +460,43 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
 
 def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     path = _configured((config.xps or {}).get("spectrum_file"), "xps.spectrum_file")
-    known = sorted(c.label for c in config.xps["components"])
+    components = []
+    for i, cn in enumerate(config.xps["components"]):
+        with _section(f"xps.components[{i}]"):
+            components.append(xps_mod.PeakComponent(
+                label=cn["label"], shape=cn["shape"], center=cn["center_ev"],
+                fwhm=cn["fwhm_ev"], doublet=cn["doublet"],
+                center_window=cn["center_window_ev"]))
+    st = config.strohmeier
+    with _section("strohmeier"):
+        constants = xps_mod.StrohmeierConstants(lambda_m=st["lambda_m_nm"],
+                                                lambda_ox=st["lambda_ox_nm"], n_m=st["n_m"],
+                                                n_ox=st["n_ox"], theta=st["theta_deg"])
+    peaks = [c.label for c in xps_mod.expand_doublets(components)]
+    if len(set(peaks)) < len(peaks):
+        raise ConfigurationError(f"xps.components: peak labels {peaks} must be distinct")
+    known = sorted(c.label for c in components)
     for key in ("metal_labels", "oxide_labels"):
         unknown = [label for label in config.xps[key] if label not in known]
         if unknown or not config.xps[key]:
             raise ConfigurationError(f"xps.{key}: {unknown or 'no label'} must name "
                                      f"components of xps.components {known}")
+    shared = sorted(set(config.xps["metal_labels"]) & set(config.xps["oxide_labels"]))
+    if shared:
+        raise ConfigurationError(f"xps.oxide_labels: {shared} also in xps.metal_labels")
     spec = xps_mod.load_spectrum(path)
-    cal = config.xps["calibration"]
-    if cal is not None:
-        spec = xps_mod.calibrate_energy(spec, cal["reference_label"],
-                                        cal["reference_energy_ev"])
-    lo, hi = config.xps["background_window_ev"]
+    cal, (lo, hi) = config.xps["calibration"], config.xps["background_window_ev"]
     with _fitting(path):
+        if cal is not None:
+            spec = xps_mod.calibrate_energy(spec, cal["reference_label"],
+                                            cal["reference_energy_ev"])
         bg = xps_mod.shirley_background(spec, lo, hi)
         sel = (spec.binding_energy >= lo) & (spec.binding_energy <= hi)
         windowed = xps_mod.XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
-        result = xps_mod.fit_components(windowed, bg, config.xps["components"])
+        result = xps_mod.fit_components(windowed, bg, components)
         (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
                                                      config.xps["metal_labels"])
-        thickness = xps_mod.strohmeier_thickness(i_ox, i_m, config.strohmeier, area_cov)
+        thickness = xps_mod.strohmeier_thickness(i_ox, i_m, constants, area_cov)
     if result.boundary_active:
         warnings_out.append(
             f"xps-fit: constraint(s) active at bounds: {list(result.boundary_active)}"
@@ -492,13 +505,7 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         "energy_shift_eV": spec.metadata.get("energy_shift_eV", 0.0),
         "areas": {c.label: c.area for c in result.components},
         "oxide_thickness_nm": _uv(thickness),
-        "strohmeier_constants": {
-            "lambda_m_nm": config.strohmeier.lambda_m,
-            "lambda_ox_nm": config.strohmeier.lambda_ox,
-            "n_m": config.strohmeier.n_m,
-            "n_ox": config.strohmeier.n_ox,
-            "theta_deg": config.strohmeier.theta,
-        },
+        "strohmeier_constants": dict(config.strohmeier),
         "normalization": "integrated area over the fit window",
     }
 

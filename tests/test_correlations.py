@@ -10,15 +10,16 @@ using the closed-form inverse.  Inputs are the bundled paper defaults.
 import numpy as np
 import pytest
 
-from qlb.budget import solve_budget, solve_hf_pair
-from qlb.pipeline import load_config, paper_defaults_path
+from qlb.budget import ParticipationConfig, solve_budget, solve_hf_pair
+from qlb.pipeline import _qubit_inputs, load_config, paper_defaults_path
 from qlb.qubit import junction_capacitance, surface_fractions, three_way_budget
 
 N_SAMPLES = 10**6
 CONFIG = load_config(paper_defaults_path())
-CFG = CONFIG.participation
+CFG = ParticipationConfig(**CONFIG.participation)
 HF, HF90, UNTR = (CONFIG.treatments[k] for k in ("hf", "hf_90_days", "untreated"))
-GEOM = CONFIG.qubit
+GEOM, TANGENTS = _qubit_inputs(CONFIG)
+Q_MEASURED = CONFIG.qubit["q_measured"]
 
 
 def mc_sigmas(chain, inputs, seed):
@@ -87,15 +88,15 @@ def test_single_photon_pair_matches_whole_chain_mc():
 
 @pytest.mark.parametrize("regime", ["linear-absorption", "single-photon"])
 def test_surface_fractions_match_mc(regime):
-    t = CONFIG.qubit_tangents[regime]
+    t = TANGENTS[regime]
     inputs = [t.tan_capacitor, t.tan_alox_leads, t.tan_ms_leads]
     assert_sigmas_match(surface_fractions(GEOM, t), surface_oracle, inputs, seed=23)
 
 
 def test_three_way_budget_matches_mc():
-    t = CONFIG.qubit_tangents["single-photon"]
+    t = TANGENTS["single-photon"]
     c_jj = junction_capacitance(GEOM.junction)
-    budget = three_way_budget(GEOM, t, CONFIG.q_measured, c_jj)
-    inputs = [t.tan_capacitor, t.tan_alox_leads, t.tan_ms_leads, c_jj, CONFIG.q_measured]
+    budget = three_way_budget(GEOM, t, Q_MEASURED, c_jj)
+    inputs = [t.tan_capacitor, t.tan_alox_leads, t.tan_ms_leads, c_jj, Q_MEASURED]
     outputs = [budget[k] for k in ("capacitor", "junction_leads", "barrier")]
     assert_sigmas_match(outputs, three_way_oracle, inputs, seed=24)

@@ -58,7 +58,7 @@ def set_spr_files(raw, path):
 class TestConfigLoading:
     def test_bundled_defaults_load(self):
         cfg = load_config(paper_defaults_path())
-        assert cfg.participation.r_ma.value == pytest.approx(0.105)
+        assert cfg.participation["r_ma"].value == pytest.approx(0.105)
         assert set(cfg.treatments) == {"hf", "hf_90_days", "untreated"}
         assert "participation.r_ma" in cfg.derived_flags
         assert len(cfg.config_sha256) == 64
@@ -118,9 +118,9 @@ class TestConfigLoading:
             "xps.background_window_ev",
             "xps.components[0].doublet",
         ]
-        assert cfg.participation.t0 == 3.0
+        assert cfg.participation["t0"] == 3.0
         assert cfg.xps["background_window_ev"] == (70.0, 80.0)
-        assert cfg.xps["components"][0].doublet is False
+        assert cfg.xps["components"][0]["doublet"] is False
 
     def test_bundled_config_uses_no_default(self):
         assert load_config(paper_defaults_path()).defaults_used == []
@@ -751,6 +751,64 @@ def test_malformed_config_exits_2_naming_the_key(tmp_path, capsys, defect):
     rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
     assert rc == 2
     assert key in capsys.readouterr().err
+
+
+def append_component(raw, label, center_ev, fwhm_ev):
+    raw["xps"]["components"].append(
+        {"label": label, "shape": "gaussian", "center_ev": center_ev, "fwhm_ev": fwhm_ev})
+
+
+# defect -> (mutation, key): a value that the object built from a config section
+# rejects, or a broken XPS label rule; the error must start with the section's key
+CONFIG_RANGE_DEFECTS = {
+    "negative-r-ma": (lambda raw: set_node(raw, ("participation", "r_ma"), -1),
+                      "participation"),
+    "zero-junction-width": (lambda raw: set_node(raw, ("qubit", "junction", "width_nm"), 0),
+                            "qubit.junction"),
+    "negative-tangent": (lambda raw: set_node(
+        raw, ("qubit", "tangents", "single-photon", "tan_capacitor"), -1),
+        "qubit.tangents.single-photon"),
+    "theta-95": (lambda raw: set_node(raw, ("strohmeier", "theta_deg"), 95), "strohmeier"),
+    "zero-fwhm": (lambda raw: set_node(raw, ("xps", "components", 0, "fwhm_ev"), 0),
+                  "xps.components[0]"),
+    "unknown-shape": (lambda raw: set_node(raw, ("xps", "components", 0, "shape"), "foo"),
+                      "xps.components[0]"),
+    "second-al3-template": (lambda raw: append_component(raw, "Al3+", 76.0, 1.7),
+                            "xps.components"),
+    "template-named-like-a-partner": (lambda raw: append_component(raw, "Al0_1/2", 77.0, 1.0),
+                                      "xps.components"),
+    "metal-label-as-oxide": (lambda raw: set_node(raw, ("xps", "oxide_labels"),
+                                                  ["Al0", "Al_int", "Al3+"]),
+                             "xps.oxide_labels"),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(CONFIG_RANGE_DEFECTS))
+def test_rejected_config_value_names_its_key(tmp_path, capsys, defect):
+    mutate, key = CONFIG_RANGE_DEFECTS[defect]
+    cfg = write_config(tmp_path, mutate)
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"])
+    assert rc == 2
+    assert f"error [ConfigurationError]: {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_single_stage_checks_only_the_sections_it_reads(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONFIG_RANGE_DEFECTS["theta-95"][0])
+    argv = ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv + ["kinetics"]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["report"]) == 2
+    assert "error [ConfigurationError]: strohmeier: " in capsys.readouterr().err
+
+
+def test_calibration_error_names_the_spectrum(tmp_path, capsys):
+    cfg = write_config(tmp_path, lambda raw: set_node(
+        raw, ("xps", "calibration", "reference_energy_ev"), 10.0))
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
+    assert rc == 3
+    assert (f"error [CalibrationError]: {DATA_DIR / 'xps_al2p.csv'}: Al0: window"
+            in capsys.readouterr().err)
 
 
 def node_paths(node, prefix=()):
