@@ -40,9 +40,7 @@ spec = XpsSpectrum(
     np.maximum(clean.intensity * (1 + rng.normal(0, 0.01, clean.intensity.size)), 0),
 )
 
-bg = shirley_background(spec, 66.0, 84.0)
-sel = (spec.binding_energy >= 66.0) & (spec.binding_energy <= 84.0)
-windowed = XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
+windowed, bg = shirley_background(spec, 66.0, 84.0)
 result = fit_components(windowed, bg, comps)
 
 (i_ox, i_m), area_cov = summed_areas(result, ["Al_oxide"], ["Al0"])

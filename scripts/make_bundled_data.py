@@ -17,6 +17,7 @@ import qlb
 from qlb.tls import TlsParams, q_tls
 from qlb.uncert import UValue
 from qlb.xps import (
+    KineticsFit,
     PeakComponent,
     StrohmeierConstants,
     invert_strohmeier,
@@ -64,16 +65,16 @@ def make_spr_points():
 def make_kinetics():
     """Linear-then-logarithmic oxide growth: 2.3 nm at 24 h, ~3 nm at 600 h."""
     rng = np.random.default_rng(20240819)
-    k = 2.3 / 24.0
-    tb = 24.0
+    k, tb = 2.3 / 24.0, 24.0
     b = (3.0 - 2.3) / math.log(600.0 / 24.0)
+    law = KineticsFit(k_lin=k, t_break=tb, log_a=k * tb - b * math.log(tb), log_b=b,
+                      d_sat=3.0)
     times = [1, 2, 4, 8, 12, 18, 24, 48, 96, 200, 400, 600]
     with (DATA / "kinetics_native_oxide.csv").open("w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["time_hours", "thickness_nm", "sigma_nm"])
         for t in times:
-            d = k * t if t <= tb else k * tb + b * math.log(t / tb)
-            d *= 1.0 + rng.normal(0.0, 0.015)
+            d = float(law.thickness(t)) * (1.0 + rng.normal(0.0, 0.015))
             w.writerow([t, f"{d:.4f}", "0.07"])
 
 

@@ -305,8 +305,14 @@ def _fitting(path: Path):
 
 def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     path = _configured(config.tls["points_file"], "tls.points_file")
-    points = read_q_grid(path)
     cutoff = config.tls["qp_cutoff_temperature_k"]
+    # the fit drops every point at or above the cutoff, so the rescale point sits below it
+    if not 0 < config.tls["rescale_temperature_k"] < cutoff:
+        raise ConfigurationError(f"tls.rescale_temperature_k: must be in (0, {cutoff}) K, "
+                                 "below tls.qp_cutoff_temperature_k")
+    if not config.tls["rescale_n_bar"] >= 0:
+        raise ConfigurationError("tls.rescale_n_bar: must be >= 0")
+    points = read_q_grid(path)
     with _fitting(path):
         params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0_hz"],
                                        qp_cutoff_temperature=cutoff)
@@ -481,6 +487,8 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         if unknown or not config.xps[key]:
             raise ConfigurationError(f"xps.{key}: {unknown or 'no label'} must name "
                                      f"components of xps.components {known}")
+        if len(set(config.xps[key])) < len(config.xps[key]):
+            raise ConfigurationError(f"xps.{key}: labels {config.xps[key]} must be distinct")
     shared = sorted(set(config.xps["metal_labels"]) & set(config.xps["oxide_labels"]))
     if shared:
         raise ConfigurationError(f"xps.oxide_labels: {shared} also in xps.metal_labels")
@@ -490,10 +498,8 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         if cal is not None:
             spec = xps_mod.calibrate_energy(spec, cal["reference_label"],
                                             cal["reference_energy_ev"])
-        bg = xps_mod.shirley_background(spec, lo, hi)
-        sel = (spec.binding_energy >= lo) & (spec.binding_energy <= hi)
-        windowed = xps_mod.XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
-        result = xps_mod.fit_components(windowed, bg, components)
+        window, bg = xps_mod.shirley_background(spec, lo, hi)
+        result = xps_mod.fit_components(window, bg, components)
         (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
                                                      config.xps["metal_labels"])
         thickness = xps_mod.strohmeier_thickness(i_ox, i_m, constants, area_cov)

@@ -141,11 +141,16 @@ def junction_capacitance(junction: JunctionDims) -> UValue:
     return UValue(value_fF, value_fF * rel)
 
 
+def _junction_share(c_jj, c_shunt):
+    """Junction's share of the circuit electric energy, c_jj / (c_jj + c_shunt)."""
+    return c_jj / (c_jj + c_shunt)
+
+
 def junction_energy_fraction(c_jj: UValue, c_shunt: float) -> UValue:
     """Fraction of circuit electric energy stored in the junction barrier."""
     if c_shunt <= 0:
         raise InvalidInputError("c_shunt must be positive")
-    return propagate(lambda c: c / (c + c_shunt), [c_jj])
+    return propagate(lambda c: _junction_share(c, c_shunt), [c_jj])
 
 
 @dataclass(frozen=True)
@@ -173,8 +178,9 @@ def solve_barrier_tangent(
         raise DegenerateSystemError("zero junction capacitance")
 
     def barrier(qm, iqs, cj):
-        tan_barrier = (1.0 / qm) * (c_shunt + cj) / cj - (c_shunt / cj) * iqs
-        return tan_barrier, cj / (c_shunt + cj) * tan_barrier
+        share = _junction_share(cj, c_shunt)
+        tan_barrier = (1.0 / qm - (1.0 - share) * iqs) / share
+        return tan_barrier, share * tan_barrier
 
     (tan_barrier, contribution), _ = propagate_joint(
         barrier, [q_measured, inv_q_surfaces, c_jj])
@@ -199,12 +205,10 @@ def three_way_budget(
     """
     if q_measured.value <= 0:
         raise InvalidInputError("measured Q must be positive")
-    cs = geom.c_shunt
 
     def shares(tc, ta, tm, cj, qm):
-        cap, leads = _loss_terms(geom, tc, ta, tm)
-        cap_pct = (cs / (cs + cj)) * cap * qm * 100.0
-        leads_pct = (cs / (cs + cj)) * leads * qm * 100.0
+        scale = (1.0 - _junction_share(cj, geom.c_shunt)) * qm * 100.0
+        cap_pct, leads_pct = (scale * term for term in _loss_terms(geom, tc, ta, tm))
         return cap_pct, leads_pct, 100.0 - cap_pct - leads_pct
 
     (capacitor, leads, barrier), _ = propagate_joint(shares, [

@@ -135,11 +135,11 @@ class StrohmeierConstants:
 class KineticsFit:
     """Piecewise linear-then-logarithmic oxide growth model.
 
-    d(t) = k_lin * t               for t <= t_break
-    d(t) = log_a + log_b * ln(t)   for t >  t_break
-    continuous at t_break; d_sat is the model value at the latest
-    measured time.  ``degenerate_log`` flags a fit with no points past
-    the breakpoint (purely linear data).
+    d(t) = k_lin min(t, t_break) + log_b ln(max(t, t_break) / t_break): linear up
+    to t_break, then log_a + log_b ln(t), log_a = k_lin t_break - log_b ln(t_break).
+    d_sat is the model value at the latest measured time.  ``degenerate_log``
+    flags a fit with no points past the breakpoint (purely linear data), whose
+    ``thickness`` extrapolates the line.
     """
 
     k_lin: float  # nm / hour
@@ -151,11 +151,15 @@ class KineticsFit:
 
     def thickness(self, t):
         t = np.asarray(t, dtype=float)
-        lin = self.k_lin * t
         if self.degenerate_log:
-            return lin
-        log = self.log_a + self.log_b * np.log(np.maximum(t, 1e-300))
-        return np.where(t <= self.t_break, lin, log)
+            return self.k_lin * t
+        col_k, col_b = _growth_columns(t, self.t_break)
+        return self.k_lin * col_k + self.log_b * col_b
+
+
+def _growth_columns(t, t_break):
+    """Columns (k, b) of the growth law d = k min(t, t_b) + b ln(max(t, t_b) / t_b)."""
+    return np.minimum(t, t_break), np.log(np.maximum(t, t_break) / t_break)
 
 
 @dataclass(frozen=True)
@@ -166,7 +170,6 @@ class FitResult:
     params: np.ndarray  # fitted (center, fwhm, area) per template
     covariance: np.ndarray  # C, of params
     area_rows: dict  # template label -> row T, its total area T . params
-    area_sigmas: dict  # template label -> sigma of its total area, sqrt(T C T^T)
     boundary_active: tuple  # labels of parameters pinned at a constraint
 
 
@@ -186,23 +189,19 @@ def _lineshape(x, shape, center, fwhm, area):
 def _lineshape_grad(x, shape, center, fwhm, area):
     """``_lineshape`` and its derivatives with respect to (center, fwhm, area).
 
-    The area derivative is the unit-area shape rather than value / area,
-    so it stays defined for an area at its lower bound of 0.
+    The area derivative is the unit-area shape ``_lineshape(..., 1.0)`` rather
+    than value / area, so it stays defined for an area at its lower bound of 0.
     """
     u = x - center
+    unit = _lineshape(x, shape, center, fwhm, 1.0)
+    value = area * unit
     if shape == "lorentzian":
-        gamma = fwhm / 2.0
-        den = u ** 2 + gamma ** 2
-        unit = gamma / (math.pi * den)
-        value = area * unit
+        den = u ** 2 + (fwhm / 2.0) ** 2
         d_center = value * 2.0 * u / den
-        d_fwhm = area * (u ** 2 - gamma ** 2) / (2.0 * math.pi * den ** 2)
+        d_fwhm = area * (u ** 2 - (fwhm / 2.0) ** 2) / (2.0 * math.pi * den ** 2)
     else:
-        z2 = (u / fwhm) ** 2
-        unit = (_GAUSS_NORM / fwhm) * np.exp(-4.0 * math.log(2.0) * z2)
-        value = area * unit
         d_center = value * 8.0 * math.log(2.0) * u / fwhm ** 2
-        d_fwhm = value * (8.0 * math.log(2.0) * z2 - 1.0) / fwhm
+        d_fwhm = value * (8.0 * math.log(2.0) * (u / fwhm) ** 2 - 1.0) / fwhm
     return value, d_center, d_fwhm, unit
 
 
@@ -319,15 +318,16 @@ def shirley_background(
     spectrum: XpsSpectrum,
     lo: float,
     hi: float,
-) -> np.ndarray:
+) -> tuple[XpsSpectrum, np.ndarray]:
     """Iterative Shirley background over [lo, hi] (binding energy, eV).
 
     Anchored to 3-sample endpoint averages; the background above the
     low-energy anchor at each point is proportional to the integrated
     signal-above-background on the high-kinetic-energy (lower binding
-    energy) side.  Returns the background on the samples inside [lo, hi]
-    once an iteration moves it by < 1e-6 max(|i_hi - i_lo|, |i_hi|, |i_lo|, 1),
-    and raises ConvergenceError after 50 iterations that do not.
+    energy) side.  Returns (window, background), the samples inside [lo, hi]
+    as the spectrum ``fit_components`` takes and the background on them, once
+    an iteration moves it by < 1e-6 max(|i_hi - i_lo|, |i_hi|, |i_lo|, 1);
+    50 iterations that do not raise ConvergenceError.
     """
     be, iy = spectrum.binding_energy, spectrum.intensity
     if lo < be[0] or hi > be[-1] or lo >= hi:
@@ -342,25 +342,22 @@ def shirley_background(
     tolerance = 1e-6 * max(abs(i_hi - i_lo), abs(i_hi), abs(i_lo), 1.0)
     bg = np.full_like(y, i_lo)
     for _ in range(50):
-        signal = y - bg
-        cum = _cumtrapz(signal, x)
-        total = cum[-1]
-        if total <= 0:
-            new_bg = np.full_like(y, i_lo)
-        else:
-            new_bg = i_lo + (i_hi - i_lo) * cum / total
+        new_bg = _shirley_step(y - bg, x, i_lo, i_hi)
         delta = float(np.max(np.abs(new_bg - bg)))
         bg = new_bg
         if delta < tolerance:
-            return bg
+            return XpsSpectrum(x, y, metadata=dict(spectrum.metadata)), bg
     raise ConvergenceError("Shirley background did not converge", residual=delta)
 
 
-def _cumtrapz(y, x):
-    out = np.zeros_like(y)
-    dx = np.diff(x)
-    out[1:] = np.cumsum(0.5 * (y[1:] + y[:-1]) * dx)
-    return out
+def _shirley_step(signal, x, i_lo, i_hi):
+    """Background rising from i_lo to i_hi in proportion to the running
+    trapezoid integral of ``signal`` over x; flat at i_lo when the total <= 0."""
+    cum = np.zeros_like(signal)
+    cum[1:] = np.cumsum(0.5 * (signal[1:] + signal[:-1]) * np.diff(x))
+    if cum[-1] <= 0:
+        return np.full_like(signal, i_lo)
+    return i_lo + (i_hi - i_lo) * cum / cum[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -374,9 +371,9 @@ def fit_components(
 ) -> FitResult:
     """Constrained least squares of the background-subtracted spectrum.
 
-    Fit parameters per template component: center (bounded by its
-    ``center_window``), fwhm (bounded by ``FWHM_BOUNDS_EV``), area (>= 0).
-    Doublet 1/2 partners are generated exactly (shared fwhm,
+    Fit parameters per template component: center (within its ``center_window``,
+    clipped to the spectrum's energy range), fwhm (within ``FWHM_BOUNDS_EV``),
+    area (>= 0).  Doublet 1/2 partners are generated exactly (shared fwhm,
     +DOUBLET_SPLITTING_EV, half area), never fitted.  Weights
     are Poisson-like, 1/max(I, 1).  The model is evaluated straight from the
     parameter vector, with the analytic Jacobian of ``_peak_model_jac``.
@@ -397,8 +394,8 @@ def fit_components(
         fwhm0 = min(max(c.fwhm, FWHM_BOUNDS_EV[0]), FWHM_BOUNDS_EV[1])
         area0 = c.area if c.area > 0 else max(float(np.max(y)), 0.0) * fwhm0
         p0 += [c.center, c.fwhm, area0]
-        lower += [c.center - c.center_window, FWHM_BOUNDS_EV[0], 0.0]
-        upper += [c.center + c.center_window, FWHM_BOUNDS_EV[1], np.inf]
+        lower += [np.maximum(c.center - c.center_window, x[0]), FWHM_BOUNDS_EV[0], 0.0]
+        upper += [np.minimum(c.center + c.center_window, x[-1]), FWHM_BOUNDS_EV[1], np.inf]
     p0 = np.clip(p0, lower, upper)
     if not (np.all(np.isfinite(p0)) and np.all(np.less(lower, upper))):
         raise InvalidInputError("component start values and bounds must be finite "
@@ -435,8 +432,6 @@ def fit_components(
         params=res.x,
         covariance=cov,
         area_rows=area_rows,
-        area_sigmas={label: math.sqrt(max(row @ cov @ row, 0.0))
-                     for label, row in area_rows.items()},
         boundary_active=active,
     )
 
@@ -494,8 +489,8 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     """Fit the piecewise linear/logarithmic oxide growth model.
 
     The breakpoint is grid-searched over the measured time points; for each
-    candidate, the continuous model d = k t (t <= tb), d = k tb + b ln(t/tb)
-    (t > tb) is a weighted linear least-squares problem in (k, b).
+    candidate tb, the ``KineticsFit`` law d = k min(t, tb) + b ln(max(t, tb)/tb)
+    is a weighted linear least-squares problem in (k, b), in k alone at the last time.
     """
     t = np.asarray(times, dtype=float)
     if t.size < 6 or t.size != len(thicknesses):
@@ -509,16 +504,13 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     # candidates leaving >= 2 points per regime, plus the all-linear case
     candidates = list(t[1:-2]) + [t[-1]]
     for tb in candidates:
-        lin = t <= tb
-        col_k = np.where(lin, t, tb)
-        col_b = np.where(lin, 0.0, np.log(np.maximum(t / tb, 1e-300)))
-        design = [col_k] if np.all(lin) else [col_k, col_b]
-        coef, _, chi2 = weighted_lstsq(np.column_stack(design), d, sig)
+        columns = _growth_columns(t, tb)[:1 if tb >= t[-1] else 2]
+        coef, _, chi2 = weighted_lstsq(np.column_stack(columns), d, sig)
         k, b = float(coef[0]), (float(coef[1]) if coef.size > 1 else 0.0)
         if best is None or chi2 < best[0]:
-            best = (chi2, tb, k, b, np.all(lin))
+            best = (chi2, tb, k, b)
 
-    _, tb, k, b, degenerate = best
+    _, tb, k, b = best
     log_a = k * tb - b * math.log(tb)
     fit = KineticsFit(
         k_lin=k,
@@ -526,7 +518,7 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
         log_a=float(log_a),
         log_b=float(b),
         d_sat=0.0,
-        degenerate_log=bool(degenerate),
+        degenerate_log=bool(tb >= t[-1]),
     )
     d_sat = float(fit.thickness(t[-1]))
     return replace(fit, d_sat=d_sat)
@@ -557,10 +549,7 @@ def synthesize_spectrum(
     if kind == "flat":
         bg = np.full_like(x, float(background_kind[1]))
     elif kind == "shirley":
-        b_lo, b_hi = float(background_kind[1]), float(background_kind[2])
-        cum = _cumtrapz(peaks, x)
-        total = cum[-1]
-        bg = np.full_like(x, b_lo) if total <= 0 else b_lo + (b_hi - b_lo) * cum / total
+        bg = _shirley_step(peaks, x, float(background_kind[1]), float(background_kind[2]))
     else:
         raise InvalidInputError(f"unknown background kind {kind!r}")
     y = peaks + bg

@@ -780,6 +780,16 @@ CONFIG_RANGE_DEFECTS = {
     "metal-label-as-oxide": (lambda raw: set_node(raw, ("xps", "oxide_labels"),
                                                   ["Al0", "Al_int", "Al3+"]),
                              "xps.oxide_labels"),
+    "repeated-oxide-label": (lambda raw: set_node(raw, ("xps", "oxide_labels"),
+                                                  ["Al_int", "Al_int", "Al3+"]),
+                             "xps.oxide_labels"),
+    "repeated-metal-label": (lambda raw: set_node(raw, ("xps", "metal_labels"), ["Al0", "Al0"]),
+                             "xps.metal_labels"),
+    **{f"rescale-temperature-{value}": (
+        lambda raw, value=value: set_node(raw, ("tls", "rescale_temperature_k"), value),
+        "tls.rescale_temperature_k") for value in (1e300, 0, -1, 0.5)},
+    "negative-rescale-n-bar": (lambda raw: set_node(raw, ("tls", "rescale_n_bar"), -1),
+                               "tls.rescale_n_bar"),
 }
 
 

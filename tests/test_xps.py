@@ -165,21 +165,17 @@ class TestShirley:
             [PeakComponent("m", "gaussian", 74.0, 1.0, area=800.0)],
             background_kind=("shirley", 50.0, 180.0),
         )
-        bg = shirley_background(spec, 70.0, 80.0)
-        be = spec.binding_energy
-        sel = (be >= 70.0) & (be <= 80.0)
-        y = spec.intensity[sel]
+        window, bg = shirley_background(spec, 70.0, 80.0)
+        y = window.intensity
         assert bg[0] == pytest.approx(np.mean(y[:3]), abs=1e-9)
         assert bg[-1] == pytest.approx(np.mean(y[-3:]), abs=1e-9)
 
     def test_background_recovered_on_noiseless_synthetic(self):
         comps = [PeakComponent("m", "gaussian", 74.0, 1.0, area=800.0)]
         spec = synthesize_spectrum(comps, background_kind=("shirley", 50.0, 180.0))
-        bg = shirley_background(spec, 68.5, 81.5)
-        sel = (spec.binding_energy >= 68.5) & (spec.binding_energy <= 81.5)
+        window, bg = shirley_background(spec, 68.5, 81.5)
         # subtracting the estimated background leaves the pure component sum
-        residual_area = np.trapezoid(spec.intensity[sel] - bg,
-                                     spec.binding_energy[sel])
+        residual_area = np.trapezoid(window.intensity - bg, window.binding_energy)
         assert residual_area == pytest.approx(800.0, rel=0.02)
 
     def test_window_validation(self):
@@ -198,9 +194,7 @@ class TestFit:
         ]
         full = synthesize_spectrum(comps, background_kind=("shirley", 60.0, 210.0),
                                    noise_sigma=noise, seed=42)
-        bg = shirley_background(full, 68.5, 81.5)
-        sel = (full.binding_energy >= 68.5) & (full.binding_energy <= 81.5)
-        spec = XpsSpectrum(full.binding_energy[sel], full.intensity[sel])
+        spec, bg = shirley_background(full, 68.5, 81.5)
         return comps, spec, bg
 
     def test_recovers_areas_noiseless(self):
@@ -230,7 +224,8 @@ class TestFit:
     def test_area_sigmas_positive_with_noise(self):
         comps, spec, bg = self.make_spectrum(noise=2.0)
         result = fit_components(spec, bg, comps)
-        assert all(s > 0 for s in result.area_sigmas.values())
+        areas, _ = summed_areas(result, ["Al3+"], ["Al0"])
+        assert all(a.sigma > 0 for a in areas)
 
     @pytest.mark.parametrize("field, value", [
         ("center", 1e300),  # center +- window rounds to one value
@@ -244,14 +239,23 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="bounds"):
             fit_components(spec, bg, comps)
 
+    def test_center_window_clipped_to_the_energy_range(self):
+        comps, spec, bg = self.make_spectrum()
+        # 20 eV covers the whole 68.5-81.5 eV window from every centre
+        fits = [fit_components(spec, bg, [replace(c, center_window=window) for c in comps])
+                for window in (20.0, 1e300)]
+        np.testing.assert_array_equal(fits[0].params, fits[1].params)
+        np.testing.assert_array_equal(fits[0].covariance, fits[1].covariance)
+
     def test_summed_areas_follow_the_fit_covariance(self):
         comps, spec, bg = self.make_spectrum(noise=2.0)
         result = fit_components(spec, bg, comps)
         (i_ox, i_m), cov = summed_areas(result, ["Al3+"], ["Al0"])
         assert i_ox.value == component_area(result, "Al3+")
         assert i_m.value == component_area(result, "Al0")
+        rows = [result.area_rows["Al3+"], result.area_rows["Al0"]]
         assert [i_ox.sigma, i_m.sigma] == pytest.approx(
-            [result.area_sigmas["Al3+"], result.area_sigmas["Al0"]], rel=1e-12)
+            [math.sqrt(row @ result.covariance @ row) for row in rows], rel=1e-12)
         # total area = fitted 3/2 area x (1 + 1/ratio): its variance scales by the square
         var_32 = result.covariance[5, 5]
         assert cov[0][0] == pytest.approx(var_32 * 1.5 ** 2, rel=1e-12)
@@ -296,9 +300,7 @@ class TestThicknessSigma:
             spec = synthesize_spectrum(truth, background_kind=("shirley", 60.0, 220.0),
                                        noise_sigma=3.0, seed=seed)
             spec = calibrate_energy(spec, "Al0", 72.6)
-            bg = shirley_background(spec, 70.0, 80.0)
-            sel = (spec.binding_energy >= 70.0) & (spec.binding_energy <= 80.0)
-            windowed = XpsSpectrum(spec.binding_energy[sel], spec.intensity[sel])
+            windowed, bg = shirley_background(spec, 70.0, 80.0)
             result = fit_components(windowed, bg, templates)
             (ox, m), cov = summed_areas(result, ["Al_int", "Al3+"], ["Al0"])
             d = strohmeier_thickness(ox, m, consts, cov)
