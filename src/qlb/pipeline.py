@@ -498,7 +498,14 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         if cal is not None:
             spec = xps_mod.calibrate_energy(spec, cal["reference_label"],
                                             cal["reference_energy_ev"])
-        window, bg = xps_mod.shirley_background(spec, lo, hi)
+        with _section("xps.background_window_ev"):
+            window, bg = xps_mod.shirley_background(spec, lo, hi)
+        x = window.binding_energy
+        for i, c in enumerate(components):  # fit_components clips the window to x
+            if not (x[0] < c.center + c.center_window and c.center - c.center_window < x[-1]):
+                raise ConfigurationError(
+                    f"xps.components[{i}]: center window {c.center:g} +- {c.center_window:g} "
+                    f"eV misses the fit window [{x[0]:g}, {x[-1]:g}] eV")
         result = xps_mod.fit_components(window, bg, components)
         (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
                                                      config.xps["metal_labels"])

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 from scipy.optimize import least_squares
 
 from .constants import HBAR, K_B
-from .errors import DatasetError, DegenerateSystemError, InvalidInputError
+from .errors import DatasetError, InvalidInputError
 from .uncert import UValue, bounded_fit
 
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
@@ -112,7 +113,8 @@ def _physical(theta):
     return (np.exp(theta[0]), np.exp(theta[1]), theta[2], theta[3], np.exp(theta[4]))
 
 
-def _model_inv_q(n, T, th, q_tls0, D, beta1, beta2, q_other):
+def _model_inv_q(theta, n, T, th):
+    q_tls0, D, beta1, beta2, q_other = _physical(theta)
     return 1.0 / _q_tls(n, T, th, q_tls0, D, beta1, beta2) + 1.0 / q_other
 
 
@@ -138,13 +140,12 @@ def fit_tls(
     """Fit the TLS model to measured Q_int(n_bar, T) points.
 
     Points at or above the quasiparticle cutoff temperature are dropped.
-    Fits 1/Q_int residuals weighted by their sigma using bounded damped
-    least squares in log-parameter space for the positive scale parameters,
-    with the analytic Jacobian of ``_model_inv_q_jac``.  The start and the
-    bounds are fixed: q_tls0 = max q_int in ``Q_TLS0_BOUNDS``, D = 1 in
-    [1e-8, 1e8], beta1 = beta2 = 1 in [0.05, 4], q_other = 10 max q_int in
-    [1, 1e14].  Returns the fitted parameters (q_tls0 sigma from the
-    covariance diagonal) and the full 5x5 covariance matrix in the order
+    ``bounded_fit`` fits 1/Q_int +- sigma with ``_model_inv_q_jac``, in log-parameter
+    space for the positive scale parameters.  The start and the bounds are
+    fixed: q_tls0 = max q_int in ``Q_TLS0_BOUNDS``, D = 1 in [1e-8, 1e8],
+    beta1 = beta2 = 1 in [0.05, 4], q_other = 10 max q_int in [1, 1e14].
+    Returns the fitted parameters (q_tls0 sigma from the covariance
+    diagonal) and the full 5x5 covariance matrix in the order
     (q_tls0, D, beta1, beta2, q_other).
     """
     _check_f0(f0)
@@ -174,22 +175,11 @@ def fit_tls(
 
     with np.errstate(all="ignore"):  # hbar w / 2 kB T overflows as T -> 0; tanh -> 1
         th = _tanh_factor(f0, T)
-    ln_T = np.log(T)
     ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
-
-    # a model that is not finite is rejected at the start here, later by the solver
-    def resid(theta):
-        with np.errstate(all="ignore"):
-            return (_model_inv_q(n, T, th, *_physical(theta)) - y) / sig
-
-    def jac(theta):
-        with np.errstate(all="ignore"):
-            return _model_inv_q_jac(theta, n, T, th, ln_T, ln_n) / sig[:, None]
-
-    if not (np.isfinite(resid(theta0)).all() and np.isfinite(jac(theta0)).all()):
-        raise DegenerateSystemError("the TLS model is not finite at the start of the fit")
-
-    res, cov_theta = bounded_fit(least_squares, resid, jac, theta0, lower, upper, "TLS fit")
+    res, cov_theta = bounded_fit(
+        least_squares, partial(_model_inv_q, n=n, T=T, th=th),
+        partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n),
+        y, sig, theta0, lower, upper, "TLS fit")
     q0, D, b1, b2, qo = _physical(res.x)
     # covariance in physical parameters via the log-space jacobian
     scale = np.array([q0, D, 1.0, 1.0, qo])

@@ -6,8 +6,8 @@ Inputs are independent unless their covariance is given.  Quantities
 derived from shared inputs are correlated: ``propagate_joint`` takes a
 whole chain in one Jacobian and returns the output covariance.
 
-Every fit solves here: ``weighted_lstsq`` (SPR slopes, pooling, kinetics)
-and ``bounded_fit`` (the bounded TLS and XPS fits) return the covariance.
+Every fit solves here, its covariance from one column-scaled QR: ``weighted_lstsq``
+(SPR slopes, pooling, kinetics) and ``bounded_fit`` (the bounded TLS and XPS fits).
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -140,14 +140,27 @@ def propagate(f: Callable[..., float], inputs: Sequence[UValue],
     return out
 
 
-def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
-    """(coef, cov, chi2) minimising chi2 = |(A coef - y) / sigma|^2.
+def _qr_covariance(Aw):
+    """(Q, R^-1, R^-1 R^-T) of one QR of whitened ``Aw`` with unit-norm columns; rank
+    deficiency (|R_jj| <= 1e-12 max |R_ii|) or a non-finite cov is a DegenerateSystemError."""
+    norms = np.hypot.reduce(Aw, axis=0)  # hypot: no overflow of the squares
+    Q, R = np.linalg.qr(Aw / np.where(norms > 0, norms, 1.0))
+    diag = np.abs(np.diag(R))
+    if diag.size < norms.size or not diag.min() > 1e-12 * diag.max():
+        raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
+        R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled Aw
+        cov = R_inv @ R_inv.T
+    if not np.isfinite(cov).all():
+        raise DegenerateSystemError("covariance of the weighted fit overflows")
+    return Q, R_inv, cov
 
-    One QR of the whitened design A / sigma, its columns scaled to unit norm:
-    no weighted sum is formed, so columns of any magnitude stay finite.  A sigma
-    <= 0 or not finite, a non-finite weighted system, chi2, coef or cov, or a
-    rank-deficient design (|R_jj| <= 1e-12 max |R_ii|) raises DegenerateSystemError.
-    """
+
+def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
+    """(coef, cov, chi2) minimising chi2 = |(A coef - y) / sigma|^2 by ``_qr_covariance``:
+    no weighted sum is formed, so columns of any magnitude stay finite.  A sigma <= 0
+    or not finite, a non-finite weighted system, chi2 or coef, or a degenerate QR
+    raises DegenerateSystemError."""
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0) & np.isfinite(sigma)).all():
         raise DegenerateSystemError("every sigma must be finite and > 0")
@@ -156,42 +169,44 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
         yw = np.asarray(y, dtype=float) / sigma
     if not (np.isfinite(Aw).all() and np.isfinite(yw).all()):
         raise DegenerateSystemError("the weighted system is not finite")
-    norms = np.hypot.reduce(Aw, axis=0)  # hypot: no overflow of the squares
-    Q, R = np.linalg.qr(Aw / np.where(norms > 0, norms, 1.0))
-    diag = np.abs(np.diag(R))
-    if diag.size < norms.size or not diag.min() > 1e-12 * diag.max():
-        raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
+    Q, R_inv, cov = _qr_covariance(Aw)
     qty = Q.T @ yw
     resid = yw - Q @ qty
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
-        R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled whitened design
-        coef, cov, chi2 = R_inv @ qty, R_inv @ R_inv.T, float(resid @ resid)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        coef, chi2 = R_inv @ qty, float(resid @ resid)
     if not math.isfinite(chi2):
         raise DegenerateSystemError("chi2 of the weighted fit is not finite")
-    if not (np.isfinite(coef).all() and np.isfinite(cov).all()):
-        raise DegenerateSystemError("coefficients or covariance of the weighted fit overflow")
+    if not np.isfinite(coef).all():
+        raise DegenerateSystemError("coefficients of the weighted fit overflow")
     return coef, cov, chi2
 
 
-def bounded_fit(solve, resid, jac, p0, lower, upper, what: str):
-    """Run ``solve`` (``least_squares``' signature) at 1e-14 tolerances; return
-    its result and (J^T J)^-1 at the solution (pinv if singular).  A solver
-    ValueError (a non-finite model, a start past a bound) or an unconverged
-    result raises ConvergenceError naming ``what``.
-    """
-    try:
-        res = solve(resid, p0, jac=jac, bounds=(lower, upper),
+def bounded_fit(solve, model, jac, y, sigma, p0, lower, upper, what: str):
+    """Fit ``model(p)`` to arrays ``y`` +- ``sigma`` by ``solve`` (``least_squares``'
+    signature, 1e-14 tolerances): its result and the ``_qr_covariance`` of its whitened
+    Jacobian there.  Errors name ``what``: a model not finite at ``p0`` or a degenerate
+    QR is a DegenerateSystemError, a solver ValueError or no convergence a ConvergenceError."""
+    def resid(p):
+        with np.errstate(all="ignore"):  # a non-finite model is raised at p0, else by solve
+            return (model(p) - y) / sigma
+
+    def white_jac(p):
+        with np.errstate(all="ignore"):
+            return jac(p) / sigma[:, None]
+
+    try:  # DegenerateSystemError is a ValueError, so it is caught first
+        if not (np.isfinite(resid(p0)).all() and np.isfinite(white_jac(p0)).all()):
+            raise DegenerateSystemError("the model is not finite at the start")
+        res = solve(resid, p0, jac=white_jac, bounds=(lower, upper),
                     xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        if not res.success:
+            raise ConvergenceError(f"{what} did not converge",
+                                   residual=float(np.max(np.abs(res.fun))))
+        return res, _qr_covariance(res.jac)[2]
+    except DegenerateSystemError as exc:
+        raise DegenerateSystemError(f"{what}: {exc}") from exc
     except ValueError as exc:
         raise ConvergenceError(f"{what} failed: {exc}") from exc
-    if not res.success:
-        raise ConvergenceError(f"{what} did not converge",
-                               residual=float(np.max(np.abs(res.fun))))
-    jtj = res.jac.T @ res.jac
-    try:
-        return res, np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        return res, np.linalg.pinv(jtj)
 
 
 def mc_propagate(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -99,6 +100,8 @@ class PeakComponent:
             raise InvalidInputError(f"unknown lineshape {self.shape!r}")
         if self.fwhm <= 0:
             raise InvalidInputError("fwhm must be > 0")
+        if self.center_window <= 0:
+            raise InvalidInputError("center_window must be > 0")
         if self.area < 0:
             raise InvalidInputError("area must be >= 0")
 
@@ -374,8 +377,8 @@ def fit_components(
     Fit parameters per template component: center (within its ``center_window``,
     clipped to the spectrum's energy range), fwhm (within ``FWHM_BOUNDS_EV``),
     area (>= 0).  Doublet 1/2 partners are generated exactly (shared fwhm,
-    +DOUBLET_SPLITTING_EV, half area), never fitted.  Weights
-    are Poisson-like, 1/max(I, 1).  The model is evaluated straight from the
+    +DOUBLET_SPLITTING_EV, half area), never fitted.  The sigmas are
+    Poisson-like, sqrt(max(I, 1)).  The model is evaluated straight from the
     parameter vector, with the analytic Jacobian of ``_peak_model_jac``.
     """
     if not model:
@@ -384,12 +387,9 @@ def fit_components(
     y = spectrum.intensity - np.asarray(background, dtype=float)
     if y.shape != x.shape:
         raise InvalidInputError("background length must match the spectrum")
-    w = np.sqrt(1.0 / np.maximum(spectrum.intensity, 1.0))
 
     p0, lower, upper = [], [], []
     for c in model:
-        if c.center_window <= 0:
-            raise InvalidInputError(f"{c.label}: empty constraint window")
         # the area guess takes the fwhm the fit starts from, inside its bounds
         fwhm0 = min(max(c.fwhm, FWHM_BOUNDS_EV[0]), FWHM_BOUNDS_EV[1])
         area0 = c.area if c.area > 0 else max(float(np.max(y)), 0.0) * fwhm0
@@ -400,14 +400,9 @@ def fit_components(
     if not (np.all(np.isfinite(p0)) and np.all(np.less(lower, upper))):
         raise InvalidInputError("component start values and bounds must be finite "
                                 "and ordered (lower < upper)")
-
-    def resid(p):
-        return (_peak_model(x, model, p) - y) * w
-
-    def jac(p):
-        return _peak_model_jac(x, model, p) * w[:, None]
-
-    res, cov = bounded_fit(least_squares, resid, jac, p0, lower, upper, "component fit")
+    res, cov = bounded_fit(
+        least_squares, partial(_peak_model, x, model), partial(_peak_model_jac, x, model), y,
+        np.sqrt(np.maximum(spectrum.intensity, 1.0)), p0, lower, upper, "component fit")
 
     fitted = [
         replace(c, center=res.x[3 * i], fwhm=res.x[3 * i + 1], area=res.x[3 * i + 2])
@@ -416,12 +411,13 @@ def fit_components(
     names = []
     for c in model:
         names += [f"{c.label}.center", f"{c.label}.fwhm", f"{c.label}.area"]
+    # an area's bound is 0, so closeness takes an absolute scale too: the start's
     active = tuple(
         names[i]
-        for i in range(len(res.x))
-        if math.isclose(res.x[i], lower[i]) or math.isclose(res.x[i], upper[i])
+        for i, value in enumerate(res.x)
+        if any(math.isclose(value, b[i], abs_tol=1e-9 * abs(p0[i])) for b in (lower, upper))
     )
-    # the Poisson-like weights are not true sigmas; rescale by reduced chi2
+    # the Poisson-like sigmas are not the true ones; rescale by reduced chi2
     dof = max(x.size - res.x.size, 1)
     cov = cov * (2.0 * res.cost / dof)
     area_rows = {c.label: np.zeros(res.x.size) for c in model}

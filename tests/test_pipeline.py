@@ -467,6 +467,9 @@ class TestCli:
             re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-320,", lines[2])] + lines[3:]),
         "tls-every-temperature-1e-320": ("tls-fit", lambda lines: lines[:1] + [
             re.sub(r"^([^,]*),[^,]*,", r"\g<1>,1e-320,", line) for line in lines[1:]]),
+        # at one temperature D and beta1 enter only as D T^beta1: collinear columns
+        "tls-one-temperature": ("tls-fit", lambda lines: [
+            line for line in lines if ",temperature_K," in line or ",0.010," in line]),
     }
 
     @pytest.mark.parametrize("case", sorted(DEGENERATE_DATASETS))
@@ -773,6 +776,13 @@ CONFIG_RANGE_DEFECTS = {
                   "xps.components[0]"),
     "unknown-shape": (lambda raw: set_node(raw, ("xps", "components", 0, "shape"), "foo"),
                       "xps.components[0]"),
+    "zero-center-window": (lambda raw: set_node(
+        raw, ("xps", "components", 0, "center_window_ev"), 0), "xps.components[0]"),
+    "center-outside-fit-window": (lambda raw: set_node(
+        raw, ("xps", "components", 0, "center_ev"), 90), "xps.components[0]"),
+    **{f"background-window-{lo}-{hi}": (
+        lambda raw, window=[lo, hi]: set_node(raw, ("xps", "background_window_ev"), window),
+        "xps.background_window_ev") for lo, hi in ((60, 80), (80, 70))},
     "second-al3-template": (lambda raw: append_component(raw, "Al3+", 76.0, 1.7),
                             "xps.components"),
     "template-named-like-a-partner": (lambda raw: append_component(raw, "Al0_1/2", 77.0, 1.0),

@@ -12,7 +12,6 @@ from qlb.tls import (
     TlsParams,
     _model_inv_q,
     _model_inv_q_jac,
-    _physical,
     fit_tls,
     q_tls,
     rescale_q_tls0,
@@ -155,7 +154,7 @@ class TestJacobian:
     th = np.tanh(HBAR * 2.0 * np.pi * F0 / (2.0 * K_B * T))
 
     def model(self, theta):
-        return _model_inv_q(self.n, self.T, self.th, *_physical(theta))
+        return _model_inv_q(theta, self.n, self.T, self.th)
 
     def central_difference(self, theta):
         cols = []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from qlb.errors import (
     ConfigurationError,
@@ -252,29 +253,45 @@ class TestBoundedFit:
             return type("Result", (), dict(result, fun=np.array([-3.0, 2.0])))()
         return solve
 
+    @staticmethod
+    def fit(solve, jac=np.eye(2), model=lambda p: np.zeros(2)):
+        return bounded_fit(solve, model, lambda p: jac, np.zeros(2), np.ones(2), [0, 0],
+                           [-1, -1], [1, 1], "toy fit")
+
     def test_returns_result_and_inverse_normal_matrix(self):
         J = np.array([[2.0, 0.0], [1.0, 1.0]])
-        res, cov = bounded_fit(self.solver(success=True, jac=J), None, None, [0, 0],
-                               [-1, -1], [1, 1], "toy fit")
+        res, cov = self.fit(self.solver(success=True, jac=J))
         assert res.success
         assert np.allclose(cov @ (J.T @ J), np.eye(2))
 
-    def test_singular_normal_matrix_uses_pinv(self):
-        J = np.array([[1.0, 1.0], [2.0, 2.0]])
-        _, cov = bounded_fit(self.solver(success=True, jac=J), None, None, [0, 0],
-                             [-1, -1], [1, 1], "toy fit")
-        assert np.allclose(cov, np.linalg.pinv(J.T @ J))
+    def test_covariance_matches_weighted_lstsq_for_a_linear_model(self):
+        rng = np.random.default_rng(3)
+        A = np.column_stack([np.ones(20), np.linspace(0.0, 1e3, 20), rng.normal(size=20)])
+        sigma = rng.uniform(0.5, 2.0, 20)
+        y = A @ [1.0, 2e-3, -0.5] + rng.normal(0.0, sigma)
+        _, cov, _ = weighted_lstsq(A, y, sigma)
+        _, fit_cov = bounded_fit(least_squares, lambda p: A @ p, lambda p: A, y, sigma,
+                                 np.zeros(3), -np.full(3, 1e3), np.full(3, 1e3), "line")
+        np.testing.assert_allclose(fit_cov, cov, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("model, J, match", [
+        (lambda p: np.zeros(2), np.array([[1.0, 1.0], [2.0, 2.0]]), "toy fit: rank-deficient"),
+        (lambda p: np.array([0.0, math.inf]), np.eye(2), "toy fit: the model is not finite"),
+    ], ids=["collinear-jacobian", "non-finite-start"])
+    def test_degenerate_fit_is_degenerate_system_error(self, model, J, match):
+        with pytest.raises(DegenerateSystemError, match=match):
+            self.fit(self.solver(success=True, jac=J), jac=J, model=model)
 
     def test_unconverged_result_is_convergence_error(self):
         with pytest.raises(ConvergenceError, match="toy fit did not converge") as info:
-            bounded_fit(self.solver(success=False), None, None, [0], [-1], [1], "toy fit")
+            self.fit(self.solver(success=False))
         assert info.value.residual == 3.0
 
     def test_solver_value_error_is_convergence_error(self):
         def solve(*args, **kwargs):
             raise ValueError("Residuals are not finite in the initial point.")
         with pytest.raises(ConvergenceError, match="toy fit failed: Residuals"):
-            bounded_fit(solve, None, None, [0], [-1], [1], "toy fit")
+            self.fit(solve)
 
 
 class TestMcPropagate:

@@ -264,6 +264,13 @@ class TestFit:
         assert both.sigma ** 2 == pytest.approx(cov[0][0] + cov[1][1] + 2 * cov[0][1],
                                                  rel=1e-9)
 
+    def test_empty_template_flagged_at_its_zero_area_bound(self):
+        comps, spec, bg = self.make_spectrum()
+        ghost = PeakComponent("Ghost", "gaussian", 78.5, 1.0)  # no such peak in the data
+        result = fit_components(spec, bg, comps + [ghost])
+        assert component_area(result, "Ghost") < 1e-9
+        assert "Ghost.area" in result.boundary_active
+
     def test_unknown_label_rejected(self):
         comps, spec, bg = self.make_spectrum()
         result = fit_components(spec, bg, comps)
