@@ -23,7 +23,7 @@ from scipy.optimize import least_squares
 
 from .constants import HBAR, K_B
 from .errors import DatasetError, InvalidInputError
-from .uncert import UValue, bounded_fit
+from .uncert import UValue, bounded_fit, weighted_lstsq
 
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
 
@@ -132,6 +132,43 @@ def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
     return np.column_stack([-g, h, h * ln_T, -h * ln_n, np.full_like(g, -1.0 / qo)])
 
 
+def _projected_start(y, sig, jac, lower, upper):
+    """theta at the variable-projection optimum (Golub & Pereyra 1973), or None.
+
+    ``least_squares`` runs over phi = (ln D, beta1, beta2) alone; 1/Q = a g(phi) + b is
+    linear in (a, b) = (1/q_tls0, 1/q_other), which one ``weighted_lstsq`` of the columns
+    (g, 1) gives for each phi.  ``jac`` at q_tls0 = 1 holds -g and dg/dphi, so Kaufman's
+    (1975) Jacobian is P_perp a dg/dphi, whitened.  None when this raises (a degenerate or
+    non-finite weighted system too) or gives a or b <= 0; else clipped to [lower, upper].
+    """
+    memo = {}  # least_squares asks for the residual, then the Jacobian, at one phi
+
+    def project(phi):
+        """(whitened residual, Kaufman Jacobian, (a, b)) at phi."""
+        key = phi.tobytes()
+        if key not in memo:
+            J = jac(np.concatenate([[0.0], phi, [0.0]]))
+            A = np.column_stack([-J[:, 0], np.ones_like(y)])
+            coef, cov, _ = weighted_lstsq(A, y, sig)
+            Aw, dA = A / sig[:, None], J[:, 1:4] * (coef[0] / sig[:, None])
+            p_perp_dA = dA - Aw @ (cov @ (Aw.T @ dA))  # cov = (Aw^T Aw)^-1
+            memo.clear()
+            memo[key] = ((A @ coef - y) / sig, p_perp_dA, coef)
+        return memo[key]
+
+    try:
+        with np.errstate(all="ignore"):  # weighted_lstsq raises on a non-finite model
+            phi = least_squares(lambda p: project(p)[0], np.array([0.0, 1.0, 1.0]),
+                                jac=lambda p: project(p)[1],
+                                bounds=(lower[1:4], upper[1:4])).x
+            a, b = project(phi)[2]
+    except ValueError:  # DegenerateSystemError too
+        return None
+    if not (a > 0 and b > 0):
+        return None
+    return np.clip(np.concatenate([[-np.log(a)], phi, [-np.log(b)]]), lower, upper)
+
+
 def fit_tls(
     points: Sequence[QPoint],
     f0: float,
@@ -141,9 +178,11 @@ def fit_tls(
 
     Points at or above the quasiparticle cutoff temperature are dropped.
     ``bounded_fit`` fits 1/Q_int +- sigma with ``_model_inv_q_jac``, in log-parameter
-    space for the positive scale parameters.  The start and the bounds are
-    fixed: q_tls0 = max q_int in ``Q_TLS0_BOUNDS``, D = 1 in [1e-8, 1e8],
-    beta1 = beta2 = 1 in [0.05, 4], q_other = 10 max q_int in [1, 1e14].
+    space for the positive scale parameters, within fixed bounds: q_tls0 in
+    ``Q_TLS0_BOUNDS``, D in [1e-8, 1e8], beta1 and beta2 in [0.05, 4], q_other in
+    [1, 1e14].  It starts at ``_projected_start``, the variable-projection optimum, or
+    where that fails at q_tls0 = max q_int, D = 1, beta1 = beta2 = 1,
+    q_other = 10 max q_int; a max q_int outside ``Q_TLS0_BOUNDS`` is a DatasetError.
     Returns the fitted parameters (q_tls0 sigma from the covariance
     diagonal) and the full 5x5 covariance matrix in the order
     (q_tls0, D, beta1, beta2, q_other).
@@ -165,21 +204,22 @@ def fit_tls(
     sig = np.array([p.q_int.sigma for p in kept]) / q ** 2
 
     q_init = float(np.max(q))
-    if not Q_TLS0_BOUNDS[0] <= q_init <= Q_TLS0_BOUNDS[1]:  # q_tls0 starts there
+    if not Q_TLS0_BOUNDS[0] <= q_init <= Q_TLS0_BOUNDS[1]:  # input range check
         raise DatasetError(f"largest q_int {q_init:g} is outside the q_tls0 fit "
                            "range [{:g}, {:g}]".format(*Q_TLS0_BOUNDS))
     # theta = (log q_tls0, log D, beta1, beta2, log q_other)
-    theta0 = np.array([np.log(q_init), 0.0, 1.0, 1.0, np.log(10.0 * q_init)])
     lower = np.array([np.log(Q_TLS0_BOUNDS[0]), np.log(1e-8), 0.05, 0.05, np.log(1.0)])
     upper = np.array([np.log(Q_TLS0_BOUNDS[1]), np.log(1e8), 4.0, 4.0, np.log(1e14)])
 
     with np.errstate(all="ignore"):  # hbar w / 2 kB T overflows as T -> 0; tanh -> 1
         th = _tanh_factor(f0, T)
     ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
-    res, cov_theta = bounded_fit(
-        least_squares, partial(_model_inv_q, n=n, T=T, th=th),
-        partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n),
-        y, sig, theta0, lower, upper, "TLS fit")
+    jac = partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n)
+    theta0 = _projected_start(y, sig, jac, lower, upper)
+    if theta0 is None:
+        theta0 = np.array([np.log(q_init), 0.0, 1.0, 1.0, np.log(10.0 * q_init)])
+    res, cov_theta = bounded_fit(least_squares, partial(_model_inv_q, n=n, T=T, th=th),
+                                 jac, y, sig, theta0, lower, upper, "TLS fit")
     q0, D, b1, b2, qo = _physical(res.x)
     # covariance in physical parameters via the log-space jacobian
     scale = np.array([q0, D, 1.0, 1.0, qo])

@@ -379,7 +379,11 @@ def fit_components(
     area (>= 0).  Doublet 1/2 partners are generated exactly (shared fwhm,
     +DOUBLET_SPLITTING_EV, half area), never fitted.  The sigmas are
     Poisson-like, sqrt(max(I, 1)).  The model is evaluated straight from the
-    parameter vector, with the analytic Jacobian of ``_peak_model_jac``.
+    parameter vector, with the analytic Jacobian of ``_peak_model_jac``.  The fit
+    starts at the template centres and fwhms, clipped to their bounds; the model is
+    linear in the areas, which start at their ``weighted_lstsq`` optimum there, clipped
+    to >= 0, or where that system is degenerate at the template area if > 0, else at
+    max(y) times the fwhm.
     """
     if not model:
         raise InvalidInputError("model needs >= 1 component")
@@ -388,21 +392,28 @@ def fit_components(
     if y.shape != x.shape:
         raise InvalidInputError("background length must match the spectrum")
 
-    p0, lower, upper = [], [], []
+    peak = max(float(np.max(y)), 0.0)
+    p0, lower, upper, scale = [], [], [], []
     for c in model:
-        # the area guess takes the fwhm the fit starts from, inside its bounds
-        fwhm0 = min(max(c.fwhm, FWHM_BOUNDS_EV[0]), FWHM_BOUNDS_EV[1])
-        area0 = c.area if c.area > 0 else max(float(np.max(y)), 0.0) * fwhm0
-        p0 += [c.center, c.fwhm, area0]
+        # a typical area: the peak height times the fwhm the fit starts from
+        area = peak * min(max(c.fwhm, FWHM_BOUNDS_EV[0]), FWHM_BOUNDS_EV[1])
+        p0 += [c.center, c.fwhm, c.area if c.area > 0 else area]
         lower += [np.maximum(c.center - c.center_window, x[0]), FWHM_BOUNDS_EV[0], 0.0]
         upper += [np.minimum(c.center + c.center_window, x[-1]), FWHM_BOUNDS_EV[1], np.inf]
+        scale += [upper[-3] - lower[-3], upper[-2] - lower[-2], area]
     p0 = np.clip(p0, lower, upper)
     if not (np.all(np.isfinite(p0)) and np.all(np.less(lower, upper))):
         raise InvalidInputError("component start values and bounds must be finite "
                                 "and ordered (lower < upper)")
-    res, cov = bounded_fit(
-        least_squares, partial(_peak_model, x, model), partial(_peak_model_jac, x, model), y,
-        np.sqrt(np.maximum(spectrum.intensity, 1.0)), p0, lower, upper, "component fit")
+    sigma = np.sqrt(np.maximum(spectrum.intensity, 1.0))
+    jac = partial(_peak_model_jac, x, model)
+    areas = slice(2, None, 3)
+    try:  # the model is linear in the areas: start at their optimum for p0's shapes
+        p0[areas] = np.maximum(weighted_lstsq(jac(p0)[:, areas], y, sigma)[0], 0.0)
+    except DegenerateSystemError:  # e.g. two templates of one shape: the areas above
+        pass
+    res, cov = bounded_fit(least_squares, partial(_peak_model, x, model), jac, y, sigma,
+                           p0, lower, upper, "component fit")
 
     fitted = [
         replace(c, center=res.x[3 * i], fwhm=res.x[3 * i + 1], area=res.x[3 * i + 2])
@@ -411,11 +422,12 @@ def fit_components(
     names = []
     for c in model:
         names += [f"{c.label}.center", f"{c.label}.fwhm", f"{c.label}.area"]
-    # an area's bound is 0, so closeness takes an absolute scale too: the start's
+    # an area's bound is 0, so closeness takes an absolute scale too, one the start
+    # does not move: a typical area, or the bound span of a centre or fwhm
     active = tuple(
         names[i]
         for i, value in enumerate(res.x)
-        if any(math.isclose(value, b[i], abs_tol=1e-9 * abs(p0[i])) for b in (lower, upper))
+        if any(math.isclose(value, b[i], abs_tol=1e-9 * scale[i]) for b in (lower, upper))
     )
     # the Poisson-like sigmas are not the true ones; rescale by reduced chi2
     dof = max(x.size - res.x.size, 1)

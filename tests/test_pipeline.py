@@ -10,7 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlb import cli, pipeline, qubit
+from qlb import cli, pipeline, qubit, tls, xps
 from qlb.errors import ConfigurationError, DatasetError, read_csv
 from qlb.pipeline import (
     STAGES,
@@ -701,6 +701,19 @@ class TestPinnedFit:
         assert tls["beta1"] == pytest.approx(1.0253797, rel=1e-6)
         assert tls["beta2"] == pytest.approx(0.8045878, rel=1e-6)
         assert tls["q_other"] == pytest.approx(5808250.39, rel=1e-6)
+
+    def test_solver_work(self, monkeypatch):
+        """Both fits start at the optimum of their linear parameters: total nfev."""
+        nfev = {tls: 0, xps: 0}
+        for module in nfev:
+            def counted(*args, _solve=module.least_squares, _module=module, **kwargs):
+                res = _solve(*args, **kwargs)
+                nfev[_module] += res.nfev
+                return res
+            monkeypatch.setattr(module, "least_squares", counted)
+        run_report(load_config(paper_defaults_path()), stages=("tls-fit", "xps-fit"))
+        assert nfev[tls] <= 20
+        assert nfev[xps] <= 17
 
     def test_xps_fit(self, stages):
         xps = stages["xps_fit"]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlb import tls
 from qlb.constants import HBAR, K_B
 from qlb.errors import DatasetError, InvalidInputError
 from qlb.tls import (
@@ -138,6 +139,26 @@ class TestFit:
         assert np.all(np.isfinite(cov))
         assert params.q_tls0.value == pytest.approx(TRUE.q_tls0.value, rel=1e-3)
         assert params.beta2 == pytest.approx(TRUE.beta2, rel=1e-3)
+
+    @pytest.mark.parametrize("noise, seed", [(0.0, 0)] + [(0.01, s) for s in range(5)])
+    def test_projected_start_changes_no_answer(self, monkeypatch, noise, seed):
+        pts = grid_points(TRUE, noise=noise, seed=seed)
+        params, cov = fit_tls(pts, f0=F0)
+        solve = tls.least_squares
+
+        def fixed_start(fun, x0, **kwargs):
+            if len(x0) == 3:  # the projection fails: the fit starts at the fixed theta0
+                raise ValueError("projection refused")
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tls, "least_squares", fixed_start)
+        ref, ref_cov = fit_tls(pts, f0=F0)
+        # both stop at ftol = 1e-14 of a chi2 ~ 40: each within ~1e-6 sigma of the optimum
+        values, ref_values = ([p.q_tls0.value, p.D, p.beta1, p.beta2, p.q_other]
+                              for p in (params, ref))
+        np.testing.assert_array_less(np.abs(np.subtract(values, ref_values)),
+                                     1e-6 * np.sqrt(np.diag(ref_cov)))
+        np.testing.assert_allclose(cov, ref_cov, rtol=1e-6, atol=0.0)
 
     def test_noisy_fit_sigma_is_meaningful(self):
         params, _ = fit_tls(grid_points(TRUE, noise=0.01, seed=11), f0=F0)

@@ -271,6 +271,13 @@ class TestFit:
         assert component_area(result, "Ghost") < 1e-9
         assert "Ghost.area" in result.boundary_active
 
+    @pytest.mark.parametrize("area", [0.0, 1e-30, 1.0])
+    def test_zero_area_flag_does_not_depend_on_the_template_area(self, area):
+        comps, spec, bg = self.make_spectrum()
+        ghost = PeakComponent("Ghost", "gaussian", 78.5, 1.0, area=area)
+        result = fit_components(spec, bg, comps + [ghost])
+        assert "Ghost.area" in result.boundary_active
+
     def test_unknown_label_rejected(self):
         comps, spec, bg = self.make_spectrum()
         result = fit_components(spec, bg, comps)
