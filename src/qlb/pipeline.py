@@ -318,6 +318,9 @@ def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
                                        qp_cutoff_temperature=cutoff)
     n1 = tls_mod.rescale_q_tls0(params, config.tls["rescale_n_bar"],
                                 config.tls["rescale_temperature_k"])
+    if params.boundary_active:
+        warnings_out.append(
+            f"tls-fit: constraint(s) active at bounds: {list(params.boundary_active)}")
     return {
         "q_tls0": _uv(params.q_tls0),
         "D": params.D,

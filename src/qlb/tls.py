@@ -23,12 +23,13 @@ from scipy.optimize import least_squares
 
 from .constants import HBAR, K_B
 from .errors import DatasetError, InvalidInputError
-from .uncert import UValue, bounded_fit, weighted_lstsq
+from .uncert import UValue, _whitened, active_bounds, bounded_fit, weighted_lstsq
 
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
 
 DEFAULT_QP_CUTOFF_K = 0.120
 Q_TLS0_BOUNDS = (1.0, 1e12)  # fit range of q_tls0
+_NAMES = ("q_tls0", "D", "beta1", "beta2", "q_other")  # the fit's parameters, in order
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,7 @@ class TlsParams:
     beta2: float = 1.0
     q_other: float = 1e9
     f0: float = 5e9  # Hz
+    boundary_active: tuple = ()  # names of fitted parameters at a fit bound
 
     def __post_init__(self):
         if self.q_tls0.value <= 0 or self.q_other <= 0 or self.D <= 0:
@@ -83,9 +85,14 @@ def _tanh_factor(f0: float, temperature):
     return np.tanh(HBAR * 2.0 * np.pi * f0 / (2.0 * K_B * temperature))
 
 
+def _saturation(n, T, th, D, beta1, beta2):
+    """s th, s = n^b2 / (D T^b1), for scalars or arrays, with th = tanh(hbar w / 2 kB T)."""
+    return n ** beta2 / (D * T ** beta1) * th
+
+
 def _q_tls(n, T, th, q_tls0, D, beta1, beta2):
-    """Q_TLS(n, T) for scalars or arrays, with th = tanh(hbar w / 2 kB T)."""
-    return q_tls0 * np.sqrt(1.0 + n ** beta2 / (D * T ** beta1) * th) / th
+    """Q_TLS(n, T) = q_tls0 sqrt(1 + s th) / th for scalars or arrays."""
+    return q_tls0 * np.sqrt(1.0 + _saturation(n, T, th, D, beta1, beta2)) / th
 
 
 def q_tls(n_bar: float, temperature: float, params: TlsParams) -> float:
@@ -113,57 +120,51 @@ def _physical(theta):
     return (np.exp(theta[0]), np.exp(theta[1]), theta[2], theta[3], np.exp(theta[4]))
 
 
-def _model_inv_q(theta, n, T, th):
-    q_tls0, D, beta1, beta2, q_other = _physical(theta)
-    return 1.0 / _q_tls(n, T, th, q_tls0, D, beta1, beta2) + 1.0 / q_other
-
-
 def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
-    """Jacobian of ``_model_inv_q`` with respect to the log-parameters theta.
+    """(1/Q = 1/Q_TLS + 1/q_other, its Jacobian in theta) at the log-parameters theta.
 
-    With g = th / (q_tls0 sqrt(1 + s th)) and s = n^b2 / (D T^b1), the
+    With g = 1/Q_TLS = th / (q_tls0 sqrt(1 + s th)) and s = n^b2 / (D T^b1), the
     saturation columns share h = g s th / (2 (1 + s th)).  ``ln_n`` must be
     0 where n = 0, so those rows get a zero beta2 column (s = 0 there).
     """
     q0, D, b1, b2, qo = _physical(theta)
-    s_th = n ** b2 / (D * T ** b1) * th
+    s_th = _saturation(n, T, th, D, b1, b2)
     g = th / (q0 * np.sqrt(1.0 + s_th))
     h = 0.5 * g * s_th / (1.0 + s_th)
-    return np.column_stack([-g, h, h * ln_T, -h * ln_n, np.full_like(g, -1.0 / qo)])
+    return g + 1.0 / qo, np.column_stack([-g, h, h * ln_T, -h * ln_n,
+                                          np.full_like(g, -1.0 / qo)])
 
 
-def _projected_start(y, sig, jac, lower, upper):
+def _projected_start(y, sig, evaluate, lower, upper):
     """theta at the variable-projection optimum (Golub & Pereyra 1973), or None.
 
     ``least_squares`` runs over phi = (ln D, beta1, beta2) alone; 1/Q = a g(phi) + b is
     linear in (a, b) = (1/q_tls0, 1/q_other), which one ``weighted_lstsq`` of the columns
-    (g, 1) gives for each phi.  ``jac`` at q_tls0 = 1 holds -g and dg/dphi, so Kaufman's
-    (1975) Jacobian is P_perp a dg/dphi, whitened.  None when this raises (a degenerate or
-    non-finite weighted system too) or gives a or b <= 0; else clipped to [lower, upper].
+    (g, 1) gives for each phi.  The Jacobian of ``evaluate`` at q_tls0 = 1 holds -g and
+    dg/dphi, so Kaufman's (1975) Jacobian is P_perp a dg/dphi; ``_whitened`` projects each
+    phi once.  None when this raises (a degenerate or non-finite weighted system too) or
+    gives a or b <= 0; else clipped to [lower, upper].
     """
-    memo = {}  # least_squares asks for the residual, then the Jacobian, at one phi
+    coef = None  # (a, b) of the last projection
 
     def project(phi):
-        """(whitened residual, Kaufman Jacobian, (a, b)) at phi."""
-        key = phi.tobytes()
-        if key not in memo:
-            J = jac(np.concatenate([[0.0], phi, [0.0]]))
-            A = np.column_stack([-J[:, 0], np.ones_like(y)])
-            coef, cov, _ = weighted_lstsq(A, y, sig)
-            Aw, dA = A / sig[:, None], J[:, 1:4] * (coef[0] / sig[:, None])
-            p_perp_dA = dA - Aw @ (cov @ (Aw.T @ dA))  # cov = (Aw^T Aw)^-1
-            memo.clear()
-            memo[key] = ((A @ coef - y) / sig, p_perp_dA, coef)
-        return memo[key]
+        """(the projected model a g + b, its Kaufman Jacobian) at phi."""
+        nonlocal coef
+        J = evaluate(np.concatenate([[0.0], phi, [0.0]]))[1]
+        A = np.column_stack([-J[:, 0], np.ones_like(y)])
+        coef, cov, _ = weighted_lstsq(A, y, sig)
+        Aw, dA = A / sig[:, None], J[:, 1:4] * coef[0]
+        return A @ coef, dA - A @ (cov @ (Aw.T @ (dA / sig[:, None])))  # cov = (Aw^T Aw)^-1
 
+    at = _whitened(project, y, sig)
     try:
         with np.errstate(all="ignore"):  # weighted_lstsq raises on a non-finite model
-            phi = least_squares(lambda p: project(p)[0], np.array([0.0, 1.0, 1.0]),
-                                jac=lambda p: project(p)[1],
-                                bounds=(lower[1:4], upper[1:4])).x
-            a, b = project(phi)[2]
+            phi = least_squares(lambda p: at(p)[0], np.array([0.0, 1.0, 1.0]),
+                                jac=lambda p: at(p)[1], bounds=(lower[1:4], upper[1:4])).x
+            at(phi)  # the last projection is at phi: coef is its (a, b)
     except ValueError:  # DegenerateSystemError too
         return None
+    a, b = coef
     if not (a > 0 and b > 0):
         return None
     return np.clip(np.concatenate([[-np.log(a)], phi, [-np.log(b)]]), lower, upper)
@@ -177,15 +178,16 @@ def fit_tls(
     """Fit the TLS model to measured Q_int(n_bar, T) points.
 
     Points at or above the quasiparticle cutoff temperature are dropped.
-    ``bounded_fit`` fits 1/Q_int +- sigma with ``_model_inv_q_jac``, in log-parameter
-    space for the positive scale parameters, within fixed bounds: q_tls0 in
+    ``bounded_fit`` fits 1/Q_int +- sigma with ``_model_inv_q_jac`` (the model and its
+    Jacobian, one call per point), in log-parameter space for the positive scale parameters, within fixed bounds: q_tls0 in
     ``Q_TLS0_BOUNDS``, D in [1e-8, 1e8], beta1 and beta2 in [0.05, 4], q_other in
     [1, 1e14].  It starts at ``_projected_start``, the variable-projection optimum, or
     where that fails at q_tls0 = max q_int, D = 1, beta1 = beta2 = 1,
     q_other = 10 max q_int; a max q_int outside ``Q_TLS0_BOUNDS`` is a DatasetError.
-    Returns the fitted parameters (q_tls0 sigma from the covariance
-    diagonal) and the full 5x5 covariance matrix in the order
-    (q_tls0, D, beta1, beta2, q_other).
+    Returns the fitted parameters (q_tls0 sigma from the covariance diagonal,
+    ``boundary_active`` naming those at a bound, as ``uncert.active_bounds`` finds them
+    on theta with the bound spans as scales) and the full 5x5 covariance matrix in the
+    order (q_tls0, D, beta1, beta2, q_other).
     """
     _check_f0(f0)
     kept = [p for p in points if p.temperature < qp_cutoff_temperature]
@@ -214,18 +216,19 @@ def fit_tls(
     with np.errstate(all="ignore"):  # hbar w / 2 kB T overflows as T -> 0; tanh -> 1
         th = _tanh_factor(f0, T)
     ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
-    jac = partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n)
-    theta0 = _projected_start(y, sig, jac, lower, upper)
+    evaluate = partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n)
+    theta0 = _projected_start(y, sig, evaluate, lower, upper)
     if theta0 is None:
         theta0 = np.array([np.log(q_init), 0.0, 1.0, 1.0, np.log(10.0 * q_init)])
-    res, cov_theta = bounded_fit(least_squares, partial(_model_inv_q, n=n, T=T, th=th),
-                                 jac, y, sig, theta0, lower, upper, "TLS fit")
+    res, cov_theta = bounded_fit(least_squares, evaluate, y, sig, theta0, lower, upper,
+                                 "TLS fit")
     q0, D, b1, b2, qo = _physical(res.x)
     # covariance in physical parameters via the log-space jacobian
     scale = np.array([q0, D, 1.0, 1.0, qo])
     cov = cov_theta * np.outer(scale, scale)
     sigma_q0 = float(np.sqrt(max(cov[0, 0], 0.0)))
-    params = TlsParams(UValue(q0, sigma_q0), D=D, beta1=b1, beta2=b2,
-                       q_other=qo, f0=f0)
+    params = TlsParams(UValue(q0, sigma_q0), D=D, beta1=b1, beta2=b2, q_other=qo, f0=f0,
+                       boundary_active=active_bounds(_NAMES, res.x, lower, upper,
+                                                     upper - lower))
     return params, cov
 

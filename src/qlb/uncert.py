@@ -7,7 +7,8 @@ derived from shared inputs are correlated: ``propagate_joint`` takes a
 whole chain in one Jacobian and returns the output covariance.
 
 Every fit solves here, its covariance from one column-scaled QR: ``weighted_lstsq``
-(SPR slopes, pooling, kinetics) and ``bounded_fit`` (the bounded TLS and XPS fits).
+(SPR slopes, pooling, kinetics) and ``bounded_fit`` (the bounded TLS and XPS fits,
+each model returning its value with its Jacobian, evaluated once per point).
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -31,6 +32,7 @@ __all__ = [
     "propagate_joint",
     "weighted_lstsq",
     "bounded_fit",
+    "active_bounds",
     "mc_propagate",
 ]
 
@@ -181,23 +183,33 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
     return coef, cov, chi2
 
 
-def bounded_fit(solve, model, jac, y, sigma, p0, lower, upper, what: str):
-    """Fit ``model(p)`` to arrays ``y`` +- ``sigma`` by ``solve`` (``least_squares``'
-    signature, 1e-14 tolerances): its result and the ``_qr_covariance`` of its whitened
-    Jacobian there.  Errors name ``what``: a model not finite at ``p0`` or a degenerate
-    QR is a DegenerateSystemError, a solver ValueError or no convergence a ConvergenceError."""
-    def resid(p):
-        with np.errstate(all="ignore"):  # a non-finite model is raised at p0, else by solve
-            return (model(p) - y) / sigma
+def _whitened(evaluate, y, sigma):
+    """p -> (whitened residual (model - y) / sigma, Jacobian J / sigma) from one
+    ``evaluate(p) -> (model, J)`` per point: ``least_squares`` asks for the Jacobian
+    at the point of its last residual, so the last point's pair is kept."""
+    last = [None, None]
 
-    def white_jac(p):
-        with np.errstate(all="ignore"):
-            return jac(p) / sigma[:, None]
+    def at(p):
+        key = np.asarray(p, dtype=float).tobytes()
+        if key != last[0]:
+            with np.errstate(all="ignore"):  # a non-finite model is raised by the caller
+                model, J = evaluate(p)
+                last[:] = key, ((model - y) / sigma, J / sigma[:, None])
+        return last[1]
+    return at
 
+
+def bounded_fit(solve, evaluate, y, sigma, p0, lower, upper, what: str):
+    """Fit ``evaluate(p) -> (model, J)`` to arrays ``y`` +- ``sigma`` by ``solve``
+    (``least_squares``' signature, 1e-14 tolerances), one ``_whitened`` evaluation per
+    point, p0's check included: the result and the ``_qr_covariance`` of its whitened
+    Jacobian.  Errors name ``what``: a model not finite at ``p0`` or a degenerate QR is a
+    DegenerateSystemError, a solver ValueError or no convergence a ConvergenceError."""
+    at = _whitened(evaluate, y, sigma)
     try:  # DegenerateSystemError is a ValueError, so it is caught first
-        if not (np.isfinite(resid(p0)).all() and np.isfinite(white_jac(p0)).all()):
+        if not all(np.isfinite(a).all() for a in at(p0)):
             raise DegenerateSystemError("the model is not finite at the start")
-        res = solve(resid, p0, jac=white_jac, bounds=(lower, upper),
+        res = solve(lambda p: at(p)[0], p0, jac=lambda p: at(p)[1], bounds=(lower, upper),
                     xtol=1e-14, ftol=1e-14, gtol=1e-14)
         if not res.success:
             raise ConvergenceError(f"{what} did not converge",
@@ -207,6 +219,14 @@ def bounded_fit(solve, model, jac, y, sigma, p0, lower, upper, what: str):
         raise DegenerateSystemError(f"{what}: {exc}") from exc
     except ValueError as exc:
         raise ConvergenceError(f"{what} failed: {exc}") from exc
+
+
+def active_bounds(names, x, lower, upper, scale) -> tuple:
+    """The ``names`` of the values of ``x`` at a bound: ``math.isclose`` to their lower
+    or upper bound, absolutely within 1e-9 of their ``scale`` (a bound may be 0)."""
+    return tuple(name for name, v, lo, hi, s in zip(names, x, lower, upper, scale)
+                 if math.isclose(v, lo, abs_tol=1e-9 * s)
+                 or math.isclose(v, hi, abs_tol=1e-9 * s))
 
 
 def mc_propagate(

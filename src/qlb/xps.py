@@ -29,7 +29,7 @@ from .errors import (
     InvalidInputError,
     read_csv,
 )
-from .uncert import UValue, bounded_fit, propagate, weighted_lstsq
+from .uncert import UValue, active_bounds, bounded_fit, propagate, weighted_lstsq
 
 __all__ = [
     "XpsSpectrum",
@@ -218,31 +218,19 @@ def _peaks(model):
 
 
 def _peak_model(x, model, p):
-    """Sum of the ``model`` peaks at p = (center, fwhm, area) per template;
-    only shape and doublet are read from the templates."""
+    """Sum of the ``model`` peaks at p = (center, fwhm, area) per template and its
+    Jacobian in p, from one ``_lineshape_grad`` per peak; only shape and doublet are
+    read from the templates, a 1/2 partner adding to its 3/2 member's columns."""
     total = np.zeros_like(x)
-    for i, _, offset, factor in _peaks(model):
-        total += _lineshape(x, model[i].shape, p[3 * i] + offset, p[3 * i + 1],
-                            p[3 * i + 2] * factor)
-    return total
-
-
-def _peak_model_jac(x, model, p):
-    """Jacobian of ``_peak_model`` with respect to p; a doublet's 1/2
-    partner is accumulated into its 3/2 member's columns."""
     JT = np.zeros((len(p), x.size))  # filled by contiguous rows, returned in C order
     for i, _, offset, factor in _peaks(model):
-        _, d_center, d_fwhm, unit = _lineshape_grad(x, model[i].shape, p[3 * i] + offset,
-                                                    p[3 * i + 1], p[3 * i + 2] * factor)
+        value, d_center, d_fwhm, unit = _lineshape_grad(
+            x, model[i].shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
+        total += value
         JT[3 * i] += d_center
         JT[3 * i + 1] += d_fwhm
         JT[3 * i + 2] += unit * factor
-    return np.ascontiguousarray(JT.T)
-
-
-def _component_sum(x, components):
-    return _peak_model(x, components, [v for c in components
-                                       for v in (c.center, c.fwhm, c.area)])
+    return total, np.ascontiguousarray(JT.T)
 
 
 def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
@@ -378,8 +366,8 @@ def fit_components(
     clipped to the spectrum's energy range), fwhm (within ``FWHM_BOUNDS_EV``),
     area (>= 0).  Doublet 1/2 partners are generated exactly (shared fwhm,
     +DOUBLET_SPLITTING_EV, half area), never fitted.  The sigmas are
-    Poisson-like, sqrt(max(I, 1)).  The model is evaluated straight from the
-    parameter vector, with the analytic Jacobian of ``_peak_model_jac``.  The fit
+    Poisson-like, sqrt(max(I, 1)).  ``_peak_model`` evaluates the model straight from
+    the parameter vector together with its analytic Jacobian, once per point.  The fit
     starts at the template centres and fwhms, clipped to their bounds; the model is
     linear in the areas, which start at their ``weighted_lstsq`` optimum there, clipped
     to >= 0, or where that system is degenerate at the template area if > 0, else at
@@ -406,29 +394,20 @@ def fit_components(
         raise InvalidInputError("component start values and bounds must be finite "
                                 "and ordered (lower < upper)")
     sigma = np.sqrt(np.maximum(spectrum.intensity, 1.0))
-    jac = partial(_peak_model_jac, x, model)
+    evaluate = partial(_peak_model, x, model)
     areas = slice(2, None, 3)
     try:  # the model is linear in the areas: start at their optimum for p0's shapes
-        p0[areas] = np.maximum(weighted_lstsq(jac(p0)[:, areas], y, sigma)[0], 0.0)
+        p0[areas] = np.maximum(weighted_lstsq(evaluate(p0)[1][:, areas], y, sigma)[0], 0.0)
     except DegenerateSystemError:  # e.g. two templates of one shape: the areas above
         pass
-    res, cov = bounded_fit(least_squares, partial(_peak_model, x, model), jac, y, sigma,
-                           p0, lower, upper, "component fit")
+    res, cov = bounded_fit(least_squares, evaluate, y, sigma, p0, lower, upper,
+                           "component fit")
 
     fitted = [
         replace(c, center=res.x[3 * i], fwhm=res.x[3 * i + 1], area=res.x[3 * i + 2])
         for i, c in enumerate(model)
     ]
-    names = []
-    for c in model:
-        names += [f"{c.label}.center", f"{c.label}.fwhm", f"{c.label}.area"]
-    # an area's bound is 0, so closeness takes an absolute scale too, one the start
-    # does not move: a typical area, or the bound span of a centre or fwhm
-    active = tuple(
-        names[i]
-        for i, value in enumerate(res.x)
-        if any(math.isclose(value, b[i], abs_tol=1e-9 * scale[i]) for b in (lower, upper))
-    )
+    names = [f"{c.label}.{k}" for c in model for k in ("center", "fwhm", "area")]
     # the Poisson-like sigmas are not the true ones; rescale by reduced chi2
     dof = max(x.size - res.x.size, 1)
     cov = cov * (2.0 * res.cost / dof)
@@ -440,7 +419,8 @@ def fit_components(
         params=res.x,
         covariance=cov,
         area_rows=area_rows,
-        boundary_active=active,
+        # scales the start does not move: a typical area, a centre's or fwhm's bound span
+        boundary_active=active_bounds(names, res.x, lower, upper, scale),
     )
 
 
@@ -552,7 +532,8 @@ def synthesize_spectrum(
     so the background-estimation round trip is self-consistent.
     """
     x = np.arange(energy_lo, energy_hi + step / 2, step)
-    peaks = _component_sum(x, list(components))
+    peaks = _peak_model(x, components, [v for c in components
+                                        for v in (c.center, c.fwhm, c.area)])[0]
     kind = background_kind[0]
     if kind == "flat":
         bg = np.full_like(x, float(background_kind[1]))

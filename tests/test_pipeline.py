@@ -5,6 +5,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -22,6 +23,7 @@ from qlb.pipeline import (
     run_report,
     run_stage,
 )
+from qlb.uncert import UValue
 
 DATA_DIR = paper_defaults_path().parent
 
@@ -181,6 +183,24 @@ class TestStages:
         assert frag["stages"]["budget"]["single_photon"]["tan_ms_sa"]["value"] < 0
         assert frag["warnings"] == [
             "budget[n=1]: MS+SA remainder has a negative central value"]
+
+    def test_tls_fit_at_a_bound_warns(self, tmp_path):
+        # a q_other of 1e11 against a Q_TLS0 of 1.2e6 is unresolved at 1 % noise:
+        # on this draw the fit runs to the 1e14 bound of q_other
+        truth = tls.TlsParams(UValue(1.2e6), D=2.0e4, beta1=1.0, beta2=0.8, q_other=1e11)
+        rng = np.random.default_rng(1)
+        rows = ["n_bar,temperature_K,q_int,sigma"]
+        for T in (0.010, 0.025, 0.050, 0.090):
+            for n in np.geomspace(0.1, 1e5, 12):
+                inv_q = 1.0 / tls.q_tls(n, T, truth) + 1.0 / truth.q_other
+                q = float(1.0 / (inv_q * (1.0 + rng.normal(0.0, 0.01))))
+                rows.append(f"{float(n)!r},{T!r},{q!r},{0.01 * q!r}")
+        points = tmp_path / "tls_points.csv"
+        points.write_text("\n".join(rows) + "\n")
+        path = write_config(tmp_path, lambda raw: raw["tls"].update(points_file=str(points)))
+        frag = run_stage("tls-fit", load_config(path))
+        assert frag["stages"]["tls_fit"]["q_other"] == pytest.approx(1e14, rel=1e-9)
+        assert frag["warnings"] == ["tls-fit: constraint(s) active at bounds: ['q_other']"]
 
     def test_qubit_barrier_solve_reuses_the_single_photon_loss(self, config, monkeypatch):
         # predict_inv_q and predict_q per regime; the barrier solve makes no third call
@@ -703,7 +723,8 @@ class TestPinnedFit:
         assert tls["q_other"] == pytest.approx(5808250.39, rel=1e-6)
 
     def test_solver_work(self, monkeypatch):
-        """Both fits start at the optimum of their linear parameters: total nfev."""
+        """Both fits start at the optimum of their linear parameters: total nfev.  Each
+        point costs one call of the model, which returns its Jacobian too."""
         nfev = {tls: 0, xps: 0}
         for module in nfev:
             def counted(*args, _solve=module.least_squares, _module=module, **kwargs):
@@ -711,9 +732,17 @@ class TestPinnedFit:
                 nfev[_module] += res.nfev
                 return res
             monkeypatch.setattr(module, "least_squares", counted)
+        calls = {tls: 0, xps: 0}
+        for module, name in ((tls, "_model_inv_q_jac"), (xps, "_peak_model")):
+            def evaluated(*args, _f=getattr(module, name), _module=module, **kwargs):
+                calls[_module] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(module, name, evaluated)
         run_report(load_config(paper_defaults_path()), stages=("tls-fit", "xps-fit"))
         assert nfev[tls] <= 20
         assert nfev[xps] <= 17
+        assert calls[tls] <= 13
+        assert calls[xps] <= 15
 
     def test_xps_fit(self, stages):
         xps = stages["xps_fit"]

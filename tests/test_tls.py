@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from qlb.errors import DatasetError, InvalidInputError
 from qlb.tls import (
     QPoint,
     TlsParams,
-    _model_inv_q,
     _model_inv_q_jac,
     fit_tls,
     q_tls,
@@ -160,6 +160,19 @@ class TestFit:
                                      1e-6 * np.sqrt(np.diag(ref_cov)))
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-6, atol=0.0)
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_parameter_at_its_bound_is_reported(self, seed):
+        # a q_other of 1e11 against a Q_TLS0 of 1.2e6 is unresolved at 1 % noise:
+        # on these draws the fit runs to the 1e14 bound of q_other
+        pts = grid_points(replace(TRUE, q_other=1e11), noise=0.01, seed=seed, n_per_temp=12)
+        params, _ = fit_tls(pts, f0=F0)
+        assert params.q_other == pytest.approx(1e14, rel=1e-9)
+        assert params.boundary_active == ("q_other",)
+
+    def test_interior_fit_reports_no_bound(self):
+        params, _ = fit_tls(grid_points(TRUE, noise=0.01, seed=11), f0=F0)
+        assert params.boundary_active == ()
+
     def test_noisy_fit_sigma_is_meaningful(self):
         params, _ = fit_tls(grid_points(TRUE, noise=0.01, seed=11), f0=F0)
         pull = abs(params.q_tls0.value - TRUE.q_tls0.value) / params.q_tls0.sigma
@@ -175,7 +188,8 @@ class TestJacobian:
     th = np.tanh(HBAR * 2.0 * np.pi * F0 / (2.0 * K_B * T))
 
     def model(self, theta):
-        return _model_inv_q(theta, self.n, self.T, self.th)
+        ln_n = np.log(self.n, out=np.zeros_like(self.n), where=self.n > 0)
+        return _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)[0]
 
     def central_difference(self, theta):
         cols = []
@@ -199,16 +213,24 @@ class TestJacobian:
     def test_matches_central_difference(self):
         ln_n = np.log(self.n, out=np.zeros_like(self.n), where=self.n > 0)
         for theta in self.random_thetas():
-            J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)
+            J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)[1]
             assert np.all(np.isfinite(J))
             J_fd = self.central_difference(theta)
             # near-zero entries are judged against their column
             scale = np.abs(J_fd).max(axis=0)
             np.testing.assert_allclose(J / scale, J_fd / scale, rtol=1e-5, atol=1e-5)
 
+    def test_model_matches_public_law(self):
+        for theta in self.random_thetas():
+            params = TlsParams(UValue(np.exp(theta[0])), D=np.exp(theta[1]), beta1=theta[2],
+                               beta2=theta[3], q_other=np.exp(theta[4]), f0=F0)
+            law = [1.0 / q_tls(n, T, params) + 1.0 / params.q_other
+                   for n, T in zip(self.n, self.T)]
+            np.testing.assert_allclose(self.model(theta), law, rtol=1e-13, atol=0.0)
+
     def test_zero_photon_rows_have_zero_beta2_column(self):
         ln_n = np.log(self.n, out=np.zeros_like(self.n), where=self.n > 0)
         for theta in self.random_thetas():
-            J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)
+            J = _model_inv_q_jac(theta, self.n, self.T, self.th, np.log(self.T), ln_n)[1]
             assert np.all(J[self.n == 0, 3] == 0.0)
 

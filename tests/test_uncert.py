@@ -14,6 +14,7 @@ from qlb.errors import (
 )
 from qlb.uncert import (
     UValue,
+    active_bounds,
     bounded_fit,
     combine_linear,
     mc_propagate,
@@ -255,7 +256,7 @@ class TestBoundedFit:
 
     @staticmethod
     def fit(solve, jac=np.eye(2), model=lambda p: np.zeros(2)):
-        return bounded_fit(solve, model, lambda p: jac, np.zeros(2), np.ones(2), [0, 0],
+        return bounded_fit(solve, lambda p: (model(p), jac), np.zeros(2), np.ones(2), [0, 0],
                            [-1, -1], [1, 1], "toy fit")
 
     def test_returns_result_and_inverse_normal_matrix(self):
@@ -270,9 +271,34 @@ class TestBoundedFit:
         sigma = rng.uniform(0.5, 2.0, 20)
         y = A @ [1.0, 2e-3, -0.5] + rng.normal(0.0, sigma)
         _, cov, _ = weighted_lstsq(A, y, sigma)
-        _, fit_cov = bounded_fit(least_squares, lambda p: A @ p, lambda p: A, y, sigma,
+        _, fit_cov = bounded_fit(least_squares, lambda p: (A @ p, A), y, sigma,
                                  np.zeros(3), -np.full(3, 1e3), np.full(3, 1e3), "line")
         np.testing.assert_allclose(fit_cov, cov, rtol=1e-12, atol=0.0)
+
+    def test_each_point_is_evaluated_once(self):
+        rng = np.random.default_rng(4)
+        A = np.column_stack([np.ones(30), np.linspace(-1.0, 1.0, 30), rng.normal(size=30)])
+        sigma = rng.uniform(0.5, 2.0, 30)
+        y = A @ [0.3, -1.2, 0.7] + rng.normal(0.0, sigma)
+        calls = []
+
+        def evaluate(p):
+            calls.append(p.copy())
+            return A @ p, A
+
+        res, _ = bounded_fit(least_squares, evaluate, y, sigma, np.array([0.1, 0.1, 0.1]),
+                             -np.full(3, 10.0), np.full(3, 10.0), "line")
+        # the start check's evaluation is the solver's first point
+        assert len(calls) == res.nfev
+        assert res.njev >= 2
+        np.testing.assert_array_equal(calls[0], [0.1, 0.1, 0.1])
+
+    def test_active_bounds_names_the_values_at_a_bound(self):
+        names = ["a", "b", "c", "d", "e"]
+        x = [0.0, 5e-10, 1.0 - 1e-12, 0.5, 1e-8]
+        lower, upper = [0.0, 0.0, 0.0, 0.0, 0.0], [1.0, 1.0, 1.0, 1.0, np.inf]
+        assert active_bounds(names, x, lower, upper, [1.0] * 5) == ("a", "b", "c")
+        assert active_bounds(names, x, lower, upper, [1e-3] * 5) == ("a", "c")
 
     @pytest.mark.parametrize("model, J, match", [
         (lambda p: np.zeros(2), np.array([[1.0, 1.0], [2.0, 2.0]]), "toy fit: rank-deficient"),
