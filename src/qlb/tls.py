@@ -23,7 +23,8 @@ from scipy.optimize import least_squares
 
 from .constants import HBAR, K_B
 from .errors import DatasetError, InvalidInputError
-from .uncert import UValue, _whitened, active_bounds, bounded_fit, weighted_lstsq
+from .uncert import (UValue, _qr_covariance, active_bounds, bounded_fit,
+                     weighted_lstsq)
 
 __all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
 
@@ -135,41 +136,6 @@ def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
                                           np.full_like(g, -1.0 / qo)])
 
 
-def _projected_start(y, sig, evaluate, lower, upper):
-    """theta at the variable-projection optimum (Golub & Pereyra 1973), or None.
-
-    ``least_squares`` runs over phi = (ln D, beta1, beta2) alone; 1/Q = a g(phi) + b is
-    linear in (a, b) = (1/q_tls0, 1/q_other), which one ``weighted_lstsq`` of the columns
-    (g, 1) gives for each phi.  The Jacobian of ``evaluate`` at q_tls0 = 1 holds -g and
-    dg/dphi, so Kaufman's (1975) Jacobian is P_perp a dg/dphi; ``_whitened`` projects each
-    phi once.  None when this raises (a degenerate or non-finite weighted system too) or
-    gives a or b <= 0; else clipped to [lower, upper].
-    """
-    coef = None  # (a, b) of the last projection
-
-    def project(phi):
-        """(the projected model a g + b, its Kaufman Jacobian) at phi."""
-        nonlocal coef
-        J = evaluate(np.concatenate([[0.0], phi, [0.0]]))[1]
-        A = np.column_stack([-J[:, 0], np.ones_like(y)])
-        coef, cov, _ = weighted_lstsq(A, y, sig)
-        Aw, dA = A / sig[:, None], J[:, 1:4] * coef[0]
-        return A @ coef, dA - A @ (cov @ (Aw.T @ (dA / sig[:, None])))  # cov = (Aw^T Aw)^-1
-
-    at = _whitened(project, y, sig)
-    try:
-        with np.errstate(all="ignore"):  # weighted_lstsq raises on a non-finite model
-            phi = least_squares(lambda p: at(p)[0], np.array([0.0, 1.0, 1.0]),
-                                jac=lambda p: at(p)[1], bounds=(lower[1:4], upper[1:4])).x
-            at(phi)  # the last projection is at phi: coef is its (a, b)
-    except ValueError:  # DegenerateSystemError too
-        return None
-    a, b = coef
-    if not (a > 0 and b > 0):
-        return None
-    return np.clip(np.concatenate([[-np.log(a)], phi, [-np.log(b)]]), lower, upper)
-
-
 def fit_tls(
     points: Sequence[QPoint],
     f0: float,
@@ -177,13 +143,17 @@ def fit_tls(
 ) -> tuple[TlsParams, np.ndarray]:
     """Fit the TLS model to measured Q_int(n_bar, T) points.
 
-    Points at or above the quasiparticle cutoff temperature are dropped.
-    ``bounded_fit`` fits 1/Q_int +- sigma with ``_model_inv_q_jac`` (the model and its
-    Jacobian, one call per point), in log-parameter space for the positive scale parameters, within fixed bounds: q_tls0 in
-    ``Q_TLS0_BOUNDS``, D in [1e-8, 1e8], beta1 and beta2 in [0.05, 4], q_other in
-    [1, 1e14].  It starts at ``_projected_start``, the variable-projection optimum, or
-    where that fails at q_tls0 = max q_int, D = 1, beta1 = beta2 = 1,
-    q_other = 10 max q_int; a max q_int outside ``Q_TLS0_BOUNDS`` is a DatasetError.
+    Points at or above the quasiparticle cutoff temperature are dropped, and a max q_int
+    outside ``Q_TLS0_BOUNDS`` is a DatasetError.  1/Q_int +- sigma is fitted in
+    log-parameter space for the positive scale parameters, within fixed bounds: q_tls0 in
+    ``Q_TLS0_BOUNDS``, D in [1e-8, 1e8], beta1 and beta2 in [0.05, 4], q_other in [1, 1e14].
+    1/Q = a g(phi) + b is linear in (a, b) = (1/q_tls0, 1/q_other), so one ``bounded_fit``
+    runs over phi = (ln D, beta1, beta2) alone from D = beta1 = beta2 = 1, with (a, b) at
+    their weighted optimum for each phi and Kaufman's (1975) Jacobian P_perp a dg/dphi
+    (variable projection, Golub & Pereyra 1973).  One model call at the solution gives
+    (a, b) and the full Jacobian, whose ``_qr_covariance`` is the covariance.  Only where
+    a or b falls outside its bound does the five-parameter ``bounded_fit`` run, from there
+    with (a, b) clipped into their bounds.
     Returns the fitted parameters (q_tls0 sigma from the covariance diagonal,
     ``boundary_active`` naming those at a bound, as ``uncert.active_bounds`` finds them
     on theta with the bound spans as scales) and the full 5x5 covariance matrix in the
@@ -205,9 +175,9 @@ def fit_tls(
     # sigma(1/Q) = sigma_Q / Q^2
     sig = np.array([p.q_int.sigma for p in kept]) / q ** 2
 
-    q_init = float(np.max(q))
-    if not Q_TLS0_BOUNDS[0] <= q_init <= Q_TLS0_BOUNDS[1]:  # input range check
-        raise DatasetError(f"largest q_int {q_init:g} is outside the q_tls0 fit "
+    q_max = float(np.max(q))
+    if not Q_TLS0_BOUNDS[0] <= q_max <= Q_TLS0_BOUNDS[1]:  # input range check
+        raise DatasetError(f"largest q_int {q_max:g} is outside the q_tls0 fit "
                            "range [{:g}, {:g}]".format(*Q_TLS0_BOUNDS))
     # theta = (log q_tls0, log D, beta1, beta2, log q_other)
     lower = np.array([np.log(Q_TLS0_BOUNDS[0]), np.log(1e-8), 0.05, 0.05, np.log(1.0)])
@@ -217,18 +187,40 @@ def fit_tls(
         th = _tanh_factor(f0, T)
     ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
     evaluate = partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n)
-    theta0 = _projected_start(y, sig, evaluate, lower, upper)
-    if theta0 is None:
-        theta0 = np.array([np.log(q_init), 0.0, 1.0, 1.0, np.log(10.0 * q_init)])
-    res, cov_theta = bounded_fit(least_squares, evaluate, y, sig, theta0, lower, upper,
-                                 "TLS fit")
-    q0, D, b1, b2, qo = _physical(res.x)
+
+    def linear(phi):
+        """(J, A, weighted_lstsq of A) at phi: J at q_tls0 = q_other = 1 holds -g and
+        dg/dphi, and A = (g, 1) is the design of (a, b)."""
+        J = evaluate(np.concatenate([[0.0], phi, [0.0]]))[1]
+        A = np.column_stack([-J[:, 0], np.ones_like(y)])
+        return J, A, weighted_lstsq(A, y, sig)
+
+    def project(phi):
+        """(the projected model a g + b, its Kaufman Jacobian) at phi."""
+        J, A, (coef, cov, _) = linear(phi)
+        Aw, dA = A / sig[:, None], J[:, 1:4] * coef[0]
+        return A @ coef, dA - A @ (cov @ (Aw.T @ (dA / sig[:, None])))  # cov = (Aw^T Aw)^-1
+
+    phi = bounded_fit(least_squares, project, y, sig, np.array([0.0, 1.0, 1.0]),
+                      lower[1:4], upper[1:4], "TLS fit")[0].x
+    J, _, (coef, _, _) = linear(phi)
+    # (a, b) clipped to [1/upper, 1/lower] of their q bounds: b <= 0 starts q_other at 1e14
+    a, b = np.clip(coef, np.exp(-upper[[0, 4]]), np.exp(-lower[[0, 4]]))
+    theta = np.clip(np.concatenate([[-np.log(a)], phi, [-np.log(b)]]), lower, upper)
+    if np.array_equal((a, b), coef):  # the projection's optimum is within every bound
+        full_jac = np.column_stack([a * J[:, :4], np.full_like(y, -b)])
+        cov_theta = _qr_covariance(full_jac / sig[:, None])[2]
+    else:
+        res, cov_theta = bounded_fit(least_squares, evaluate, y, sig, theta, lower, upper,
+                                     "TLS fit")
+        theta = res.x
+    q0, D, b1, b2, qo = _physical(theta)
     # covariance in physical parameters via the log-space jacobian
     scale = np.array([q0, D, 1.0, 1.0, qo])
     cov = cov_theta * np.outer(scale, scale)
     sigma_q0 = float(np.sqrt(max(cov[0, 0], 0.0)))
     params = TlsParams(UValue(q0, sigma_q0), D=D, beta1=b1, beta2=b2, q_other=qo, f0=f0,
-                       boundary_active=active_bounds(_NAMES, res.x, lower, upper,
+                       boundary_active=active_bounds(_NAMES, theta, lower, upper,
                                                      upper - lower))
     return params, cov
 

@@ -7,8 +7,10 @@ derived from shared inputs are correlated: ``propagate_joint`` takes a
 whole chain in one Jacobian and returns the output covariance.
 
 Every fit solves here, its covariance from one column-scaled QR: ``weighted_lstsq``
-(SPR slopes, pooling, kinetics) and ``bounded_fit`` (the bounded TLS and XPS fits,
-each model returning its value with its Jacobian, evaluated once per point).
+(SPR slopes, pooling, kinetics, and the linear parameters of the TLS projection) and
+``bounded_fit``, which runs every nonlinear solve (the TLS variable projection, the
+five-parameter TLS fit where a linear parameter passes its bound, the XPS fit), each
+model returning its value with its Jacobian, evaluated once per point.
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from qlb.tls import (
     q_tls,
     rescale_q_tls0,
 )
-from qlb.uncert import UValue
+from qlb.uncert import UValue, bounded_fit
 
 F0 = 5e9
 TRUE = TlsParams(UValue(1.2e6), D=2.0e4, beta1=1.0, beta2=0.8, q_other=6.0e6, f0=F0)
@@ -35,6 +36,24 @@ def grid_points(params, noise=0.0, seed=0, temps=(0.010, 0.025, 0.050, 0.090),
             q = 1.0 / inv_q
             pts.append(QPoint(n, T, UValue(q, max(noise, 1e-4) * q)))
     return pts
+
+
+def five_parameter_fit(pts):
+    """Reference: the five-parameter ``bounded_fit`` of ``fit_tls``'s bounds and model from
+    the fixed start q_tls0 = max q_int, D = 1, beta1 = beta2 = 1, q_other = 10 max q_int.
+    Returns the values and covariance in (q_tls0, D, beta1, beta2, q_other)."""
+    n, T, q, sigma = (np.array(c) for c in zip(
+        *((p.n_bar, p.temperature, p.q_int.value, p.q_int.sigma) for p in pts)))
+    evaluate = partial(_model_inv_q_jac, n=n, T=T, th=tls._tanh_factor(F0, T),
+                       ln_T=np.log(T), ln_n=np.log(n, out=np.zeros_like(n), where=n > 0))
+    lower = [np.log(tls.Q_TLS0_BOUNDS[0]), np.log(1e-8), 0.05, 0.05, 0.0]
+    upper = [np.log(tls.Q_TLS0_BOUNDS[1]), np.log(1e8), 4.0, 4.0, np.log(1e14)]
+    theta0 = np.array([np.log(q.max()), 0.0, 1.0, 1.0, np.log(10.0 * q.max())])
+    res, cov = bounded_fit(tls.least_squares, evaluate, 1.0 / q, sigma / q ** 2, theta0,
+                           lower, upper, "reference fit")
+    q0, D, beta1, beta2, q_other = tls._physical(res.x)
+    scale = np.array([q0, D, 1.0, 1.0, q_other])
+    return [q0, D, beta1, beta2, q_other], cov * np.outer(scale, scale)
 
 
 class TestModel:
@@ -141,24 +160,38 @@ class TestFit:
         assert params.beta2 == pytest.approx(TRUE.beta2, rel=1e-3)
 
     @pytest.mark.parametrize("noise, seed", [(0.0, 0)] + [(0.01, s) for s in range(5)])
-    def test_projected_start_changes_no_answer(self, monkeypatch, noise, seed):
+    def test_projection_matches_the_five_parameter_fit(self, noise, seed):
         pts = grid_points(TRUE, noise=noise, seed=seed)
         params, cov = fit_tls(pts, f0=F0)
-        solve = tls.least_squares
-
-        def fixed_start(fun, x0, **kwargs):
-            if len(x0) == 3:  # the projection fails: the fit starts at the fixed theta0
-                raise ValueError("projection refused")
-            return solve(fun, x0, **kwargs)
-
-        monkeypatch.setattr(tls, "least_squares", fixed_start)
-        ref, ref_cov = fit_tls(pts, f0=F0)
+        ref_values, ref_cov = five_parameter_fit(pts)
         # both stop at ftol = 1e-14 of a chi2 ~ 40: each within ~1e-6 sigma of the optimum
-        values, ref_values = ([p.q_tls0.value, p.D, p.beta1, p.beta2, p.q_other]
-                              for p in (params, ref))
+        values = [params.q_tls0.value, params.D, params.beta1, params.beta2, params.q_other]
         np.testing.assert_array_less(np.abs(np.subtract(values, ref_values)),
                                      1e-6 * np.sqrt(np.diag(ref_cov)))
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-6, atol=0.0)
+
+    # a q_other of 1e11 against a Q_TLS0 of 1.2e6 is unresolved at 1 % noise
+    UNRESOLVED_Q_OTHER = dict(params=replace(TRUE, q_other=1e11), noise=0.01, n_per_temp=12)
+
+    @pytest.mark.parametrize("grid, solves", [
+        (dict(params=TRUE), 1),
+        (dict(params=TRUE, noise=0.01, seed=11), 1),
+        (dict(UNRESOLVED_Q_OTHER, seed=1), 2),
+        (dict(UNRESOLVED_Q_OTHER, seed=3), 2),
+    ], ids=["noiseless", "seed-11", "unresolved-seed-1", "unresolved-seed-3"])
+    def test_five_parameter_solve_only_past_a_bound(self, monkeypatch, grid, solves):
+        starts = []
+        solve = tls.least_squares
+
+        def recorded(fun, x0, **kwargs):
+            starts.append(np.array(x0))
+            return solve(fun, x0, **kwargs)
+
+        monkeypatch.setattr(tls, "least_squares", recorded)
+        fit_tls(grid_points(**grid), f0=F0)
+        assert [x0.size for x0 in starts] == [3, 5][:solves]
+        if solves == 2:  # from the projection, its 1/q_other <= 0 clipped to the bound
+            assert starts[1][4] == pytest.approx(np.log(1e14), rel=1e-12)
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_parameter_at_its_bound_is_reported(self, seed):
