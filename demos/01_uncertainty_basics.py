@@ -2,7 +2,7 @@
 
 Every quantity in this package is a UValue: a central value with a
 1-sigma Gaussian uncertainty.  Linear combinations propagate exactly;
-everything else goes through first-order (finite-difference) propagation,
+everything else goes through first-order (complex-step) propagation,
 cross-checked against Monte-Carlo sampling.
 """
 

@@ -87,12 +87,6 @@ def predict_inv_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
         tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads])
 
 
-def _reciprocal(v: UValue) -> UValue:
-    """1/v, with the relative sigma carried over (first order)."""
-    rel = v.sigma / v.value
-    return UValue(1.0 / v.value, rel / v.value)
-
-
 def _loss_terms(geom: QubitGeometry, tan_capacitor, tan_alox_leads, tan_ms_leads):
     """Capacitor and junction-lead terms of the surface loss sum 1/Q."""
     return (geom.p_capacitor * tan_capacitor,
@@ -101,10 +95,10 @@ def _loss_terms(geom: QubitGeometry, tan_capacitor, tan_alox_leads, tan_ms_leads
 
 def predict_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
     """Surface-loss-limited quality factor, Q = 1/(1/Q)."""
-    inv_q = predict_inv_q(geom, tangents)
-    if inv_q.value == 0:
+    inputs = [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads]
+    if sum(_loss_terms(geom, *(v.value for v in inputs))) == 0:
         raise DegenerateSystemError("zero predicted loss, Q undefined")
-    return _reciprocal(inv_q)
+    return propagate(lambda tc, ta, tm: 1.0 / sum(_loss_terms(geom, tc, ta, tm)), inputs)
 
 
 def surface_fractions(geom: QubitGeometry, tangents: TangentSet) -> tuple[UValue, UValue]:
@@ -176,19 +170,21 @@ def solve_barrier_tangent(
         raise InvalidInputError("measured Q must be positive")
     if c_jj.value == 0:
         raise DegenerateSystemError("zero junction capacitance")
+    surfaces = (1.0 - _junction_share(c_jj.value, c_shunt)) * inv_q_surfaces.value
+    if 1.0 / q_measured.value <= surfaces:  # the contribution 1/Q_meas - surfaces, inverted below
+        raise DegenerateSystemError(
+            "barrier contribution is non-positive; surfaces already exceed measured loss"
+        )
 
     def barrier(qm, iqs, cj):
         share = _junction_share(cj, c_shunt)
         tan_barrier = (1.0 / qm - (1.0 - share) * iqs) / share
-        return tan_barrier, share * tan_barrier
+        contribution = share * tan_barrier
+        return tan_barrier, contribution, 1.0 / contribution
 
-    (tan_barrier, contribution), _ = propagate_joint(
+    (tan_barrier, contribution, limiting_q), _ = propagate_joint(
         barrier, [q_measured, inv_q_surfaces, c_jj])
-    if contribution.value <= 0:
-        raise DegenerateSystemError(
-            "barrier contribution is non-positive; surfaces already exceed measured loss"
-        )
-    return BarrierSolve(tan_barrier, contribution, _reciprocal(contribution))
+    return BarrierSolve(tan_barrier, contribution, limiting_q)
 
 
 def three_way_budget(

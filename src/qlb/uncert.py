@@ -4,7 +4,8 @@ Every measured or derived quantity in the loss budget is a ``UValue``:
 a central value plus a one-standard-deviation Gaussian uncertainty.
 Inputs are independent unless their covariance is given.  Quantities
 derived from shared inputs are correlated: ``propagate_joint`` takes a
-whole chain in one Jacobian and returns the output covariance.
+whole chain in one Jacobian, exact by the complex step (so each propagated
+function accepts complex arguments), and returns the output covariance.
 
 Every fit solves here, its covariance from one column-scaled QR: ``weighted_lstsq``
 (SPR slopes, pooling, kinetics, and the linear parameters of the TLS projection) and
@@ -92,13 +93,12 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
                     ) -> tuple[list[UValue], list[list[float]]]:
     """First-order propagation of a vector-valued ``f`` of the inputs.
 
-    The Jacobian J of ``f`` at the input means comes from central finite
-    differences, each step 1e-6 of its input's magnitude with an absolute
-    floor of 1e-12, so inputs at zero still get a usable stencil; a ValueError
-    or ArithmeticError that ``f`` raises at a stencil point raises
-    DegenerateSystemError naming the input.  Returns
-    one UValue per output of ``f`` and their covariance J C J^T, with C the
-    inputs' ``covariance`` if given (it replaces their sigmas), else diag(sigma^2).
+    The Jacobian J of ``f`` at the input means is exact by the complex step: one call
+    per input with a nonzero variance, that input at x + ih with h = 1e-30 max(|x|, 1),
+    gives its column Im f / h.  So ``f`` must accept complex arguments: arithmetic and
+    numpy ufuncs, not ``math``.  Returns one UValue per output of ``f`` and their
+    covariance J C J^T, with C the inputs' ``covariance`` if given (it replaces their
+    sigmas), else diag(sigma^2).
     """
     inputs = [_as_uvalue(v) for v in inputs]
     means = [v.value for v in inputs]
@@ -111,15 +111,10 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
     for i, v in enumerate(inputs):
         if (v.sigma if covariance is None else covariance[i][i]) == 0.0:
             continue
-        h = max(abs(means[i]) * 1e-6, 1e-12)
-        hi, lo = list(means), list(means)
-        hi[i] += h
-        lo[i] -= h
-        try:
-            grad = [(float(a) - float(b)) / (2.0 * h) for a, b in zip(f(*hi), f(*lo))]
-        except (ValueError, ArithmeticError) as exc:  # e.g. a log's argument crosses 0
-            raise DegenerateSystemError(
-                f"function undefined at input {i} = {means[i]:g} +- {h:g}: {exc}") from exc
+        h = 1e-30 * max(abs(means[i]), 1.0)
+        point = list(means)
+        point[i] = complex(means[i], h)
+        grad = [complex(y).imag / h for y in f(*point)]
         if not all(map(math.isfinite, grad)):
             raise InvalidInputError(f"gradient non-finite in input {i}")
         grads.append((i, grad))

@@ -454,15 +454,17 @@ def strohmeier_thickness(i_ox: UValue, i_m: UValue, constants: StrohmeierConstan
 
     d = lambda_ox sin(theta) ln( (N_m/N_ox)(I_ox/I_m)(lambda_m/lambda_ox) + 1 )
     ``covariance`` is that of (I_ox, I_m), as from ``summed_areas``; default independent.
+    The metal intensity must be resolved: above 0 by more than its sigma.
     """
-    if i_m.value <= 0:
-        raise DegenerateSystemError("metal intensity must be positive")
+    if i_m.value <= i_m.sigma:
+        raise DegenerateSystemError(
+            f"metal intensity {i_m.value:g} +- {i_m.sigma:g} is not resolved above 0")
     if i_ox.value < 0:
         raise InvalidInputError("oxide intensity must be >= 0")
     k, pref = constants.coefficients()
 
     def f(ox, m):
-        return k * math.log(pref * (ox / m) + 1.0)
+        return k * np.log(pref * (ox / m) + 1.0)
 
     return propagate(f, [i_ox, i_m], covariance=covariance)
 

@@ -5,14 +5,17 @@ through an independent oracle of the whole chain, so the Monte-Carlo
 sigmas carry the correlations between intermediate quantities.  The
 budget oracle solves the forward treatment system per draw instead of
 using the closed-form inverse.  Inputs are the bundled paper defaults.
+The budget chain's first-order covariance is also checked against its
+Jacobian derived by hand.
 """
 
 import numpy as np
 import pytest
 
-from qlb.budget import ParticipationConfig, solve_budget, solve_hf_pair
+from qlb.budget import ParticipationConfig, _chain, solve_budget, solve_hf_pair
 from qlb.pipeline import _qubit_inputs, load_config, paper_defaults_path
 from qlb.qubit import junction_capacitance, surface_fractions, three_way_budget
+from qlb.uncert import propagate_joint
 
 N_SAMPLES = 10**6
 CONFIG = load_config(paper_defaults_path())
@@ -71,13 +74,42 @@ def assert_sigmas_match(first_order, chain, inputs, seed):
     assert [v.sigma for v in first_order] == pytest.approx(mc, rel=0.10)
 
 
+BUDGET_INPUTS = [HF["tan_delta"], HF90["tan_delta"], UNTR["tan_delta"], HF["t_ox"],
+                 HF90["t_ox"], UNTR["t_ox"], UNTR["t_hc"], CFG.r_ma, CFG.r_sa]
+
+
+def budget_jacobian(tan_hf, tan_hf90, tan_untr, t_hf, t_hf90, t_ox, t_hc, r_ma, r_sa):
+    """d(tan_alox, ms_sa, tan_hc, alox %, hc %, ms_sa %) / d(inputs), row by row."""
+    t0, e = CFG.t0, np.eye(9)
+    alox = t0 * (tan_hf90 - tan_hf) / (r_ma * (t_hf90 - t_hf))
+    d_alox = (((e[1] - e[0]) * t0 / r_ma + alox * (e[3] - e[4])) / (t_hf90 - t_hf)
+              - alox / r_ma * e[7])
+    ms_sa = tan_hf - r_ma * t_hf / t0 * alox
+    d_ms_sa = e[0] - (r_ma * t_hf * d_alox + alox * (r_ma * e[3] + t_hf * e[7])) / t0
+    c_a, d_c_a = r_ma * t_ox / t0, (t_ox * e[7] + r_ma * e[5]) / t0
+    c_h, d_c_h = (r_ma + r_sa) * t_hc / t0, (t_hc * (e[7] + e[8]) + (r_ma + r_sa) * e[6]) / t0
+    hc = (tan_untr - c_a * alox - ms_sa) / c_h
+    d_hc = (e[2] - c_a * d_alox - alox * d_c_a - d_ms_sa - hc * d_c_h) / c_h
+    return np.array([
+        d_alox, d_ms_sa, d_hc,
+        100.0 * (alox * d_c_a + c_a * d_alox - c_a * alox / tan_untr * e[2]) / tan_untr,
+        100.0 * (hc * d_c_h + c_h * d_hc - c_h * hc / tan_untr * e[2]) / tan_untr,
+        100.0 * (d_ms_sa - ms_sa / tan_untr * e[2]) / tan_untr,
+    ])
+
+
+def test_budget_chain_covariance_is_exact():
+    _, cov = propagate_joint(lambda *x: _chain(*x, CFG.t0), BUDGET_INPUTS)
+    J = budget_jacobian(*(v.value for v in BUDGET_INPUTS))
+    expected = J @ np.diag([v.sigma ** 2 for v in BUDGET_INPUTS]) @ J.T
+    np.testing.assert_allclose(cov, expected, rtol=1e-14, atol=0)
+
+
 def test_solve_budget_matches_whole_chain_mc():
-    inputs = [HF["tan_delta"], HF90["tan_delta"], UNTR["tan_delta"], HF["t_ox"],
-              HF90["t_ox"], UNTR["t_ox"], UNTR["t_hc"], CFG.r_ma, CFG.r_sa]
-    result = solve_budget(*inputs[:7], CFG)
+    result = solve_budget(*BUDGET_INPUTS[:7], CFG)
     outputs = [result.tan_alox, result.tan_ms_sa, result.tan_hc,
                *(result.fractions[k] for k in ("alox", "hydrocarbon", "ms_sa"))]
-    assert_sigmas_match(outputs, budget_oracle, inputs, seed=21)
+    assert_sigmas_match(outputs, budget_oracle, BUDGET_INPUTS, seed=21)
 
 
 def test_single_photon_pair_matches_whole_chain_mc():

@@ -203,13 +203,13 @@ class TestStages:
         assert frag["warnings"] == ["tls-fit: constraint(s) active at bounds: ['q_other']"]
 
     def test_qubit_barrier_solve_reuses_the_single_photon_loss(self, config, monkeypatch):
-        # predict_inv_q and predict_q per regime; the barrier solve makes no third call
+        # one predict_inv_q per regime; the barrier solve makes no second call
         calls = []
         predict_inv_q = qubit.predict_inv_q
         monkeypatch.setattr(qubit, "predict_inv_q",
                             lambda *args: calls.append(args) or predict_inv_q(*args))
         run_stage("qubit", config)
-        assert len(calls) == 4
+        assert len(calls) == 2
 
     def test_unconfigured_stages_skipped(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw.pop("kinetics"))
@@ -428,7 +428,7 @@ class TestCli:
         assert reads == [DATA_DIR / "spr_points.csv"]
 
     def test_xps_without_metal_peak_exits_3(self, tmp_path, capsys):
-        # a metal area fitted to ~0 puts the Strohmeier log's stencil below its domain
+        # the metal area fits to ~0, below its own sigma: not resolved, so no thickness
         name, set_file = self.CSV_READERS["xps-fit"]
         lines = (DATA_DIR / name).read_text().splitlines()
         lines[1:] = [f"{e},60" if 70 <= float(e) <= 74 else f"{e},{c}"

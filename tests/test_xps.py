@@ -7,6 +7,7 @@ import pytest
 from qlb.errors import (
     CalibrationError,
     DatasetError,
+    DegenerateSystemError,
     InvalidInputError,
 )
 from qlb.uncert import UValue
@@ -334,6 +335,11 @@ class TestStrohmeier:
             ratio = invert_strohmeier(d, consts)
             out = strohmeier_thickness(UValue(ratio), UValue(1.0), consts)
             assert out.value == pytest.approx(d, rel=1e-12)
+
+    def test_unresolved_metal_intensity_rejected(self):
+        # 1.0 +- 2.0 is within its sigma of 0, where the log's argument has no bound
+        with pytest.raises(DegenerateSystemError, match="not resolved"):
+            strohmeier_thickness(UValue(10.0), UValue(1.0, 2.0), StrohmeierConstants())
 
     def test_monotone_in_ratio(self):
         consts = StrohmeierConstants()
