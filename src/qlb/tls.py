@@ -19,8 +19,8 @@ from functools import partial
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._trf import least_squares
 from .constants import HBAR, K_B
 from .errors import DatasetError, InvalidInputError
 from .uncert import (UValue, _qr_covariance, active_bounds, bounded_fit,

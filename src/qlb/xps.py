@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from ._trf import least_squares
 from .errors import (
     CalibrationError,
     ConvergenceError,
@@ -219,18 +219,40 @@ def _peaks(model):
 
 def _peak_model(x, model, p):
     """Sum of the ``model`` peaks at p = (center, fwhm, area) per template and its
-    Jacobian in p, from one ``_lineshape_grad`` per peak; only shape and doublet are
-    read from the templates, a 1/2 partner adding to its 3/2 member's columns."""
-    total = np.zeros_like(x)
-    JT = np.zeros((len(p), x.size))  # filled by contiguous rows, returned in C order
-    for i, _, offset, factor in _peaks(model):
+    Jacobian in p: one ``_lineshape_grad`` per lineshape over all of its peaks, the
+    Jacobian gathered by ``_layout``'s incidence matrix; only shape and doublet are read
+    from the templates."""
+    groups, M = _layout(tuple((model[i].shape, i, offset, factor)
+                              for i, _, offset, factor in _peaks(model)))
+    p = np.asarray(p, dtype=float)
+    total, rows = np.zeros_like(x), [np.empty((0, x.size))]  # no peaks: 0 and no columns
+    for shape, i, offset, factor in groups:
         value, d_center, d_fwhm, unit = _lineshape_grad(
-            x, model[i].shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
-        total += value
-        JT[3 * i] += d_center
-        JT[3 * i + 1] += d_fwhm
-        JT[3 * i + 2] += unit * factor
-    return total, np.ascontiguousarray(JT.T)
+            x, shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
+        total += value.sum(axis=0)
+        rows += [d_center, d_fwhm, unit]
+    return total, np.concatenate(rows).T @ M
+
+
+@lru_cache(maxsize=64)
+def _layout(peaks):
+    """For ``_peak_model``, from its (shape, template index, centre offset, area factor)
+    per peak: per lineshape, the last three as column arrays over its peaks, and M with
+    J = R^T M, R being each lineshape's d_center, d_fwhm and unit-shape rows in turn (a
+    1/2 partner adds to its 3/2 member's columns, its unit shape times its factor)."""
+    groups, columns = [], []
+    for shape in ("lorentzian", "gaussian"):
+        mine = [peak[1:] for peak in peaks if peak[0] == shape]
+        if mine:
+            groups.append((shape, *(np.array(v)[:, None] for v in zip(*mine))))
+            columns += [(3 * i + k, factor if k == 2 else 1.0)
+                        for k in range(3) for i, _, factor in mine]
+    M = np.zeros((len(columns), 3 * (max((peak[1] for peak in peaks), default=-1) + 1)))
+    for row, (column, weight) in enumerate(columns):
+        M[row, column] = weight
+    for array in (M, *(a for group in groups for a in group[1:])):
+        array.flags.writeable = False  # shared by every caller of the cache
+    return tuple(groups), M
 
 
 def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:

@@ -740,10 +740,10 @@ class TestPinnedFit:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(module, name, evaluated)
         run_report(load_config(paper_defaults_path()), stages=("tls-fit", "xps-fit"))
-        assert nfev[tls] <= 12
-        assert nfev[xps] <= 17
-        assert calls[tls] <= 13
-        assert calls[xps] <= 15
+        assert nfev[tls] <= 11
+        assert nfev[xps] <= 13
+        assert calls[tls] <= 12
+        assert calls[xps] <= 14
 
     def test_xps_fit(self, stages):
         xps = stages["xps_fit"]

@@ -100,6 +100,29 @@ class TestFitJacobian:
         # a zero area still gets a nonzero area column, so it can leave its bound
         assert np.abs(J[:, -1]).max() > 0
 
+    def test_matches_the_per_peak_loop(self):
+        """The broadcast model against one ``_lineshape_grad`` per peak, a 1/2 partner
+        added to its 3/2 member's columns: sums in another order, so equal to rounding."""
+        p = np.array([v for c in self.model for v in (c.center, c.fwhm, c.area)])
+        total, JT = np.zeros_like(self.x), np.zeros((p.size, self.x.size))
+        for i, c in enumerate(self.model):
+            for offset, factor in [(0.0, 1.0)] + [
+                    (DOUBLET_SPLITTING_EV, 1.0 / DOUBLET_AREA_RATIO)] * c.doublet:
+                value, d_center, d_fwhm, unit = _lineshape_grad(
+                    self.x, c.shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
+                total += value
+                JT[3 * i: 3 * i + 3] += [d_center, d_fwhm, unit * factor]
+        model, J = _peak_model(self.x, self.model, p)
+        np.testing.assert_allclose(model, total, rtol=0.0, atol=4 * np.finfo(float).eps
+                                   * np.abs(total).max())
+        scale = np.maximum(np.abs(JT).max(axis=1), np.finfo(float).tiny)  # Z's are 0
+        np.testing.assert_allclose(J / scale, JT.T / scale, rtol=0.0,
+                                   atol=4 * np.finfo(float).eps)
+
+    def test_no_peaks_give_zero_and_no_columns(self):
+        model, J = _peak_model(self.x, (), [])
+        assert not model.any() and J.shape == (self.x.size, 0)
+
     @pytest.mark.parametrize("shape", ["lorentzian", "gaussian"])
     def test_kernel_value_matches_lineshape(self, shape):
         value, *_ = _lineshape_grad(self.x, shape, 74.0, 0.8, 33.0)
