@@ -9,7 +9,9 @@ DatasetError (exit 3) that names the file.
 
 import csv
 import io
+import itertools
 import math
+from operator import itemgetter
 from pathlib import Path
 
 
@@ -69,13 +71,9 @@ class InconsistentInputsWarning(UserWarning):
     """
 
 
-def _records(reader, path):
-    """The rows of a csv.reader; a row it cannot split (an over-long field,
-    say) is a DatasetError naming file and line."""
-    try:
-        yield from reader
-    except csv.Error as exc:
-        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
+# rows converted at once: their lists and tuples, held together, stay under the 700
+# new objects that start a garbage-collection pass
+_CHUNK = 256
 
 
 def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -> list:
@@ -85,8 +83,12 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
     cells in that order, each a finite float unless its column is in ``text``.
     Rows whose cells of ``columns`` are all blank are skipped.  A file that
     is not UTF-8 text (a leading BOM is dropped), a missing or repeated column,
-    a bad cell (file, line and column) or a row that ``make`` rejects or cannot
-    convert (InvalidInputError, ArithmeticError) raises DatasetError.
+    a row the CSV reader cannot split (an over-long field, say), a bad cell
+    (file, line and column) or a row that ``make`` rejects or cannot convert
+    (InvalidInputError, ArithmeticError) raises DatasetError.  The cells of
+    ``_CHUNK`` rows are converted a column at a time, and a row checked finite by
+    its sum; a row that fails either, or every row of a chunk where a cell does
+    not convert, is taken cell by cell for its message.
     """
     def number(cell: str) -> float:
         try:
@@ -98,14 +100,37 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
             raise ValueError(f"non-finite value {cell!r}")
         return value
 
+    def converted(rows: list) -> list:
+        """Per row, its cells of ``columns`` converted, or None to take it cell by cell."""
+        try:
+            cells = [list(map(itemgetter(i), rows)) for i, _ in spec]
+            cells = [col if parse is str else list(map(float, col))
+                     for col, (_, parse) in zip(cells, spec)]
+        except (IndexError, ValueError):  # a short, blank or bad row
+            return [None] * len(rows)
+        numeric = [col for col, (_, parse) in zip(cells, spec) if parse is not str]
+        # a sum is finite if every term is; one that overflows only costs the slow path
+        finite = (map(math.isfinite, map(sum, zip(*numeric))) if numeric
+                  else itertools.repeat(True))
+        return [values if ok else None for values, ok in zip(zip(*cells), finite)]
+
+    def line(i: int) -> int:
+        """The line on which data row ``i`` ends (a quoted field may span lines)."""
+        again = csv.reader(io.StringIO(content, newline=""))
+        for _ in itertools.islice(again, i + 2):  # the header, then rows 0 to i
+            pass
+        return again.line_num
+
     try:  # a BOM before the header is not part of its first name
         content = Path(path).read_bytes().decode("utf-8-sig")
     except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise DatasetError(f"{path}, line {line}: not UTF-8 text ({exc.reason})") from None
+        at = exc.object[:exc.start].count(b"\n") + 1
+        raise DatasetError(f"{path}, line {at}: not UTF-8 text ({exc.reason})") from None
     reader = csv.reader(io.StringIO(content, newline=""))
-    records = _records(reader, path)
-    names = next(records, [])
+    try:
+        names = next(reader, [])
+    except csv.Error as exc:
+        raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from None
     header = {name: i for i, name in enumerate(names)}
     missing = sorted(set(columns) - set(header))
     if missing:
@@ -114,25 +139,34 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
     if repeated:
         raise DatasetError(f"{path}: repeated column(s) {repeated}")
     spec = [(header[c], str if c in text else number) for c in columns]
-    rows = []
-    for row in records:
+    out, unsplit, first = [], None, 0
+    while unsplit is None:
+        rows = []
         try:
-            values = [parse(row[i]) for i, parse in spec]
-        except (IndexError, ValueError):  # a short, blank or bad row: find which
-            cells = [row[i] if i < len(row) else "" for i, _ in spec]
-            if not any(cell.strip() for cell in cells):
-                continue
-            values = []
-            for column, cell, (_, parse) in zip(columns, cells, spec):
-                try:
-                    values.append(parse(cell))
-                except ValueError as exc:
-                    raise DatasetError(f"{path}, line {reader.line_num}, "
-                                       f"column {column!r}: {exc}") from None
-        try:
-            rows.append(make(*values))
-        except (InvalidInputError, ArithmeticError) as exc:
-            raise DatasetError(f"{path}, line {reader.line_num}: {exc}") from exc
-    if not rows:
+            rows.extend(itertools.islice(reader, _CHUNK))  # keeps the rows before a failure
+        except csv.Error as exc:  # raised after the rows before it
+            unsplit = DatasetError(f"{path}, line {reader.line_num}: {exc}")
+        if not rows:
+            break
+        for i, (row, values) in enumerate(zip(rows, converted(rows)), first):
+            if values is None:
+                cells = [row[j] if j < len(row) else "" for j, _ in spec]
+                if not any(cell.strip() for cell in cells):
+                    continue
+                values = []
+                for column, cell, (_, parse) in zip(columns, cells, spec):
+                    try:
+                        values.append(parse(cell))
+                    except ValueError as exc:
+                        raise DatasetError(f"{path}, line {line(i)}, "
+                                           f"column {column!r}: {exc}") from None
+            try:
+                out.append(make(*values))
+            except (InvalidInputError, ArithmeticError) as exc:
+                raise DatasetError(f"{path}, line {line(i)}: {exc}") from exc
+        first += len(rows)
+    if unsplit is not None:
+        raise unsplit from None
+    if not out:
         raise DatasetError(f"{path}: no data rows")
-    return rows
+    return out

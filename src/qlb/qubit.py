@@ -23,6 +23,7 @@ __all__ = [
     "predict_inv_q",
     "predict_q",
     "surface_fractions",
+    "predict_regime",
     "junction_capacitance",
     "junction_energy_fraction",
     "solve_barrier_tangent",
@@ -95,25 +96,32 @@ def _loss_terms(geom: QubitGeometry, tan_capacitor, tan_alox_leads, tan_ms_leads
 
 def predict_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
     """Surface-loss-limited quality factor, Q = 1/(1/Q)."""
-    inputs = [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads]
-    if sum(_loss_terms(geom, *(v.value for v in inputs))) == 0:
-        raise DegenerateSystemError("zero predicted loss, Q undefined")
-    return propagate(lambda tc, ta, tm: 1.0 / sum(_loss_terms(geom, tc, ta, tm)), inputs)
+    return predict_regime(geom, tangents)[1]
 
 
 def surface_fractions(geom: QubitGeometry, tangents: TangentSet) -> tuple[UValue, UValue]:
     """Percent split of surface loss between capacitor pads and junction leads."""
+    if sum(_loss_terms(geom, tangents.tan_capacitor.value, tangents.tan_alox_leads.value,
+                       tangents.tan_ms_leads.value)) == 0:
+        raise DegenerateSystemError("zero total loss")
+    return predict_regime(geom, tangents)[2:]
+
+
+def predict_regime(geom: QubitGeometry,
+                   tangents: TangentSet) -> tuple[UValue, UValue, UValue, UValue]:
+    """(1/Q, Q, capacitor %, junction leads %) of one regime from one joint propagation:
+    the surface loss sum 1/Q as ``predict_inv_q`` gives it, its reciprocal, and its split
+    between capacitor pads and junction leads."""
     inputs = [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads]
     if sum(_loss_terms(geom, *(v.value for v in inputs))) == 0:
-        raise DegenerateSystemError("zero total loss")
+        raise DegenerateSystemError("zero predicted loss, Q undefined")
 
-    def shares(tc, ta, tm):
+    def chain(tc, ta, tm):
         cap, leads = _loss_terms(geom, tc, ta, tm)
         total = cap + leads
-        return cap / total * 100.0, leads / total * 100.0
+        return total, 1.0 / total, cap / total * 100.0, leads / total * 100.0
 
-    (cap, leads), _ = propagate_joint(shares, inputs)
-    return cap, leads
+    return tuple(propagate_joint(chain, inputs)[0])
 
 
 def junction_capacitance(junction: JunctionDims) -> UValue:

@@ -7,11 +7,12 @@ derived from shared inputs are correlated: ``propagate_joint`` takes a
 whole chain in one Jacobian, exact by the complex step (so each propagated
 function accepts complex arguments), and returns the output covariance.
 
-Every fit solves here, its covariance from one column-scaled QR: ``weighted_lstsq``
-(SPR slopes, pooling, kinetics, and the linear parameters of the TLS projection) and
-``bounded_fit``, which runs every nonlinear solve (the TLS variable projection, the
-five-parameter TLS fit where a linear parameter passes its bound, the XPS fit), each
-model returning its value with its Jacobian, evaluated once per point.
+Every fit's covariance comes from one column-scaled, R-only QR (``_qr_solve``):
+``weighted_lstsq`` (SPR slopes, pooling, the XPS area start, the kinetics fallback)
+solves from that R alone, and ``bounded_fit`` runs every nonlinear solve (the TLS
+variable projection, the five-parameter TLS fit where a linear parameter passes its
+bound, the XPS fit), each model returning its value with its Jacobian, evaluated once
+per point.
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -139,26 +140,39 @@ def propagate(f: Callable[..., float], inputs: Sequence[UValue],
     return out
 
 
-def _qr_covariance(Aw):
-    """(Q, R^-1, R^-1 R^-T) of one QR of whitened ``Aw`` with unit-norm columns; rank
-    deficiency (|R_jj| <= 1e-12 max |R_ii|) or a non-finite cov is a DegenerateSystemError."""
+def _qr_solve(Aw, yw=None):
+    """(R^-1 R^-T, coef, chi2) of one R-only QR of whitened ``Aw`` scaled to unit-norm
+    columns, with ``yw`` as one more column when given: R then holds Q^T yw above its
+    corner, the residual norm (Bjorck 1996, 1.3), giving coef = R^-1 Q^T yw and chi2,
+    0 for a square system; both None without ``yw``.  Rank deficiency (|R_jj| <= 1e-12
+    max |R_ii|) or a non-finite cov, chi2 or coef is a DegenerateSystemError."""
+    k = Aw.shape[1]
     norms = np.hypot.reduce(Aw, axis=0)  # hypot: no overflow of the squares
-    Q, R = np.linalg.qr(Aw / np.where(norms > 0, norms, 1.0))
-    diag = np.abs(np.diag(R))
-    if diag.size < norms.size or not diag.min() > 1e-12 * diag.max():
+    Aw = Aw / np.where(norms > 0, norms, 1.0)
+    R = np.linalg.qr(Aw if yw is None else np.column_stack([Aw, yw]), mode="r")
+    diag = np.abs(np.diag(R[:, :k]))
+    if diag.size < k or not diag.min() > 1e-12 * diag.max():
         raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
-        R_inv = np.linalg.inv(R) / norms[:, None]  # of the unscaled Aw
+        R_inv = np.linalg.inv(R[:k, :k]) / norms[:, None]  # of the unscaled Aw
         cov = R_inv @ R_inv.T
+        if yw is not None:
+            coef, chi2 = R_inv @ R[:k, k], float(R[k, k] ** 2) if len(R) > k else 0.0
     if not np.isfinite(cov).all():
         raise DegenerateSystemError("covariance of the weighted fit overflows")
-    return Q, R_inv, cov
+    if yw is None:
+        return cov, None, None
+    if not math.isfinite(chi2):
+        raise DegenerateSystemError("chi2 of the weighted fit is not finite")
+    if not np.isfinite(coef).all():
+        raise DegenerateSystemError("coefficients of the weighted fit overflow")
+    return cov, coef, chi2
 
 
 def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
-    """(coef, cov, chi2) minimising chi2 = |(A coef - y) / sigma|^2 by ``_qr_covariance``:
+    """(coef, cov, chi2) minimising chi2 = |(A coef - y) / sigma|^2 by ``_qr_solve``:
     no weighted sum is formed, so columns of any magnitude stay finite.  A sigma <= 0
-    or not finite, a non-finite weighted system, chi2 or coef, or a degenerate QR
+    or not finite, a non-finite weighted system, cov, chi2 or coef, or a degenerate QR
     raises DegenerateSystemError."""
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0) & np.isfinite(sigma)).all():
@@ -168,15 +182,7 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
         yw = np.asarray(y, dtype=float) / sigma
     if not (np.isfinite(Aw).all() and np.isfinite(yw).all()):
         raise DegenerateSystemError("the weighted system is not finite")
-    Q, R_inv, cov = _qr_covariance(Aw)
-    qty = Q.T @ yw
-    resid = yw - Q @ qty
-    with np.errstate(over="ignore", invalid="ignore"):  # raised below
-        coef, chi2 = R_inv @ qty, float(resid @ resid)
-    if not math.isfinite(chi2):
-        raise DegenerateSystemError("chi2 of the weighted fit is not finite")
-    if not np.isfinite(coef).all():
-        raise DegenerateSystemError("coefficients of the weighted fit overflow")
+    cov, coef, chi2 = _qr_solve(Aw, yw)
     return coef, cov, chi2
 
 
@@ -199,9 +205,10 @@ def _whitened(evaluate, y, sigma):
 def bounded_fit(solve, evaluate, y, sigma, p0, lower, upper, what: str):
     """Fit ``evaluate(p) -> (model, J)`` to arrays ``y`` +- ``sigma`` by ``solve``
     (``least_squares``' signature, 1e-14 tolerances), one ``_whitened`` evaluation per
-    point, p0's check included: the result and the ``_qr_covariance`` of its whitened
-    Jacobian.  Errors name ``what``: a model not finite at ``p0`` or a degenerate QR is a
-    DegenerateSystemError, a solver ValueError or no convergence a ConvergenceError."""
+    point, p0's check included: the result and the ``_qr_solve`` covariance of its
+    whitened Jacobian.  Errors name ``what``: a model not finite at ``p0`` or a degenerate
+    QR is a DegenerateSystemError, a solver ValueError or no convergence a
+    ConvergenceError."""
     at = _whitened(evaluate, y, sigma)
     try:  # DegenerateSystemError is a ValueError, so it is caught first
         if not all(np.isfinite(a).all() for a in at(p0)):
@@ -211,7 +218,7 @@ def bounded_fit(solve, evaluate, y, sigma, p0, lower, upper, what: str):
         if not res.success:
             raise ConvergenceError(f"{what} did not converge",
                                    residual=float(np.max(np.abs(res.fun))))
-        return res, _qr_covariance(res.jac)[2]
+        return res, _qr_solve(res.jac)[0]
     except DegenerateSystemError as exc:
         raise DegenerateSystemError(f"{what}: {exc}") from exc
     except ValueError as exc:

@@ -503,26 +503,27 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     The breakpoint is grid-searched over the measured time points; for each
     candidate tb, the ``KineticsFit`` law d = k min(t, tb) + b ln(max(t, tb)/tb)
     is a weighted linear least-squares problem in (k, b), in k alone at the last time.
+    The first candidate of least chi2 wins.  ``_breakpoint_grid`` solves them all at
+    once; where any would fail, ``weighted_lstsq`` per candidate raises its error.
     """
     t = np.asarray(times, dtype=float)
     if t.size < 6 or t.size != len(thicknesses):
         raise DatasetError("need >= 6 (time, thickness) points")
     if np.any(np.diff(t) <= 0) or t[0] <= 0:
         raise InvalidInputError("times must be positive and strictly ascending")
-    d = [v.value for v in thicknesses]
-    sig = [v.sigma for v in thicknesses]
+    d = np.array([v.value for v in thicknesses])
+    sig = np.array([v.sigma for v in thicknesses])
 
-    best = None
     # candidates leaving >= 2 points per regime, plus the all-linear case
-    candidates = list(t[1:-2]) + [t[-1]]
-    for tb in candidates:
-        columns = _growth_columns(t, tb)[:1 if tb >= t[-1] else 2]
-        coef, _, chi2 = weighted_lstsq(np.column_stack(columns), d, sig)
-        k, b = float(coef[0]), (float(coef[1]) if coef.size > 1 else 0.0)
-        if best is None or chi2 < best[0]:
-            best = (chi2, tb, k, b)
-
-    _, tb, k, b = best
+    candidates = np.append(t[1:-2], t[-1])
+    grid = _breakpoint_grid(t, d, sig)
+    if grid is None:  # the first candidate that fails raises
+        columns = (_growth_columns(t, tb)[:1 if tb >= t[-1] else 2] for tb in candidates)
+        fits = (weighted_lstsq(np.column_stack(c), d, sig) for c in columns)
+        grid = list(zip(*((chi2, coef[0], coef[1] if coef.size > 1 else 0.0)
+                          for coef, _, chi2 in fits)))
+    best = int(np.argmin(grid[0]))  # the first minimum
+    tb, k, b = candidates[best], float(grid[1][best]), float(grid[2][best])
     log_a = k * tb - b * math.log(tb)
     fit = KineticsFit(
         k_lin=k,
@@ -534,6 +535,43 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     )
     d_sat = float(fit.thickness(t[-1]))
     return replace(fit, d_sat=d_sat)
+
+
+def _breakpoint_grid(t, d, sig):
+    """(chi2, k, b), arrays over ``fit_kinetics``' candidates.  For t[1:-2], one batched
+    R-only QR of the whitened systems [k, b | d], the two columns scaled to unit norm as
+    ``uncert._qr_solve`` takes each: R = [[r00, r01, c0], [0, r11, c1], [0, 0, r]] gives
+    chi2 = r^2, b = c1 / r11 and k = (c0 - r01 b) / r00.  For the linear-only t[-1], the
+    one unit-norm column q in closed form.  None where any candidate would raise in
+    ``weighted_lstsq``: a sigma, system, covariance, chi2 or coefficient not finite, or
+    a rank loss."""
+    with np.errstate(all="ignore"):  # every non-finite value is caught below
+        if not ((sig > 0) & np.isfinite(sig)).all():
+            return None
+        A = np.stack(_growth_columns(t, t[1:-2, None]), axis=-1) / sig[:, None]
+        yw, u = d / sig, t / sig  # u: the linear-only column
+        if not (np.isfinite(A).all() and np.isfinite(yw).all() and np.isfinite(u).all()):
+            return None
+        norms = np.hypot.reduce(A, axis=1)  # hypot: no overflow of the squares
+        M = np.empty(A.shape[:2] + (3,))
+        M[..., :2], M[..., 2] = A / np.where(norms > 0, norms, 1.0)[:, None, :], yw
+        R = np.moveaxis(np.linalg.qr(M, mode="r"), 0, -1)  # R[i, j] over the candidates
+        (r00, r01, c0), (_, r11, c1), (_, _, r) = R
+        b = c1 / r11
+        k = (c0 - r01 * b) / r00
+        n = np.hypot.reduce(u)
+        q = u / n
+        resid = yw - (q @ yw) * q
+        chi2 = np.append(r * r, resid @ resid)
+        k, b = np.append(k / norms[:, 0], q @ yw / n), np.append(b / norms[:, 1], 0.0)
+        i00, i11 = 1.0 / (r00 * norms[:, 0]), 1.0 / (r11 * norms[:, 1])  # R^-1, unscaled
+        i01 = -r01 / r11 * i00
+        cov = [i00 * i00 + i01 * i01, i01 * i11, i11 * i11, 1.0 / (n * n)]
+    diag = np.abs([r00, r11])
+    if not ((diag.min(axis=0) > 1e-12 * diag.max(axis=0)).all() and n > 0
+            and all(np.isfinite(v).all() for v in (*cov, chi2, k, b))):
+        return None
+    return chi2, k, b
 
 
 # ---------------------------------------------------------------------------

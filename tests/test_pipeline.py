@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlb import cli, pipeline, qubit, tls, xps
-from qlb.errors import ConfigurationError, DatasetError, read_csv
+from qlb.errors import ConfigurationError, DatasetError, InvalidInputError, read_csv
 from qlb.pipeline import (
     STAGES,
     emit,
@@ -203,13 +203,15 @@ class TestStages:
         assert frag["warnings"] == ["tls-fit: constraint(s) active at bounds: ['q_other']"]
 
     def test_qubit_barrier_solve_reuses_the_single_photon_loss(self, config, monkeypatch):
-        # one predict_inv_q per regime; the barrier solve makes no second call
-        calls = []
-        predict_inv_q = qubit.predict_inv_q
-        monkeypatch.setattr(qubit, "predict_inv_q",
-                            lambda *args: calls.append(args) or predict_inv_q(*args))
+        # one joint propagation of 1/Q per regime; the barrier solve makes no second one
+        calls = {name: [] for name in ("predict_regime", "predict_inv_q", "predict_q",
+                                       "surface_fractions")}
+        for name, record in calls.items():
+            monkeypatch.setattr(qubit, name, lambda *args, _f=getattr(qubit, name),
+                                _record=record: _record.append(args) or _f(*args))
         run_stage("qubit", config)
-        assert len(calls) == 2
+        assert {name: len(record) for name, record in calls.items()} == {
+            "predict_regime": 2, "predict_inv_q": 0, "predict_q": 0, "surface_fractions": 0}
 
     def test_unconfigured_stages_skipped(self, tmp_path):
         path = write_config(tmp_path, lambda raw: raw.pop("kinetics"))
@@ -223,6 +225,23 @@ class TestEmission:
         (path,) = emit(report, tmp_path, fmt="json")
         assert path.name == "report.json"
         assert load_report(path) == json.loads(json.dumps(report))
+
+    EVERY_LEAF = {
+        "floats": [0.1, -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf,
+                   np.float64(2.5)],
+        "ints": [0, -7, 10 ** 30], "words": [True, False, None],
+        "strings": ["", "plain", "quote \" backslash \\ newline \n tab \t nul \x00",
+                    "\u00e9 \u2603 \U0001d11e"],
+        "empty": {"dict": {}, "list": [], "tuple": ()}, "tuple": (1, "a", (2.0,)),
+        "nested": [[[]], [{"b": 1, "a": [{}]}]], "\u00e9 key": 1, "": 0.5,
+    }
+
+    @pytest.mark.parametrize("tree", ["report", EVERY_LEAF], ids=["bundled", "every-leaf"])
+    def test_json_bytes_are_those_of_json_dumps(self, tree, report, tmp_path):
+        tree = report if tree == "report" else tree
+        (path,) = emit(tree, tmp_path, fmt="json")
+        assert path.read_bytes() == (json.dumps(tree, indent=2, sort_keys=True)
+                                     + "\n").encode()
 
     def test_plot_csv_tables(self, report, tmp_path):
         written = emit(report, tmp_path, fmt="plot-csv")
@@ -664,6 +683,48 @@ def test_read_csv_over_long_field_is_dataset_error(tmp_path):
     path = tmp_path / "points.csv"
     path.write_text("a,b\n1,2\n3," + "4" * 200_000 + "\n")
     with pytest.raises(DatasetError, match=r"points.csv, line 3: field larger than"):
+        read_csv(path, ("a", "b"), lambda a, b: (a, b))
+
+
+@pytest.mark.parametrize("cell, error", [
+    ("abc", r"line 402, column 'b': non-numeric value 'abc'"),
+    ("-1", r"line 402: b must be >= 0"),
+])
+def test_read_csv_names_the_line_of_a_late_row(tmp_path, cell, error):
+    # past the first rows converted together, and after a field that spans two lines
+    rows = [f"{i},{i}" for i in range(500)]
+    rows[3], rows[399] = '"3\n",3', f"399,{cell}"
+    path = tmp_path / "points.csv"
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+
+    def make(a, b):
+        if b < 0:
+            raise InvalidInputError("b must be >= 0")
+        return a, b
+    with pytest.raises(DatasetError, match=error):
+        read_csv(path, ("a", "b"), make)
+
+
+def test_read_csv_row_whose_sum_overflows_is_read(tmp_path):
+    # each cell is finite though the row's sum, its quick finite check, is not
+    path = tmp_path / "points.csv"
+    path.write_text("t,a,b\nx,1,2\ny,1e308,1e308\n")
+    rows = read_csv(path, ("b", "t", "a"), lambda b, t, a: (b, t, a), text=("t",))
+    assert rows == [(2.0, "x", 1.0), (1e308, "y", 1e308)]
+
+
+def test_read_csv_rejected_row_before_an_unsplit_one(tmp_path):
+    # rows are made in file order: the first failure is named, as it comes
+    path = tmp_path / "points.csv"
+    path.write_text("a,b\n1,2\n-3,4\n5," + "4" * 200_000 + "\n")
+
+    def make(a, b):
+        if a < 0:
+            raise InvalidInputError("a must be >= 0")
+        return a, b
+    with pytest.raises(DatasetError, match=r"points.csv, line 3: a must be >= 0"):
+        read_csv(path, ("a", "b"), make)
+    with pytest.raises(DatasetError, match=r"points.csv, line 4: field larger than"):
         read_csv(path, ("a", "b"), lambda a, b: (a, b))
 
 

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from qlb import qubit
 from qlb.constants import EPS0
 from qlb.errors import DegenerateSystemError, InvalidInputError
 from qlb.qubit import (
@@ -12,6 +13,7 @@ from qlb.qubit import (
     junction_energy_fraction,
     predict_inv_q,
     predict_q,
+    predict_regime,
     solve_barrier_tangent,
     surface_fractions,
     three_way_budget,
@@ -67,6 +69,27 @@ class TestPrediction:
         assert cap.value == pytest.approx(100.0, abs=1e-9)
         assert leads.value == pytest.approx(0.0, abs=1e-9)
 
+
+    @pytest.mark.parametrize("regime", ["linear-absorption", "single-photon"])
+    def test_regime_is_the_three_predictions_in_one_propagation(self, regime, monkeypatch):
+        geom, tangents = make_geom(), make_tangents(regime)
+        expected = (predict_inv_q(geom, tangents), predict_q(geom, tangents),
+                    *surface_fractions(geom, tangents))
+        calls = []
+        propagate_joint = qubit.propagate_joint
+
+        def counted(f, *args):
+            calls.append(0)
+            return propagate_joint(lambda *x: calls.append(1) or f(*x), *args)
+
+        monkeypatch.setattr(qubit, "propagate_joint", counted)
+        assert predict_regime(geom, tangents) == expected  # bit for bit
+        assert calls == [0, 1, 1, 1, 1]  # one propagation: the means, then 3 inputs
+
+    def test_regime_without_loss_is_degenerate(self):
+        t = TangentSet(UValue(0.0), UValue(0.0), UValue(0.0))
+        with pytest.raises(DegenerateSystemError, match="Q undefined"):
+            predict_regime(make_geom(), t)
 
 class TestJunction:
     def test_parallel_plate_closed_form(self):

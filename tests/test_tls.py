@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qlb import tls
+from qlb import tls, uncert
 from qlb.constants import HBAR, K_B
 from qlb.errors import DatasetError, InvalidInputError
 from qlb.tls import (
@@ -18,7 +18,7 @@ from qlb.tls import (
     q_tls,
     rescale_q_tls0,
 )
-from qlb.uncert import UValue, bounded_fit
+from qlb.uncert import UValue, bounded_fit, weighted_lstsq
 
 F0 = 5e9
 TRUE = TlsParams(UValue(1.2e6), D=2.0e4, beta1=1.0, beta2=0.8, q_other=6.0e6, f0=F0)
@@ -169,6 +169,72 @@ class TestFit:
         np.testing.assert_array_less(np.abs(np.subtract(values, ref_values)),
                                      1e-6 * np.sqrt(np.diag(ref_cov)))
         np.testing.assert_allclose(cov, ref_cov, rtol=1e-6, atol=0.0)
+
+    @staticmethod
+    def projection_inputs(pts):
+        """(evaluate, y, sigma) of ``fit_tls`` on its points, none at the cutoff."""
+        n, T, q, sigma = (np.array(c) for c in zip(
+            *((p.n_bar, p.temperature, p.q_int.value, p.q_int.sigma) for p in pts)))
+        ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
+        evaluate = partial(_model_inv_q_jac, n=n, T=T, th=tls._tanh_factor(F0, T),
+                           ln_T=np.log(T), ln_n=ln_n)
+        return evaluate, 1.0 / q, sigma / q ** 2
+
+    @pytest.mark.parametrize("noise, seed", [(0.0, 0)] + [(0.01, s) for s in range(5)])
+    def test_closed_form_projection_matches_weighted_lstsq(self, noise, seed):
+        pts = grid_points(TRUE, noise=noise, seed=seed)
+        evaluate, y, sigma = self.projection_inputs(pts)
+        project = tls._projection(evaluate, y, sigma)[1]
+        params, _ = fit_tls(pts, f0=F0)
+        for phi in ([0.0, 1.0, 1.0], [np.log(params.D), params.beta1, params.beta2],
+                    [3.0, 0.5, 1.5]):
+            # the reference: (a, b) and their covariance by weighted_lstsq, Kaufman's
+            # Jacobian dA - A cov A_w^T dA_w
+            J = evaluate(np.concatenate([[0.0], phi, [0.0]]))[1]
+            A = np.column_stack([-J[:, 0], np.ones_like(y)])
+            coef, cov, _ = weighted_lstsq(A, y, sigma)
+            dA = J[:, 1:4] * coef[0]
+            ref_jac = dA - A @ (cov @ ((A / sigma[:, None]).T @ (dA / sigma[:, None])))
+            model, jac = project(np.array(phi))
+            np.testing.assert_allclose(model, A @ coef, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(jac, ref_jac, rtol=0.0,
+                                       atol=1e-12 * np.max(np.abs(ref_jac)))
+
+    def test_projection_basis_stays_orthonormal_near_rank_loss(self):
+        # g = 1 + 1e-9 x is within r22 ~ 1e-9 of the constant column: one Gram-Schmidt
+        # pass would leave q1 . q2 ~ eps / r22 ~ 1e-7
+        x = np.linspace(-1.0, 1.0, 40)
+        g, sigma = 1.0 + 1e-9 * x, np.full(40, 1e-3)
+        y = 2.0 * g + 0.5
+
+        def evaluate(theta):
+            return None, np.column_stack([-g, np.outer(x, [1.0, 2.0, 3.0]), -np.ones(40)])
+
+        linear = tls._projection(evaluate, y, sigma)[0]
+        _, a, b, Q = linear(np.zeros(3))
+        np.testing.assert_allclose(Q.T @ Q, np.eye(2), rtol=0.0, atol=1e-14)
+        assert (a, b) == pytest.approx((2.0, 0.5), rel=1e-5)
+
+    def test_no_weighted_lstsq_in_the_solve(self, monkeypatch):
+        # the projection is closed form: the fit's QRs are the covariances at its end,
+        # bounded_fit's of the projection and fit_tls' of all five parameters
+        counts = {"weighted_lstsq": 0, "qr": 0, "evaluations": 0}
+
+        def counted(name, f):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return f(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(uncert, "weighted_lstsq", counted("weighted_lstsq",
+                                                               uncert.weighted_lstsq))
+        monkeypatch.setattr(np.linalg, "qr", counted("qr", np.linalg.qr))
+        monkeypatch.setattr(tls, "_model_inv_q_jac", counted("evaluations",
+                                                              tls._model_inv_q_jac))
+        params, _ = fit_tls(grid_points(TRUE, noise=0.01, seed=11), f0=F0)
+        assert params.boundary_active == ()  # one solve, of the projection alone
+        assert counts["evaluations"] > 5
+        assert (counts["weighted_lstsq"], counts["qr"]) == (0, 2)
 
     # a q_other of 1e11 against a Q_TLS0 of 1.2e6 is unresolved at 1 % noise
     UNRESOLVED_Q_OTHER = dict(params=replace(TRUE, q_other=1e11), noise=0.01, n_per_temp=12)

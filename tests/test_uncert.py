@@ -253,6 +253,48 @@ class TestWeightedLstsq:
         assert chi2 == pytest.approx(0.0, abs=1e-18)
 
 
+    @staticmethod
+    def reference(A, y, sigma, scales):
+        """np.linalg.lstsq of the whitened system with its columns divided by ``scales``
+        (lstsq's SVD cuts singular values 1e280 apart): coef, chi2 and (A_w^T A_w)^-1."""
+        B = A / sigma[:, None] / scales
+        x = np.linalg.lstsq(B, y / sigma, rcond=None)[0]
+        resid = B @ x - y / sigma
+        return x / scales, resid @ resid, np.linalg.inv(B.T @ B) / np.outer(scales, scales)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("square", [False, True], ids=["m>k", "m=k"])
+    def test_matches_numpy_lstsq(self, k, seed, square):
+        rng = np.random.default_rng([k, seed])
+        m = k if square else 4 + 3 * k
+        scales = 10.0 ** rng.choice([-140, 0, 140], k)  # every column's scale, extremes too
+        A = rng.normal(size=(m, k)) * scales
+        y = rng.normal(size=m)
+        sigma = rng.uniform(0.1, 2.0, m)
+        coef, cov, chi2 = weighted_lstsq(A, y, sigma)
+        ref_coef, ref_chi2, ref_cov = self.reference(A, y, sigma, scales)
+        np.testing.assert_allclose(coef * scales, ref_coef * scales, rtol=1e-10, atol=1e-12)
+        unscaled = np.outer(scales, scales)
+        np.testing.assert_allclose(cov * unscaled, ref_cov * unscaled, rtol=1e-10, atol=1e-12)
+        if square:
+            assert chi2 == 0.0
+        else:
+            assert chi2 == pytest.approx(ref_chi2, rel=1e-10)
+
+    @pytest.mark.parametrize("r22, full_rank", [(1.01e-12, True), (0.99e-12, False)])
+    def test_rank_rule_at_its_threshold(self, r22, full_rank):
+        # unit-norm columns whose R has R_22 = r22 (R_11 = 1), rotated into 5 rows
+        rotation = np.linalg.qr(np.random.default_rng(7).normal(size=(5, 5)))[0]
+        A = rotation[:, :2] @ np.array([[1.0, 1.0], [0.0, r22]])
+        y = rotation @ np.arange(1.0, 6.0)
+        if full_rank:
+            coef, _, _ = weighted_lstsq(A, y, np.ones(5))
+            assert np.all(np.isfinite(coef))
+        else:
+            with pytest.raises(DegenerateSystemError, match="rank"):
+                weighted_lstsq(A, y, np.ones(5))
+
 class TestBoundedFit:
     @staticmethod
     def solver(**result):
@@ -310,7 +352,8 @@ class TestBoundedFit:
     @pytest.mark.parametrize("model, J, match", [
         (lambda p: np.zeros(2), np.array([[1.0, 1.0], [2.0, 2.0]]), "toy fit: rank-deficient"),
         (lambda p: np.array([0.0, math.inf]), np.eye(2), "toy fit: the model is not finite"),
-    ], ids=["collinear-jacobian", "non-finite-start"])
+        (lambda p: np.zeros(2), 1e-160 * np.eye(2), "toy fit: covariance of the weighted"),
+    ], ids=["collinear-jacobian", "non-finite-start", "overflowing-covariance"])
     def test_degenerate_fit_is_degenerate_system_error(self, model, J, match):
         with pytest.raises(DegenerateSystemError, match=match):
             self.fit(self.solver(success=True, jac=J), jac=J, model=model)

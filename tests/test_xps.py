@@ -10,7 +10,7 @@ from qlb.errors import (
     DegenerateSystemError,
     InvalidInputError,
 )
-from qlb.uncert import UValue
+from qlb.uncert import UValue, weighted_lstsq
 from qlb.xps import (
     DOUBLET_AREA_RATIO,
     DOUBLET_SPLITTING_EV,
@@ -18,6 +18,7 @@ from qlb.xps import (
     PeakComponent,
     StrohmeierConstants,
     XpsSpectrum,
+    _growth_columns,
     _lineshape,
     _lineshape_grad,
     _peak_model,
@@ -421,6 +422,56 @@ class TestKinetics:
         times, thick = self.synth()
         fit = fit_kinetics(times, thick)
         assert float(fit.thickness(times[-1])) == pytest.approx(fit.d_sat, rel=1e-12)
+
+    @staticmethod
+    def per_candidate(times, thick):
+        """(chi2, t_break, k, b) of the first best candidate, each by weighted_lstsq."""
+        t, d = np.array(times, dtype=float), [v.value for v in thick]
+        sig = [v.sigma for v in thick]
+        best = None
+        for tb in list(t[1:-2]) + [t[-1]]:
+            columns = _growth_columns(t, tb)[:1 if tb >= t[-1] else 2]
+            coef, _, chi2 = weighted_lstsq(np.column_stack(columns), d, sig)
+            if best is None or chi2 < best[0]:
+                best = (chi2, tb, coef[0], coef[1] if coef.size > 1 else 0.0)
+        return best
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_batched_grid_matches_each_candidate_solved_alone(self, seed):
+        times, thick = self.synth(noise=0.02, seed=seed)
+        if seed == 5:  # growth that never leaves the line: the linear-only candidate wins
+            times, thick = self.synth(tb=1000.0, noise=0.002, seed=seed)
+        _, tb, k, b = self.per_candidate(times, thick)
+        fit = fit_kinetics(times, thick)
+        assert (fit.t_break, fit.degenerate_log) == (tb, seed == 5)
+        assert fit.k_lin == pytest.approx(k, rel=1e-12)
+        assert fit.log_b == pytest.approx(b, rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("n", [6, 12, 40])
+    def test_one_qr_for_every_candidate(self, n, monkeypatch):
+        calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
+        times = np.geomspace(1.0, 600.0, n)
+        fit_kinetics(times, [UValue(0.1 * t ** 0.5, 0.05) for t in times])
+        assert len(calls) == 1
+
+    def test_rank_deficient_candidate_raises(self):
+        # one row outweighs the rest by 1e14: each two-column candidate has rank 1 to
+        # 1e-12, with a finite covariance
+        times, thick = self.synth(noise=0.01, seed=2)
+        thick = [UValue(v.value, 0.05 if i == len(thick) - 1 else 0.05e14)
+                 for i, v in enumerate(thick)]
+        with pytest.raises(DegenerateSystemError, match="rank-deficient"):
+            self.per_candidate(times, thick)
+        with pytest.raises(DegenerateSystemError, match="rank-deficient"):
+            fit_kinetics(times, thick)
+
+    def test_overflowing_covariance_raises(self):
+        times, thick = self.synth()
+        thick = [UValue(v.value, 1e300) for v in thick]  # weights 1e-600: no covariance
+        with pytest.raises(DegenerateSystemError, match="covariance"):
+            fit_kinetics(times, thick)
 
 
 def test_kinetics_dataclass_evaluation():
