@@ -71,11 +71,6 @@ class InconsistentInputsWarning(UserWarning):
     """
 
 
-# rows converted at once: their lists and tuples, held together, stay under the 700
-# new objects that start a garbage-collection pass
-_CHUNK = 256
-
-
 def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -> list:
     """``make(*cells)`` for each data row of a headed CSV, in file order.
 
@@ -85,10 +80,10 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
     is not UTF-8 text (a leading BOM is dropped), a missing or repeated column,
     a row the CSV reader cannot split (an over-long field, say), a bad cell
     (file, line and column) or a row that ``make`` rejects or cannot convert
-    (InvalidInputError, ArithmeticError) raises DatasetError.  The cells of
-    ``_CHUNK`` rows are converted a column at a time, and a row checked finite by
-    its sum; a row that fails either, or every row of a chunk where a cell does
-    not convert, is taken cell by cell for its message.
+    (InvalidInputError, ArithmeticError) raises DatasetError.  The cells are
+    converted a column at a time, and a row checked finite by its sum; a row that
+    fails that, or where a cell does not convert (found by halving the rows), is
+    taken cell by cell for its message.
     """
     def number(cell: str) -> float:
         try:
@@ -106,8 +101,9 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
             cells = [list(map(itemgetter(i), rows)) for i, _ in spec]
             cells = [col if parse is str else list(map(float, col))
                      for col, (_, parse) in zip(cells, spec)]
-        except (IndexError, ValueError):  # a short, blank or bad row
-            return [None] * len(rows)
+        except (IndexError, ValueError):  # a short, blank or bad row: halve to find it
+            half = len(rows) // 2
+            return converted(rows[:half]) + converted(rows[half:]) if half else [None]
         numeric = [col for col, (_, parse) in zip(cells, spec) if parse is not str]
         # a sum is finite if every term is; one that overflows only costs the slow path
         finite = (map(math.isfinite, map(sum, zip(*numeric))) if numeric
@@ -139,32 +135,28 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
     if repeated:
         raise DatasetError(f"{path}: repeated column(s) {repeated}")
     spec = [(header[c], str if c in text else number) for c in columns]
-    out, unsplit, first = [], None, 0
-    while unsplit is None:
-        rows = []
+    rows, unsplit = [], None
+    try:
+        rows.extend(reader)  # keeps the rows before a failure
+    except csv.Error as exc:  # raised after the rows before it
+        unsplit = DatasetError(f"{path}, line {reader.line_num}: {exc}")
+    out = []
+    for i, (row, values) in enumerate(zip(rows, converted(rows))):
+        if values is None:
+            cells = [row[j] if j < len(row) else "" for j, _ in spec]
+            if not any(cell.strip() for cell in cells):
+                continue
+            values = []
+            for column, cell, (_, parse) in zip(columns, cells, spec):
+                try:
+                    values.append(parse(cell))
+                except ValueError as exc:
+                    raise DatasetError(f"{path}, line {line(i)}, "
+                                       f"column {column!r}: {exc}") from None
         try:
-            rows.extend(itertools.islice(reader, _CHUNK))  # keeps the rows before a failure
-        except csv.Error as exc:  # raised after the rows before it
-            unsplit = DatasetError(f"{path}, line {reader.line_num}: {exc}")
-        if not rows:
-            break
-        for i, (row, values) in enumerate(zip(rows, converted(rows)), first):
-            if values is None:
-                cells = [row[j] if j < len(row) else "" for j, _ in spec]
-                if not any(cell.strip() for cell in cells):
-                    continue
-                values = []
-                for column, cell, (_, parse) in zip(columns, cells, spec):
-                    try:
-                        values.append(parse(cell))
-                    except ValueError as exc:
-                        raise DatasetError(f"{path}, line {line(i)}, "
-                                           f"column {column!r}: {exc}") from None
-            try:
-                out.append(make(*values))
-            except (InvalidInputError, ArithmeticError) as exc:
-                raise DatasetError(f"{path}, line {line(i)}: {exc}") from exc
-        first += len(rows)
+            out.append(make(*values))
+        except (InvalidInputError, ArithmeticError) as exc:
+            raise DatasetError(f"{path}, line {line(i)}: {exc}") from exc
     if unsplit is not None:
         raise unsplit from None
     if not out:

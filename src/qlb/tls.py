@@ -207,10 +207,11 @@ def fit_tls(
     runs over phi = (ln D, beta1, beta2) alone from D = beta1 = beta2 = 1, with (a, b) at
     their weighted optimum for each phi and Kaufman's (1975) Jacobian P_perp a dg/dphi
     (variable projection, Golub & Pereyra 1973), both in closed form (``_projection``).
-    One model call at the solution gives (a, b) and the full Jacobian, whose
-    ``uncert._qr_solve`` covariance is the fit's.  Only where a or b falls outside its
-    bound does the five-parameter ``bounded_fit`` run, from there with (a, b) clipped into
-    their bounds.
+    One model call at the solution gives (a, b) and the full Jacobian.  Only where a or b
+    falls outside its bound does the five-parameter ``bounded_fit`` run, from there with
+    (a, b) clipped into their bounds, and its Jacobian at the solution is taken instead.
+    That whitened Jacobian, in the physical parameters, gives the covariance by
+    ``uncert._qr_solve``, whose rules then cover its overflow too.
     Returns the fitted parameters (q_tls0 sigma from the covariance diagonal,
     ``boundary_active`` naming those at a bound, as ``uncert.active_bounds`` finds them
     on theta with the bound spans as scales) and the full 5x5 covariance matrix in the
@@ -224,7 +225,7 @@ def fit_tls(
         )
     n = np.array([p.n_bar for p in kept])
     positive_n = n[n > 0]
-    if positive_n.size == 0 or positive_n.max() / positive_n.min() < 100.0:
+    if positive_n.size == 0 or positive_n.max() / 100.0 < positive_n.min():
         raise DatasetError("points must span at least 2 decades in n_bar")
     T = np.array([p.temperature for p in kept])
     q = np.array([p.q_int.value for p in kept])
@@ -254,16 +255,13 @@ def fit_tls(
     a, b = np.clip(coef, np.exp(-upper[[0, 4]]), np.exp(-lower[[0, 4]]))
     theta = np.clip(np.concatenate([[-np.log(a)], phi, [-np.log(b)]]), lower, upper)
     if np.array_equal((a, b), coef):  # the projection's optimum is within every bound
-        full_jac = np.column_stack([a * J[:, :4], np.full_like(y, -b)])
-        cov_theta = _qr_solve(full_jac / sig[:, None])[0]
+        jac = np.column_stack([a * J[:, :4], np.full_like(y, -b)]) / sig[:, None]
     else:
-        res, cov_theta = bounded_fit(least_squares, evaluate, y, sig, theta, lower, upper,
-                                     "TLS fit")
-        theta = res.x
+        res = bounded_fit(least_squares, evaluate, y, sig, theta, lower, upper, "TLS fit")[0]
+        theta, jac = res.x, res.jac
     q0, D, b1, b2, qo = _physical(theta)
-    # covariance in physical parameters via the log-space jacobian
-    scale = np.array([q0, D, 1.0, 1.0, qo])
-    cov = cov_theta * np.outer(scale, scale)
+    # the whitened Jacobian in physical parameters: d theta / dp = 1 / p for the logs
+    cov = _qr_solve(jac / np.array([q0, D, 1.0, 1.0, qo]))[0]
     sigma_q0 = float(np.sqrt(max(cov[0, 0], 0.0)))
     params = TlsParams(UValue(q0, sigma_q0), D=D, beta1=b1, beta2=b2, q_other=qo, f0=f0,
                        boundary_active=active_bounds(_NAMES, theta, lower, upper,

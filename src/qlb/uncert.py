@@ -8,11 +8,11 @@ whole chain in one Jacobian, exact by the complex step (so each propagated
 function accepts complex arguments), and returns the output covariance.
 
 Every fit's covariance comes from one column-scaled, R-only QR (``_qr_solve``):
-``weighted_lstsq`` (SPR slopes, pooling, the XPS area start, the kinetics fallback)
-solves from that R alone, and ``bounded_fit`` runs every nonlinear solve (the TLS
-variable projection, the five-parameter TLS fit where a linear parameter passes its
-bound, the XPS fit), each model returning its value with its Jacobian, evaluated once
-per point.
+``weighted_lstsq`` (SPR slopes, pooling, the XPS area start, the kinetics breakpoint
+candidates as one stack of designs) solves from that R alone, and ``bounded_fit`` runs
+every nonlinear solve (the TLS variable projection, the five-parameter TLS fit where a
+linear parameter passes its bound, the XPS fit), each model returning its value with its
+Jacobian, evaluated once per point.
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -144,41 +144,52 @@ def _qr_solve(Aw, yw=None):
     """(R^-1 R^-T, coef, chi2) of one R-only QR of whitened ``Aw`` scaled to unit-norm
     columns, with ``yw`` as one more column when given: R then holds Q^T yw above its
     corner, the residual norm (Bjorck 1996, 1.3), giving coef = R^-1 Q^T yw and chi2,
-    0 for a square system; both None without ``yw``.  Rank deficiency (|R_jj| <= 1e-12
-    max |R_ii|) or a non-finite cov, chi2 or coef is a DegenerateSystemError."""
-    k = Aw.shape[1]
-    norms = np.hypot.reduce(Aw, axis=0)  # hypot: no overflow of the squares
-    Aw = Aw / np.where(norms > 0, norms, 1.0)
-    R = np.linalg.qr(Aw if yw is None else np.column_stack([Aw, yw]), mode="r")
-    diag = np.abs(np.diag(R[:, :k]))
-    if diag.size < k or not diag.min() > 1e-12 * diag.max():
-        raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
+    0 for a square system; both None without ``yw``.  ``Aw`` is one design (m, k) or a
+    stack of them (n, m, k), all in one QR call, ``yw`` then (m,) or (n, m), and each
+    result gains that leading n (chi2 a float for one design).  Rank deficiency
+    (|R_jj| <= 1e-12 max |R_ii|) or a non-finite cov, chi2 or coef of any design is a
+    DegenerateSystemError."""
+    k = Aw.shape[-1]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # raised below
-        R_inv = np.linalg.inv(R[:k, :k]) / norms[:, None]  # of the unscaled Aw
-        cov = R_inv @ R_inv.T
+        # hypot: no overflow of the squares; an infinite norm leaves a zero column
+        norms = np.hypot.reduce(Aw, axis=-2)
+        M = np.empty(Aw.shape[:-1] + (k if yw is None else k + 1,))
+        np.divide(Aw, np.where(norms > 0, norms, 1.0)[..., None, :], out=M[..., :k])
         if yw is not None:
-            coef, chi2 = R_inv @ R[:k, k], float(R[k, k] ** 2) if len(R) > k else 0.0
+            M[..., k] = yw
+        R = np.linalg.qr(M, mode="r")
+        diag = np.abs(R.diagonal(axis1=-2, axis2=-1)[..., :k])
+        if diag.shape[-1] < k or not (diag.min(-1) > 1e-12 * diag.max(-1)).all():
+            raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
+        R_inv = np.linalg.inv(R[..., :k, :k]) / norms[..., :, None]  # of the unscaled Aw
+        cov = R_inv @ R_inv.swapaxes(-1, -2)
+        if yw is not None:
+            coef = (R_inv @ R[..., :k, k, None])[..., 0]
+            chi2 = R[..., k, k] ** 2 if R.shape[-2] > k else np.zeros(R.shape[:-2])
     if not np.isfinite(cov).all():
         raise DegenerateSystemError("covariance of the weighted fit overflows")
     if yw is None:
         return cov, None, None
-    if not math.isfinite(chi2):
+    if not np.isfinite(chi2).all():
         raise DegenerateSystemError("chi2 of the weighted fit is not finite")
     if not np.isfinite(coef).all():
         raise DegenerateSystemError("coefficients of the weighted fit overflow")
-    return cov, coef, chi2
+    return cov, coef, chi2 if chi2.ndim else float(chi2)
 
 
-def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float]:
+def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
     """(coef, cov, chi2) minimising chi2 = |(A coef - y) / sigma|^2 by ``_qr_solve``:
-    no weighted sum is formed, so columns of any magnitude stay finite.  A sigma <= 0
-    or not finite, a non-finite weighted system, cov, chi2 or coef, or a degenerate QR
-    raises DegenerateSystemError."""
+    no weighted sum is formed, so columns of any magnitude stay finite.  ``A`` is one
+    design (m, k), a 1-D ``A`` one column, or a stack of designs (n, m, k) fitted to the
+    same ``y`` and ``sigma``, which gives (n, k) coef, (n, k, k) cov and (n,) chi2.  A
+    sigma <= 0 or not finite, a non-finite weighted system, cov, chi2 or coef, or a
+    degenerate QR of any design raises DegenerateSystemError."""
     sigma = np.asarray(sigma, dtype=float)
     if not ((sigma > 0) & np.isfinite(sigma)).all():
         raise DegenerateSystemError("every sigma must be finite and > 0")
+    A = np.asarray(A, dtype=float)
     with np.errstate(over="ignore"):  # an overflow is raised as an error below
-        Aw = np.asarray(A, dtype=float).reshape(sigma.size, -1) / sigma[:, None]
+        Aw = (A[:, None] if A.ndim == 1 else A) / sigma[:, None]
         yw = np.asarray(y, dtype=float) / sigma
     if not (np.isfinite(Aw).all() and np.isfinite(yw).all()):
         raise DegenerateSystemError("the weighted system is not finite")

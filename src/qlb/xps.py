@@ -355,8 +355,9 @@ def shirley_background(
     tolerance = 1e-6 * max(abs(i_hi - i_lo), abs(i_hi), abs(i_lo), 1.0)
     bg = np.full_like(y, i_lo)
     for _ in range(50):
-        new_bg = _shirley_step(y - bg, x, i_lo, i_hi)
-        delta = float(np.max(np.abs(new_bg - bg)))
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite: never converges
+            new_bg = _shirley_step(y - bg, x, i_lo, i_hi)
+            delta = float(np.max(np.abs(new_bg - bg)))
         bg = new_bg
         if delta < tolerance:
             return XpsSpectrum(x, y, metadata=dict(spectrum.metadata)), bg
@@ -393,7 +394,8 @@ def fit_components(
     starts at the template centres and fwhms, clipped to their bounds; the model is
     linear in the areas, which start at their ``weighted_lstsq`` optimum there, clipped
     to >= 0, or where that system is degenerate at the template area if > 0, else at
-    max(y) times the fwhm.
+    max(y) times the fwhm.  The covariance is rescaled by the reduced chi2; where that
+    overflows, a DegenerateSystemError.
     """
     if not model:
         raise InvalidInputError("model needs >= 1 component")
@@ -432,7 +434,11 @@ def fit_components(
     names = [f"{c.label}.{k}" for c in model for k in ("center", "fwhm", "area")]
     # the Poisson-like sigmas are not the true ones; rescale by reduced chi2
     dof = max(x.size - res.x.size, 1)
-    cov = cov * (2.0 * res.cost / dof)
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below
+        cov = cov * (2.0 * res.cost / dof)
+    if not np.isfinite(cov).all():
+        raise DegenerateSystemError("component fit: covariance rescaled by the reduced "
+                                    "chi2 overflows")
     area_rows = {c.label: np.zeros(res.x.size) for c in model}
     for i, _, _, factor in _peaks(model):
         area_rows[model[i].label][3 * i + 2] += factor
@@ -503,8 +509,10 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     The breakpoint is grid-searched over the measured time points; for each
     candidate tb, the ``KineticsFit`` law d = k min(t, tb) + b ln(max(t, tb)/tb)
     is a weighted linear least-squares problem in (k, b), in k alone at the last time.
-    The first candidate of least chi2 wins.  ``_breakpoint_grid`` solves them all at
-    once; where any would fail, ``weighted_lstsq`` per candidate raises its error.
+    The first candidate of least chi2 wins.  The two-column candidates, those leaving
+    >= 2 points per regime, are one stack of designs in one ``weighted_lstsq`` call; the
+    linear-only last one is its single column in closed form, under the same rules and
+    with the same errors.
     """
     t = np.asarray(times, dtype=float)
     if t.size < 6 or t.size != len(thicknesses):
@@ -514,16 +522,26 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     d = np.array([v.value for v in thicknesses])
     sig = np.array([v.sigma for v in thicknesses])
 
-    # candidates leaving >= 2 points per regime, plus the all-linear case
-    candidates = np.append(t[1:-2], t[-1])
-    grid = _breakpoint_grid(t, d, sig)
-    if grid is None:  # the first candidate that fails raises
-        columns = (_growth_columns(t, tb)[:1 if tb >= t[-1] else 2] for tb in candidates)
-        fits = (weighted_lstsq(np.column_stack(c), d, sig) for c in columns)
-        grid = list(zip(*((chi2, coef[0], coef[1] if coef.size > 1 else 0.0)
-                          for coef, _, chi2 in fits)))
-    best = int(np.argmin(grid[0]))  # the first minimum
-    tb, k, b = candidates[best], float(grid[1][best]), float(grid[2][best])
+    # the two-column candidates t[1:-2] as one stack; the sigmas are checked here first
+    coef, _, chi2 = weighted_lstsq(np.stack(_growth_columns(t, t[1:-2, None]), axis=-1),
+                                   d, sig)
+    with np.errstate(all="ignore"):  # the linear-only t[-1]: one column u, closed form
+        u, yw = t / sig, d / sig
+        n = np.hypot.reduce(u)  # hypot: no overflow of the squares
+        q = u / n
+        r = yw - (q @ yw) * q
+        line_var, line_chi2, line_k = float(1.0 / n / n), float(r @ r), float(q @ yw / n)
+    for ok, message in ((np.isfinite(u).all(), "the weighted system is not finite"),
+                        (0 < n < math.inf,
+                         "rank-deficient design matrix (collinear columns?)"),
+                        (math.isfinite(line_var), "covariance of the weighted fit overflows"),
+                        (math.isfinite(line_chi2), "chi2 of the weighted fit is not finite"),
+                        (math.isfinite(line_k), "coefficients of the weighted fit overflow")):
+        if not ok:  # weighted_lstsq's rules and errors, in its order
+            raise DegenerateSystemError(message)
+    candidates, coef = np.append(t[1:-2], t[-1]), np.vstack([coef, [line_k, 0.0]])
+    best = int(np.argmin(np.append(chi2, line_chi2)))  # the first minimum
+    tb, (k, b) = candidates[best], coef[best].tolist()
     log_a = k * tb - b * math.log(tb)
     fit = KineticsFit(
         k_lin=k,
@@ -535,43 +553,6 @@ def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> Kinet
     )
     d_sat = float(fit.thickness(t[-1]))
     return replace(fit, d_sat=d_sat)
-
-
-def _breakpoint_grid(t, d, sig):
-    """(chi2, k, b), arrays over ``fit_kinetics``' candidates.  For t[1:-2], one batched
-    R-only QR of the whitened systems [k, b | d], the two columns scaled to unit norm as
-    ``uncert._qr_solve`` takes each: R = [[r00, r01, c0], [0, r11, c1], [0, 0, r]] gives
-    chi2 = r^2, b = c1 / r11 and k = (c0 - r01 b) / r00.  For the linear-only t[-1], the
-    one unit-norm column q in closed form.  None where any candidate would raise in
-    ``weighted_lstsq``: a sigma, system, covariance, chi2 or coefficient not finite, or
-    a rank loss."""
-    with np.errstate(all="ignore"):  # every non-finite value is caught below
-        if not ((sig > 0) & np.isfinite(sig)).all():
-            return None
-        A = np.stack(_growth_columns(t, t[1:-2, None]), axis=-1) / sig[:, None]
-        yw, u = d / sig, t / sig  # u: the linear-only column
-        if not (np.isfinite(A).all() and np.isfinite(yw).all() and np.isfinite(u).all()):
-            return None
-        norms = np.hypot.reduce(A, axis=1)  # hypot: no overflow of the squares
-        M = np.empty(A.shape[:2] + (3,))
-        M[..., :2], M[..., 2] = A / np.where(norms > 0, norms, 1.0)[:, None, :], yw
-        R = np.moveaxis(np.linalg.qr(M, mode="r"), 0, -1)  # R[i, j] over the candidates
-        (r00, r01, c0), (_, r11, c1), (_, _, r) = R
-        b = c1 / r11
-        k = (c0 - r01 * b) / r00
-        n = np.hypot.reduce(u)
-        q = u / n
-        resid = yw - (q @ yw) * q
-        chi2 = np.append(r * r, resid @ resid)
-        k, b = np.append(k / norms[:, 0], q @ yw / n), np.append(b / norms[:, 1], 0.0)
-        i00, i11 = 1.0 / (r00 * norms[:, 0]), 1.0 / (r11 * norms[:, 1])  # R^-1, unscaled
-        i01 = -r01 / r11 * i00
-        cov = [i00 * i00 + i01 * i01, i01 * i11, i11 * i11, 1.0 / (n * n)]
-    diag = np.abs([r00, r11])
-    if not ((diag.min(axis=0) > 1e-12 * diag.max(axis=0)).all() and n > 0
-            and all(np.isfinite(v).all() for v in (*cov, chi2, k, b))):
-        return None
-    return chi2, k, b
 
 
 # ---------------------------------------------------------------------------

@@ -509,6 +509,13 @@ class TestCli:
         # at one temperature D and beta1 enter only as D T^beta1: collinear columns
         "tls-one-temperature": ("tls-fit", lambda lines: [
             line for line in lines if ",temperature_K," in line or ",0.010," in line]),
+        # the covariance overflows in physical units: every sigma 1e150 x its q_int
+        "tls-every-sigma-1e150-q-int": ("tls-fit", lambda lines: lines[:1] + [
+            re.sub(r",([^,]*),[^,]*$", lambda m: f",{m[1]},{1e150 * float(m[1])!r}", line)
+            for line in lines[1:]]),
+        # the covariance overflows when rescaled by the reduced chi2: one count of 1e300
+        "xps-one-count-1e300": ("xps-fit", lambda lines: lines[:53] + [
+            lines[53].split(",")[0] + ",1e300"] + lines[54:]),
     }
 
     @pytest.mark.parametrize("case", sorted(DEGENERATE_DATASETS))
@@ -519,8 +526,10 @@ class TestCli:
         bad.write_text("\n".join(rewrite((DATA_DIR / name).read_text().splitlines())) + "\n")
         cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        err = capsys.readouterr().err
         assert rc == 3
-        assert str(bad) in capsys.readouterr().err
+        assert str(bad) in err
+        assert "Warning" not in err
 
     def test_xps_zero_count_exits_4(self, tmp_path, capsys):
         # the fit never meets its 1e-14 tolerances on a spectrum with a zero count
@@ -534,6 +543,21 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
         assert rc == 4
         assert "component fit did not converge" in capsys.readouterr().err
+
+    def test_xps_count_1e300_in_the_shirley_anchor_exits_4_without_warnings(self, tmp_path,
+                                                                            capsys):
+        # the background's high-energy anchor overflows the Shirley step: it never converges
+        name, set_file = self.CSV_READERS["xps-fit"]
+        text = (DATA_DIR / name).read_text()
+        assert text.count("\n79.90,") == 1
+        bad = tmp_path / name
+        bad.write_text(re.sub(r"\n79\.90,[^\n]*", "\n79.90,1e300", text))
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        assert f"{bad}: Shirley background did not converge" in err
+        assert "Warning" not in err
 
     def test_tls_q_int_above_fit_range_exits_3(self, tmp_path, capsys):
         name, set_file = self.CSV_READERS["tls-fit"]
@@ -562,6 +586,18 @@ class TestCli:
         rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "tls-fit"])
         assert rc == 4
         assert "TLS fit failed" in capsys.readouterr().err
+
+    def test_tls_one_subnormal_n_bar_exits_0_without_warnings(self, tmp_path, capsys):
+        # the two-decade span check takes no ratio, which 1e-320 would overflow
+        name, set_file = self.CSV_READERS["tls-fit"]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        lines[2] = ",".join(["1e-320"] + lines[2].split(",")[1:])
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "tls-fit"])
+        assert rc == 0
+        assert "Warning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("treatment,key,name", [
         ("hf", "t_ox", "t_hf"),
@@ -703,6 +739,16 @@ def test_read_csv_names_the_line_of_a_late_row(tmp_path, cell, error):
         return a, b
     with pytest.raises(DatasetError, match=error):
         read_csv(path, ("a", "b"), make)
+
+
+def test_read_csv_reads_every_row_around_blank_ones(tmp_path):
+    # blank rows send only the rows near them cell by cell: all are read, in order
+    rows = [f"{i},{i}" for i in range(500)]
+    rows[100], rows[301], rows[499] = "", ",", ""
+    path = tmp_path / "points.csv"
+    path.write_text("a,b\n" + "\n".join(rows) + "\n")
+    expected = [(float(i), float(i)) for i in range(499) if i not in (100, 301)]
+    assert read_csv(path, ("a", "b"), lambda a, b: (a, b)) == expected
 
 
 def test_read_csv_row_whose_sum_overflows_is_read(tmp_path):

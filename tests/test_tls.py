@@ -144,9 +144,11 @@ class TestFit:
             fit_tls(pts, f0=F0)
 
     def test_requires_two_decades(self):
-        pts = [QPoint(1.0 + 0.1 * k, 0.010, UValue(1e6, 1e4)) for k in range(8)]
-        with pytest.raises(DatasetError):
-            fit_tls(pts, f0=F0)
+        for n_scale in (1.0, 1e-320, 1e307):  # no ratio of n_bar, nor 100 x n_bar, overflows
+            pts = [QPoint(n_scale * (1.0 + 0.1 * k), 0.010, UValue(1e6, 1e4))
+                   for k in range(8)]
+            with pytest.raises(DatasetError, match="2 decades"):
+                fit_tls(pts, f0=F0)
 
     def test_zero_photon_rows(self):
         pts = grid_points(TRUE) + [

@@ -190,6 +190,9 @@ class TestWeightedLstsq:
     def test_slope_through_origin(self, seed):
         x, y, sigma, w = self.data(seed)
         (slope,), cov, chi2 = weighted_lstsq(x[:, None], y, sigma)
+        one_d = weighted_lstsq(x, y, sigma)  # a 1-D design is one column
+        assert (one_d[0].shape, one_d[1].shape) == ((1,), (1, 1))
+        assert (one_d[0][0], one_d[1][0, 0], one_d[2]) == (slope, cov[0, 0], chi2)
         sxx = np.sum(w * x * x)
         expected = np.sum(w * x * y) / sxx
         assert slope == pytest.approx(expected, rel=1e-14)
@@ -224,6 +227,9 @@ class TestWeightedLstsq:
             weighted_lstsq(np.column_stack([x, np.zeros(4)]), x, np.ones(4))
         with pytest.raises(DegenerateSystemError, match="rank"):
             weighted_lstsq(np.ones((1, 2)), [1.0], [1.0])  # fewer rows than columns
+        with pytest.raises(DegenerateSystemError, match="rank-deficient"):  # one of a stack
+            weighted_lstsq(np.stack([np.column_stack([x, np.ones(4)]),
+                                     np.column_stack([x, 3.0 * x])]), x, np.ones(4))
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, math.nan, math.inf])
     def test_unusable_sigma_rejected(self, sigma):
@@ -281,6 +287,28 @@ class TestWeightedLstsq:
             assert chi2 == 0.0
         else:
             assert chi2 == pytest.approx(ref_chi2, rel=1e-10)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("square", [False, True], ids=["m>k", "m=k"])
+    def test_stack_matches_each_design_alone(self, k, seed, square):
+        rng = np.random.default_rng([k, seed, 1])
+        m = k if square else 4 + 3 * k
+        scales = 10.0 ** rng.choice([-140, 0, 140], (5, 1, k))  # per design and column
+        A = rng.normal(size=(5, m, k)) * scales
+        y = rng.normal(size=m)
+        sigma = rng.uniform(0.1, 2.0, m)
+        coef, cov, chi2 = weighted_lstsq(A, y, sigma)
+        assert (coef.shape, cov.shape, chi2.shape) == ((5, k), (5, k, k), (5,))
+        for i, design in enumerate(A):
+            one_coef, one_cov, one_chi2 = weighted_lstsq(design, y, sigma)
+            assert isinstance(one_chi2, float)
+            unscaled = np.outer(scales[i], scales[i])
+            np.testing.assert_allclose(coef[i] * scales[i, 0], one_coef * scales[i, 0],
+                                       rtol=1e-13, atol=0)
+            np.testing.assert_allclose(cov[i] * unscaled, one_cov * unscaled,
+                                       rtol=1e-13, atol=0)
+            assert chi2[i] == pytest.approx(one_chi2, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize("r22, full_rank", [(1.01e-12, True), (0.99e-12, False)])
     def test_rank_rule_at_its_threshold(self, r22, full_rank):

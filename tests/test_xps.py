@@ -467,6 +467,24 @@ class TestKinetics:
         with pytest.raises(DegenerateSystemError, match="rank-deficient"):
             fit_kinetics(times, thick)
 
+    @pytest.mark.parametrize("last_times, last_sigma, message", [
+        ((400.0, 1e300), 1e-10, "the weighted system is not finite"),  # t / sigma = 1e310
+        ((8e306, 1.6e308), 1.0, "rank-deficient"),  # |t / sigma| overflows
+    ])
+    def test_linear_only_candidate_raises_as_weighted_lstsq(self, last_times, last_sigma,
+                                                           message):
+        times, thick = self.synth()
+        times = np.array(times[:-2] + list(last_times))
+        thick[-1] = UValue(thick[-1].value, last_sigma)
+        d, sig = [v.value for v in thick], [v.sigma for v in thick]
+        for tb in times[1:-2]:  # every two-column candidate solves
+            weighted_lstsq(np.column_stack(_growth_columns(times, tb)), d, sig)
+        with pytest.raises(DegenerateSystemError, match=message) as alone:
+            weighted_lstsq(times, d, sig)
+        with pytest.raises(DegenerateSystemError) as fitted:
+            fit_kinetics(times, thick)
+        assert str(fitted.value) == str(alone.value)
+
     def test_overflowing_covariance_raises(self):
         times, thick = self.synth()
         thick = [UValue(v.value, 1e300) for v in thick]  # weights 1e-600: no covariance
