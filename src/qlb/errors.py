@@ -2,17 +2,19 @@
 
 Each error class carries the process exit code used by the command-line
 driver, so stage wrappers can map failures to machine-readable categories.
-``read_csv`` reads every dataset file (Q grid, SPR points, kinetics, XPS
-spectrum): a missing header column, a bad cell or a rejected row is a
-DatasetError (exit 3) that names the file.
+``read_csv`` reads every dataset file (Q grid, SPR points, kinetics, XPS spectrum)
+as whole columns into one call of the dataset's ``make``, whose row rules ``check_rows``
+applies to all rows at once: a missing header column, a bad cell or a rejected row is a
+DatasetError (exit 3) that names the file, and the line of a rejected row.
 """
 
 import csv
 import io
-import itertools
 import math
 from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 
 class QlbError(Exception):
@@ -22,9 +24,13 @@ class QlbError(Exception):
 
 
 class InvalidInputError(QlbError, ValueError):
-    """Non-finite, out-of-range, or otherwise malformed numeric input."""
+    """Non-finite, out-of-range, or otherwise malformed numeric input (of data row ``row``)."""
 
     exit_code = 2
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class ConfigurationError(QlbError):
@@ -71,51 +77,48 @@ class InconsistentInputsWarning(UserWarning):
     """
 
 
-def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -> list:
-    """``make(*cells)`` for each data row of a headed CSV, in file order.
+def float_columns(record, names: tuple[str, ...]) -> list:
+    """The fields ``names`` of the frozen dataclass ``record`` as float arrays, each set
+    back on it; an InvalidInputError unless they are 1-d and of one length."""
+    arrays = [np.asarray(getattr(record, name), dtype=float) for name in names]
+    if arrays[0].ndim != 1 or any(a.shape != arrays[0].shape for a in arrays):
+        raise InvalidInputError(f"{', '.join(names)} must be equal-length 1-d arrays")
+    for name, array in zip(names, arrays):
+        object.__setattr__(record, name, array)
+    return arrays
 
-    The header names each of ``columns``, in any order; ``make`` gets their
-    cells in that order, each a finite float unless its column is in ``text``.
-    Rows whose cells of ``columns`` are all blank are skipped.  A file that
-    is not UTF-8 text (a leading BOM is dropped), a missing or repeated column,
-    a row the CSV reader cannot split (an over-long field, say), a bad cell
-    (file, line and column) or a row that ``make`` rejects or cannot convert
-    (InvalidInputError, ArithmeticError) raises DatasetError.  The cells are
-    converted a column at a time, and a row checked finite by its sum; a row that
-    fails that, or where a cell does not convert (found by halving the rows), is
-    taken cell by cell for its message.
+
+def check_rows(*rules) -> None:
+    """Raise InvalidInputError with ``row`` i for the first row i that breaks one of
+    ``rules``, (ok, message) pairs of a boolean array over the rows, False where a row
+    breaks the rule, and a function of i giving the text (that of i's first broken rule)."""
+    broken = np.flatnonzero(~np.logical_and.reduce([ok for ok, _ in rules]))
+    if broken.size:
+        i = int(broken[0])
+        raise InvalidInputError(next(message(i) for ok, message in rules if not ok[i]), row=i)
+
+
+def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()):
+    """``make(*cells)``, called once with the data rows of a headed CSV as columns: those
+    of ``columns`` (named by the header in any order), each in file order, a float array or,
+    for a column in ``text``, a list of strings; rows blank in all of them are dropped.
+
+    A file that is not UTF-8 (a leading BOM is dropped), a missing or repeated column, a row
+    the CSV reader cannot split or a cell that is not a finite number (file, line, column)
+    raises DatasetError, as does an error of ``make``: an InvalidInputError with ``row`` i
+    names the line on which row i ends, any other InvalidInputError or DatasetError the
+    file.  Where a row cannot be split or a cell converted, ``make`` first gets the rows
+    before it, and only a row it rejects is raised: the error named is the first in file
+    order.
     """
-    def number(cell: str) -> float:
+    def number(cell: str, column: str, line: int) -> float:
         try:
-            value = float(cell)
+            if math.isfinite(value := float(cell)):
+                return value
+            problem = f"non-finite value {cell!r}"
         except ValueError:
-            raise ValueError(f"non-numeric value {cell!r}" if cell.strip()
-                             else "missing value") from None
-        if not math.isfinite(value):
-            raise ValueError(f"non-finite value {cell!r}")
-        return value
-
-    def converted(rows: list) -> list:
-        """Per row, its cells of ``columns`` converted, or None to take it cell by cell."""
-        try:
-            cells = [list(map(itemgetter(i), rows)) for i, _ in spec]
-            cells = [col if parse is str else list(map(float, col))
-                     for col, (_, parse) in zip(cells, spec)]
-        except (IndexError, ValueError):  # a short, blank or bad row: halve to find it
-            half = len(rows) // 2
-            return converted(rows[:half]) + converted(rows[half:]) if half else [None]
-        numeric = [col for col, (_, parse) in zip(cells, spec) if parse is not str]
-        # a sum is finite if every term is; one that overflows only costs the slow path
-        finite = (map(math.isfinite, map(sum, zip(*numeric))) if numeric
-                  else itertools.repeat(True))
-        return [values if ok else None for values, ok in zip(zip(*cells), finite)]
-
-    def line(i: int) -> int:
-        """The line on which data row ``i`` ends (a quoted field may span lines)."""
-        again = csv.reader(io.StringIO(content, newline=""))
-        for _ in itertools.islice(again, i + 2):  # the header, then rows 0 to i
-            pass
-        return again.line_num
+            problem = f"non-numeric value {cell!r}" if cell.strip() else "missing value"
+        raise DatasetError(f"{path}, line {line}, column {column!r}: {problem}")
 
     try:  # a BOM before the header is not part of its first name
         content = Path(path).read_bytes().decode("utf-8-sig")
@@ -134,31 +137,41 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()) -
     repeated = sorted(c for c in columns if names.count(c) > 1)
     if repeated:
         raise DatasetError(f"{path}: repeated column(s) {repeated}")
-    spec = [(header[c], str if c in text else number) for c in columns]
-    rows, unsplit = [], None
+    spec, numeric = [header[c] for c in columns], [c not in text for c in columns]
+    rows, lines, failure = [], [], None
     try:
-        rows.extend(reader)  # keeps the rows before a failure
-    except csv.Error as exc:  # raised after the rows before it
-        unsplit = DatasetError(f"{path}, line {reader.line_num}: {exc}")
-    out = []
-    for i, (row, values) in enumerate(zip(rows, converted(rows))):
-        if values is None:
-            cells = [row[j] if j < len(row) else "" for j, _ in spec]
-            if not any(cell.strip() for cell in cells):
-                continue
-            values = []
-            for column, cell, (_, parse) in zip(columns, cells, spec):
-                try:
-                    values.append(parse(cell))
-                except ValueError as exc:
-                    raise DatasetError(f"{path}, line {line(i)}, "
-                                       f"column {column!r}: {exc}") from None
+        for row in reader:
+            rows.append(row)
+            lines.append(reader.line_num)  # where the row ends: a field may span lines
+    except csv.Error as exc:  # raised after the rows before it are made
+        failure = DatasetError(f"{path}, line {reader.line_num}: {exc}")
+    try:  # a column at a time, where every row is full and every cell a finite number
+        cells = [list(map(itemgetter(j), rows)) for j in spec]
+        cells = [np.array(list(map(float, col))) if is_number else col
+                 for col, is_number in zip(cells, numeric)]
+        if not all(np.isfinite(col).all() for col, is_number in zip(cells, numeric) if is_number):
+            raise ValueError
+    except (IndexError, ValueError):  # a short, blank or bad row: row by row
+        kept = []  # (line, cells) of the rows before the first bad cell, blank ones dropped
         try:
-            out.append(make(*values))
-        except (InvalidInputError, ArithmeticError) as exc:
-            raise DatasetError(f"{path}, line {line(i)}: {exc}") from exc
-    if unsplit is not None:
-        raise unsplit from None
-    if not out:
+            for row, line in zip(rows, lines):
+                values = [row[j] if j < len(row) else "" for j in spec]
+                if any(cell.strip() for cell in values):
+                    kept.append((line, [number(cell, c, line) if is_number else cell
+                                        for c, cell, is_number in zip(columns, values, numeric)]))
+        except DatasetError as exc:  # a bad cell comes before a row that cannot be split
+            failure = exc
+        lines = [line for line, _ in kept]
+        cells = [np.array(col) if is_number else list(col)
+                 for col, is_number in zip(zip(*(values for _, values in kept)), numeric)]
+    if not (lines or failure):
         raise DatasetError(f"{path}: no data rows")
+    try:
+        out = make(*cells) if lines else None
+    except (InvalidInputError, DatasetError) as exc:
+        if getattr(exc, "row", None) is not None:
+            raise DatasetError(f"{path}, line {lines[exc.row]}: {exc}") from exc
+        failure = failure or DatasetError(f"{path}: {exc}")
+    if failure:
+        raise failure from None
     return out

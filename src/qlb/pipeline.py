@@ -44,6 +44,7 @@ from .errors import (
     DegenerateSystemError,
     InvalidInputError,
     StageNotConfigured,
+    check_rows,
     read_csv,
 )
 from .uncert import UValue
@@ -231,43 +232,36 @@ def load_config(path) -> AnalysisConfig:
 # CSV ingestion
 
 
-def read_q_grid(path: Path) -> list[tls_mod.QPoint]:
-    return read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"),
-                    lambda n, t, q, sigma: tls_mod.QPoint(n, t, UValue(q, sigma)))
+def read_q_grid(path: Path) -> tls_mod.QGrid:
+    return read_csv(path, ("n_bar", "temperature_K", "q_int", "sigma"), tls_mod.QGrid)
 
 
-def _spr_point(label: str, p_ms: float, q: float, sigma_q: float):
-    # convert Q +- sigma to 1/Q +- sigma/(Q^2)
-    return label, spr_mod.SprPoint(p_ms, UValue(1.0 / q, sigma_q / q ** 2))
+def read_spr_points(path: Path) -> dict[str, spr_mod.SprPoints]:
+    """Points by treatment, checked in file order; Q +- sigma is read as 1/Q +- sigma/Q^2."""
+    def make(treatment, p_ms, q, sigma_q):
+        with np.errstate(all="ignore"):  # a non-finite 1/Q breaks a row rule of SprPoints
+            points = spr_mod.SprPoints(p_ms, 1.0 / q, sigma_q / q ** 2)
+        treatment = np.array(treatment)
+        return {label: points[treatment == label] for label in dict.fromkeys(treatment.tolist())}
+
+    return read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"), make, text=("treatment",))
 
 
-def read_spr_points(path: Path) -> dict[str, list[spr_mod.SprPoint]]:
-    grouped: dict[str, list[spr_mod.SprPoint]] = {}
-    for label, point in read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"),
-                                 _spr_point, text=("treatment",)):
-        grouped.setdefault(label, []).append(point)
-    return grouped
+def read_kinetics(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """(times, thicknesses) of a kinetics CSV, the thicknesses a record array of (value, sigma)."""
+    def make(time, thickness, sigma):
+        with np.errstate(all="ignore"):  # an overflow or a zero breaks a rule below
+            check_rows(
+                ((sigma > 0) & np.isfinite(1.0 / sigma),
+                 lambda i: f"sigma_nm must be > 0 with a finite weight 1/sigma, got {sigma[i]}"),
+                (np.isfinite((thickness / sigma) ** 2),  # a term of the fit's chi2
+                 lambda i: f"thickness_nm {thickness[i]} over sigma_nm {sigma[i]} "
+                           "overflows the weighted fit"),
+                (time > np.append(0.0, time[:-1]),
+                 lambda i: f"time_hours must be > 0 and strictly ascending, got {time[i]}"))
+        return time, np.rec.fromarrays([thickness, sigma], names="value,sigma")
 
-
-def read_kinetics(path: Path) -> tuple[list[float], list[UValue]]:
-    times: list[float] = []
-
-    def point(time, thickness, sigma):
-        if not (sigma > 0 and math.isfinite(1.0 / sigma)):
-            raise InvalidInputError("sigma_nm must be > 0 with a finite weight 1/sigma, "
-                                    f"got {sigma}")
-        ratio = thickness / sigma
-        if not math.isfinite(ratio * ratio):  # a term of the fit's chi2
-            raise InvalidInputError(f"thickness_nm {thickness} over sigma_nm "
-                                    f"{sigma} overflows the weighted fit")
-        value = UValue(thickness, sigma)
-        if time <= (times[-1] if times else 0.0):
-            raise InvalidInputError("time_hours must be > 0 and strictly ascending, "
-                                    f"got {time}")
-        times.append(time)
-        return value
-
-    return times, read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), point)
+    return read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), make)
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +323,7 @@ def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         "beta2": params.beta2,
         "q_other": params.q_other,
         "f0_hz": params.f0,
-        "n_points_used": sum(
-            1 for p in points if p.temperature < cutoff
-        ),
+        "n_points_used": int(np.count_nonzero(points.temperature < cutoff)),
         "q_tls_rescaled": {
             "n_bar": config.tls["rescale_n_bar"],
             "temperature_K": config.tls["rescale_temperature_k"],
@@ -357,11 +349,8 @@ def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
         entry = {
             "tan_delta": _uv(tangent),
             "n_points": len(pts),
-            "points": [
-                {"p_ms": p.p_ms, "inv_q": p.inv_q.value, "sigma": p.inv_q.sigma,
-                 "fit": tangent.value * p.p_ms}
-                for p in pts
-            ],
+            "points": [{"p_ms": p, "inv_q": v, "sigma": s, "fit": tangent.value * p} for p, v, s
+                       in zip(pts.p_ms.tolist(), pts.inv_q.tolist(), pts.sigma.tolist())],
         }
         if line is not None:
             slope, intercept = line
@@ -540,10 +529,8 @@ def _stage_kinetics(config: AnalysisConfig, warnings_out: list) -> dict:
         "log_b": fit.log_b,
         "d_sat_nm": fit.d_sat,
         "degenerate_log": fit.degenerate_log,
-        "points": [
-            {"time_hours": t, "thickness_nm": d.value, "sigma_nm": d.sigma}
-            for t, d in zip(times, thick)
-        ],
+        "points": [{"time_hours": t, "thickness_nm": d, "sigma_nm": s} for t, d, s
+                   in zip(times.tolist(), thick.value.tolist(), thick.sigma.tolist())],
     }
 
 

@@ -9,17 +9,16 @@ downstream.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DatasetError, InvalidInputError
+from .errors import DatasetError, check_rows, float_columns
 from .uncert import UValue, weighted_lstsq
 
 __all__ = [
-    "SprPoint",
+    "SprPoints",
     "fit_through_origin",
     "fit_with_intercept",
     "pool_tangents",
@@ -27,44 +26,55 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class SprPoint:
-    """One resonator: metal-substrate participation and 1/Q_TLS0."""
+class SprPoints:
+    """Resonators, one row each: participation p_ms and 1/Q_TLS0 +- sigma, as float arrays.
+    A row's rules: inv_q, sigma finite; p_ms, inv_q, sigma > 0; sigma in (1e-150, 1e150) so
+    that the weight w = 1/sigma^2 is finite; w p_ms^2 and w p_ms inv_q finite."""
 
-    p_ms: float
-    inv_q: UValue
+    p_ms: np.ndarray
+    inv_q: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        if self.p_ms <= 0:
-            raise InvalidInputError(f"p_ms must be > 0, got {self.p_ms}")
-        if self.inv_q.value <= 0 or self.inv_q.sigma <= 0:
-            raise InvalidInputError("inv_q needs positive value and sigma")
-        if not 1e-150 < self.inv_q.sigma < 1e150:  # keeps the weight 1/sigma^2 finite
-            raise InvalidInputError(f"inv_q sigma out of range, got {self.inv_q.sigma}")
-        # keeps the point's weighted terms w x^2 and w x y finite
-        if not math.isfinite(self.p_ms * max(self.p_ms, self.inv_q.value)
-                             / self.inv_q.sigma ** 2):
-            raise InvalidInputError(f"p_ms {self.p_ms} overflows the weighted fit")
+        p, v, s = float_columns(self, ("p_ms", "inv_q", "sigma"))
+        with np.errstate(all="ignore"):  # an overflow breaks the last rule
+            check_rows(
+                (np.isfinite(v) & np.isfinite(s),
+                 lambda i: f"inv_q {v[i]} +- {s[i]} must be finite"),
+                (p > 0, lambda i: f"p_ms must be > 0, got {p[i]}"),
+                ((v > 0) & (s > 0), lambda i: "inv_q needs positive value and sigma"),
+                ((1e-150 < s) & (s < 1e150), lambda i: f"inv_q sigma out of range, got {s[i]}"),
+                (np.isfinite(p * np.maximum(p, v) / s ** 2),
+                 lambda i: f"p_ms {p[i]} overflows the weighted fit"))
+
+    def __len__(self):
+        return self.p_ms.size
+
+    def __getitem__(self, rows) -> SprPoints:
+        """The points of ``rows`` (an index array or mask): checked rows, not checked again."""
+        subset = object.__new__(SprPoints)
+        subset.__dict__.update(p_ms=self.p_ms[rows], inv_q=self.inv_q[rows], sigma=self.sigma[rows])
+        return subset
 
 
-def _fit(columns, values: Sequence[UValue]) -> list[UValue]:
-    """Weighted least-squares coefficients of ``values`` on the design ``columns``."""
-    coef, cov, _ = weighted_lstsq(np.column_stack(columns), [v.value for v in values],
-                                  [v.sigma for v in values])
+def _fit(columns, y, sigma) -> list[UValue]:
+    """Weighted least-squares coefficients of ``y`` +- ``sigma`` on the design ``columns``."""
+    coef, cov, _ = weighted_lstsq(np.column_stack(columns), y, sigma)
     return [UValue(float(c), float(s)) for c, s in zip(coef, np.sqrt(np.diag(cov)))]
 
 
-def fit_through_origin(points: Sequence[SprPoint]) -> UValue:
+def fit_through_origin(points: SprPoints) -> UValue:
     """Weighted least-squares slope through the origin.
 
     slope = sum(w x y) / sum(w x^2), sigma = 1/sqrt(sum(w x^2)),
     with w = 1/sigma_y^2.
     """
-    if not points:
+    if not len(points):
         raise DatasetError("no points to fit")
-    return _fit([[p.p_ms for p in points]], [p.inv_q for p in points])[0]
+    return _fit([points.p_ms], points.inv_q, points.sigma)[0]
 
 
-def fit_with_intercept(points: Sequence[SprPoint]) -> tuple[UValue, UValue]:
+def fit_with_intercept(points: SprPoints) -> tuple[UValue, UValue]:
     """Diagnostic weighted straight-line fit (slope, intercept).
 
     The intercept should be consistent with zero for purely surface-limited
@@ -72,12 +82,12 @@ def fit_with_intercept(points: Sequence[SprPoint]) -> tuple[UValue, UValue]:
     """
     if len(points) < 2:
         raise DatasetError("need >= 2 points for an intercept fit")
-    return tuple(_fit([[p.p_ms for p in points], np.ones(len(points))],
-                      [p.inv_q for p in points]))
+    return tuple(_fit([points.p_ms, np.ones(len(points))], points.inv_q, points.sigma))
 
 
 def pool_tangents(values: Sequence[UValue]) -> UValue:
     """Inverse-variance weighted mean of per-chip tangents."""
     if not values:
         raise DatasetError("no values to pool")
-    return _fit([np.ones(len(values))], values)[0]
+    return _fit([np.ones(len(values))], [v.value for v in values],
+                [v.sigma for v in values])[0]

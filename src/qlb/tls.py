@@ -16,16 +16,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
 from ._trf import least_squares
 from .constants import HBAR, K_B
-from .errors import DatasetError, DegenerateSystemError, InvalidInputError
+from .errors import (DatasetError, DegenerateSystemError, InvalidInputError, check_rows,
+                     float_columns)
 from .uncert import UValue, _qr_solve, active_bounds, bounded_fit
 
-__all__ = ["TlsParams", "QPoint", "q_tls", "fit_tls", "rescale_q_tls0"]
+__all__ = ["TlsParams", "QGrid", "q_tls", "fit_tls", "rescale_q_tls0"]
 
 DEFAULT_QP_CUTOFF_K = 0.120
 Q_TLS0_BOUNDS = (1.0, 1e12)  # fit range of q_tls0
@@ -53,26 +53,28 @@ class TlsParams:
 
 
 @dataclass(frozen=True)
-class QPoint:
-    """One measured (photon number, temperature, Q_int) point."""
+class QGrid:
+    """Measured Q_int(n_bar, T) +- sigma, one row per point, as float arrays.  A row's
+    rules: T > 0, n_bar >= 0, Q_int > 0 with the fit's value 1/Q and its sigma sigma/Q^2
+    finite and > 0, and its chi2 term (Q/sigma)^2 finite."""
 
-    n_bar: float
-    temperature: float  # K
-    q_int: UValue
+    n_bar: np.ndarray
+    temperature: np.ndarray  # K
+    q_int: np.ndarray
+    sigma: np.ndarray
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise InvalidInputError("temperature must be > 0")
-        if self.n_bar < 0:
-            raise InvalidInputError("n_bar must be >= 0")
-        q, sigma = self.q_int.value, self.q_int.sigma
-        # the fit's value 1/Q and its sigma/Q^2 must be finite and positive
-        if not (q > 0 and 0.0 < 1.0 / q < math.inf and 0.0 < sigma / q / q < math.inf):
-            raise InvalidInputError(f"q_int {q} +- {sigma} must be > 0 with a finite, "
-                                    "positive 1/Q and sigma/Q^2")
-        r = q / sigma  # 1/Q over its sigma; r * r, as r ** 2 raises on overflow
-        if not math.isfinite(r * r):  # a term of the fit's chi2
-            raise InvalidInputError(f"q_int {q} over sigma {sigma} overflows the weighted fit")
+        n, T, q, sigma = float_columns(self, ("n_bar", "temperature", "q_int", "sigma"))
+        with np.errstate(all="ignore"):  # an overflow or a zero breaks a rule below
+            inv_q, sigma_inv_q, r = 1.0 / q, sigma / q / q, q / sigma
+            check_rows(
+                (T > 0, lambda i: "temperature must be > 0"),
+                (n >= 0, lambda i: "n_bar must be >= 0"),
+                ((0 < inv_q) & (inv_q < np.inf) & (0 < sigma_inv_q) & (sigma_inv_q < np.inf),
+                 lambda i: f"q_int {q[i]} +- {sigma[i]} must be > 0 with a finite, "
+                           "positive 1/Q and sigma/Q^2"),
+                (np.isfinite(r * r),
+                 lambda i: f"q_int {q[i]} over sigma {sigma[i]} overflows the weighted fit"))
 
 
 def _check_f0(f0: float):
@@ -193,11 +195,11 @@ def _projection(evaluate, y, sig):
 
 
 def fit_tls(
-    points: Sequence[QPoint],
+    points: QGrid,
     f0: float,
     qp_cutoff_temperature: float = DEFAULT_QP_CUTOFF_K,
 ) -> tuple[TlsParams, np.ndarray]:
-    """Fit the TLS model to measured Q_int(n_bar, T) points.
+    """Fit the TLS model to the measured Q_int(n_bar, T) points of a ``QGrid``.
 
     Points at or above the quasiparticle cutoff temperature are dropped, and a max q_int
     outside ``Q_TLS0_BOUNDS`` is a DatasetError.  1/Q_int +- sigma is fitted in
@@ -218,20 +220,18 @@ def fit_tls(
     order (q_tls0, D, beta1, beta2, q_other).
     """
     _check_f0(f0)
-    kept = [p for p in points if p.temperature < qp_cutoff_temperature]
-    if len(kept) < 5:
+    kept = points.temperature < qp_cutoff_temperature
+    n, T, q = points.n_bar[kept], points.temperature[kept], points.q_int[kept]
+    if n.size < 5:
         raise DatasetError(
-            f"need >= 5 points below {qp_cutoff_temperature} K, have {len(kept)}"
+            f"need >= 5 points below {qp_cutoff_temperature} K, have {n.size}"
         )
-    n = np.array([p.n_bar for p in kept])
     positive_n = n[n > 0]
     if positive_n.size == 0 or positive_n.max() / 100.0 < positive_n.min():
         raise DatasetError("points must span at least 2 decades in n_bar")
-    T = np.array([p.temperature for p in kept])
-    q = np.array([p.q_int.value for p in kept])
     y = 1.0 / q
     # sigma(1/Q) = sigma_Q / Q^2
-    sig = np.array([p.q_int.sigma for p in kept]) / q ** 2
+    sig = points.sigma[kept] / q ** 2
 
     q_max = float(np.max(q))
     if not Q_TLS0_BOUNDS[0] <= q_max <= Q_TLS0_BOUNDS[1]:  # input range check

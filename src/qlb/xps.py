@@ -27,6 +27,8 @@ from .errors import (
     DatasetError,
     DegenerateSystemError,
     InvalidInputError,
+    check_rows,
+    float_columns,
     read_csv,
 )
 from .uncert import UValue, active_bounds, bounded_fit, propagate, weighted_lstsq
@@ -56,25 +58,20 @@ _GAUSS_NORM = math.sqrt(4.0 * math.log(2.0) / math.pi)
 
 @dataclass(frozen=True)
 class XpsSpectrum:
-    """Binding-energy-indexed intensity trace."""
+    """Binding-energy-indexed intensity trace, one row per sample: >= 16 samples, each
+    with counts >= 0 and a binding energy above the previous sample's."""
 
     binding_energy: np.ndarray  # eV, strictly ascending
     intensity: np.ndarray  # counts
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        be = np.asarray(self.binding_energy, dtype=float)
-        iy = np.asarray(self.intensity, dtype=float)
-        object.__setattr__(self, "binding_energy", be)
-        object.__setattr__(self, "intensity", iy)
-        if be.shape != iy.shape or be.ndim != 1:
-            raise InvalidInputError("energy and intensity must be equal-length 1-d arrays")
+        be, iy = float_columns(self, ("binding_energy", "intensity"))
+        check_rows((~(iy < 0) & np.append(True, np.diff(be) > 0),
+                    lambda i: "counts must be >= 0 and binding energies strictly "
+                              f"ascending, got {be[i]}, {iy[i]}"))
         if be.size < 16:
             raise DatasetError(f"need >= 16 samples, got {be.size}")
-        if not np.all(np.diff(be) > 0):
-            raise InvalidInputError("binding energy must be strictly ascending")
-        if np.any(iy < 0):
-            raise InvalidInputError("intensity must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -273,22 +270,13 @@ def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
 def load_spectrum(path) -> XpsSpectrum:
     """Read a headed CSV with columns binding_energy_eV and counts.
 
-    A missing column, a missing, non-numeric or non-finite cell, negative
-    counts or a binding energy not above the previous row's raise
-    DatasetError naming the file (and the line).
+    A missing column, a missing, non-numeric or non-finite cell, or a spectrum that
+    ``XpsSpectrum`` rejects raise DatasetError naming the file (and the line of a
+    rejected row).
     """
-    energies: list[float] = []
-
-    def sample(energy, counts):
-        if counts < 0 or (energies and energy <= energies[-1]):
-            raise InvalidInputError("counts must be >= 0 and binding energies strictly "
-                                    f"ascending, got {energy}, {counts}")
-        energies.append(energy)
-        return counts
-
-    counts = read_csv(path, ("binding_energy_eV", "counts"), sample)
-    return XpsSpectrum(np.array(energies), np.array(counts),
-                       metadata={"source_file": str(Path(path))})
+    return read_csv(path, ("binding_energy_eV", "counts"),
+                    lambda be, counts: XpsSpectrum(be, counts,
+                                                   metadata={"source_file": str(Path(path))}))
 
 
 def calibrate_energy(

@@ -33,8 +33,8 @@ from qlb.qubit import (
     surface_fractions,
     three_way_budget,
 )
-from qlb.spr import SprPoint, fit_through_origin, pool_tangents
-from qlb.tls import QPoint, TlsParams, fit_tls, q_tls
+from qlb.spr import SprPoints, fit_through_origin, pool_tangents
+from qlb.tls import QGrid, TlsParams, fit_tls, q_tls
 from qlb.uncert import UValue, mc_propagate, propagate
 from qlb.xps import (
     PeakComponent,
@@ -179,8 +179,8 @@ def tls_grid(noise=0.0, seed=0):
             if noise:
                 inv_q *= 1.0 + rng.normal(0.0, noise)
             q = 1.0 / inv_q
-            pts.append(QPoint(n, T, UValue(q, max(noise, 1e-4) * q)))
-    return pts
+            pts.append((n, T, q, max(noise, 1e-4) * q))
+    return QGrid(*zip(*pts))
 
 
 def test_criterion_11_tls_model():
@@ -216,13 +216,12 @@ def test_criterion_11_tls_model():
 
 def test_criterion_12_regression():
     # exact on noiseless through-origin data
-    pts = [SprPoint(x, UValue(2.5e-3 * x, 1e-8)) for x in (1e-4, 2e-4, 5e-4)]
+    pts = SprPoints(*zip(*[(x, 2.5e-3 * x, 1e-8) for x in (1e-4, 2e-4, 5e-4)]))
     assert fit_through_origin(pts).value == pytest.approx(2.5e-3, rel=1e-12)
     # scale equivariance to machine precision
-    base = [SprPoint(1.0, UValue(2.1, 0.2)), SprPoint(2.0, UValue(3.9, 0.1)),
-            SprPoint(3.0, UValue(6.3, 0.3))]
+    base = SprPoints([1.0, 2.0, 3.0], [2.1, 3.9, 6.3], [0.2, 0.1, 0.3])
     for c in (1e-4, 0.37, 128.0):
-        scaled = [SprPoint(p.p_ms * c, p.inv_q) for p in base]
+        scaled = SprPoints(base.p_ms * c, base.inv_q, base.sigma)
         assert fit_through_origin(scaled).value * c == pytest.approx(
             fit_through_origin(base).value, rel=1e-12
         )

@@ -141,8 +141,8 @@ def test_read_spr_points_converts_q_to_inv_q(tmp_path):
         "treatment,p_ms,q_tls0,sigma_q\nhf,1e-4,2e6,1e5\n"
     )
     pts = read_spr_points(path)["hf"]
-    assert pts[0].inv_q.value == pytest.approx(5e-7)
-    assert pts[0].inv_q.sigma == pytest.approx(1e5 / 4e12)
+    assert pts.inv_q[0] == pytest.approx(5e-7)
+    assert pts.sigma[0] == pytest.approx(1e5 / 4e12)
 
 
 @pytest.fixture(scope="module")
@@ -692,6 +692,17 @@ class TestCli:
         assert rc == code
         assert f"error [{kind}]: {data}: {message}" in capsys.readouterr().err
 
+    def test_short_spectrum_names_the_file(self, tmp_path, capsys):
+        # the spectrum's own size rule, met as its file is read, names the file too
+        name, set_file = self.CSV_READERS["xps-fit"]
+        data = tmp_path / name
+        data.write_text("\n".join((DATA_DIR / name).read_text().splitlines()[:11]) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(data)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
+        assert rc == 3
+        assert (f"error [DatasetError]: {data}: need >= 16 samples, got 10"
+                in capsys.readouterr().err)
+
     def test_env_var_config(self, tmp_path, capsys, monkeypatch):
         cfg = write_config(tmp_path)
         monkeypatch.setenv("QLB_CONFIG", str(cfg))
@@ -727,35 +738,36 @@ def test_read_csv_over_long_field_is_dataset_error(tmp_path):
     ("-1", r"line 402: b must be >= 0"),
 ])
 def test_read_csv_names_the_line_of_a_late_row(tmp_path, cell, error):
-    # past the first rows converted together, and after a field that spans two lines
+    # late in the file, and after a field that spans two lines
     rows = [f"{i},{i}" for i in range(500)]
     rows[3], rows[399] = '"3\n",3', f"399,{cell}"
     path = tmp_path / "points.csv"
     path.write_text("a,b\n" + "\n".join(rows) + "\n")
 
     def make(a, b):
-        if b < 0:
-            raise InvalidInputError("b must be >= 0")
+        rejected = np.flatnonzero(b < 0)
+        if rejected.size:
+            raise InvalidInputError("b must be >= 0", row=int(rejected[0]))
         return a, b
     with pytest.raises(DatasetError, match=error):
         read_csv(path, ("a", "b"), make)
 
 
 def test_read_csv_reads_every_row_around_blank_ones(tmp_path):
-    # blank rows send only the rows near them cell by cell: all are read, in order
+    # blank rows are dropped, and every other row is read, in order
     rows = [f"{i},{i}" for i in range(500)]
     rows[100], rows[301], rows[499] = "", ",", ""
     path = tmp_path / "points.csv"
     path.write_text("a,b\n" + "\n".join(rows) + "\n")
     expected = [(float(i), float(i)) for i in range(499) if i not in (100, 301)]
-    assert read_csv(path, ("a", "b"), lambda a, b: (a, b)) == expected
+    assert read_csv(path, ("a", "b"), lambda a, b: list(zip(a, b))) == expected
 
 
 def test_read_csv_row_whose_sum_overflows_is_read(tmp_path):
-    # each cell is finite though the row's sum, its quick finite check, is not
+    # each cell is finite, though the row's sum overflows
     path = tmp_path / "points.csv"
     path.write_text("t,a,b\nx,1,2\ny,1e308,1e308\n")
-    rows = read_csv(path, ("b", "t", "a"), lambda b, t, a: (b, t, a), text=("t",))
+    rows = read_csv(path, ("b", "t", "a"), lambda b, t, a: list(zip(b, t, a)), text=("t",))
     assert rows == [(2.0, "x", 1.0), (1e308, "y", 1e308)]
 
 
@@ -765,8 +777,9 @@ def test_read_csv_rejected_row_before_an_unsplit_one(tmp_path):
     path.write_text("a,b\n1,2\n-3,4\n5," + "4" * 200_000 + "\n")
 
     def make(a, b):
-        if a < 0:
-            raise InvalidInputError("a must be >= 0")
+        rejected = np.flatnonzero(a < 0)
+        if rejected.size:
+            raise InvalidInputError("a must be >= 0", row=int(rejected[0]))
         return a, b
     with pytest.raises(DatasetError, match=r"points.csv, line 3: a must be >= 0"):
         read_csv(path, ("a", "b"), make)

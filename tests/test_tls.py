@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial
 
 import numpy as np
@@ -11,7 +11,7 @@ from qlb import tls, uncert
 from qlb.constants import HBAR, K_B
 from qlb.errors import DatasetError, InvalidInputError
 from qlb.tls import (
-    QPoint,
+    QGrid,
     TlsParams,
     _model_inv_q_jac,
     fit_tls,
@@ -34,16 +34,20 @@ def grid_points(params, noise=0.0, seed=0, temps=(0.010, 0.025, 0.050, 0.090),
             if noise:
                 inv_q *= 1.0 + rng.normal(0.0, noise)
             q = 1.0 / inv_q
-            pts.append(QPoint(n, T, UValue(q, max(noise, 1e-4) * q)))
-    return pts
+            pts.append((n, T, q, max(noise, 1e-4) * q))
+    return QGrid(*zip(*pts))
+
+
+def with_rows(grid, rows):
+    """``grid`` with the (n_bar, T, q_int, sigma) ``rows`` appended."""
+    return QGrid(*(np.append(column, added) for column, added in zip(astuple(grid), zip(*rows))))
 
 
 def five_parameter_fit(pts):
     """Reference: the five-parameter ``bounded_fit`` of ``fit_tls``'s bounds and model from
     the fixed start q_tls0 = max q_int, D = 1, beta1 = beta2 = 1, q_other = 10 max q_int.
     Returns the values and covariance in (q_tls0, D, beta1, beta2, q_other)."""
-    n, T, q, sigma = (np.array(c) for c in zip(
-        *((p.n_bar, p.temperature, p.q_int.value, p.q_int.sigma) for p in pts)))
+    n, T, q, sigma = pts.n_bar, pts.temperature, pts.q_int, pts.sigma
     evaluate = partial(_model_inv_q_jac, n=n, T=T, th=tls._tanh_factor(F0, T),
                        ln_T=np.log(T), ln_n=np.log(n, out=np.zeros_like(n), where=n > 0))
     lower = [np.log(tls.Q_TLS0_BOUNDS[0]), np.log(1e-8), 0.05, 0.05, 0.0]
@@ -87,13 +91,13 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             TlsParams(UValue(-1e6), f0=F0)
         with pytest.raises(InvalidInputError):
-            QPoint(1.0, 0.01, UValue(-1.0, 0.0))
+            QGrid([1.0], [0.01], [-1.0], [0.0])
 
     @pytest.mark.parametrize("q,sigma", [(1e6, 0.0), (1e-320, 1e4), (1e200, 1.0)])
     def test_point_without_finite_fit_weight_rejected(self, q, sigma):
         # 1/Q and sigma/Q^2 must both be finite and > 0
         with pytest.raises(InvalidInputError, match="sigma/Q"):
-            QPoint(1.0, 0.01, UValue(q, sigma))
+            QGrid([1.0], [0.01], [q], [sigma])
 
 
 class TestRescale:
@@ -124,10 +128,10 @@ class TestFit:
         assert cov.shape == (5, 5)
 
     def test_quasiparticle_points_excluded(self):
-        pts = grid_points(TRUE) + [
+        pts = with_rows(grid_points(TRUE), [
             # junk points in the quasiparticle regime must not bias the fit
-            QPoint(n, 0.200, UValue(1e4, 100.0)) for n in (1.0, 10.0, 100.0)
-        ]
+            (n, 0.200, 1e4, 100.0) for n in (1.0, 10.0, 100.0)
+        ])
         params, _ = fit_tls(pts, f0=F0)
         assert params.q_tls0.value == pytest.approx(TRUE.q_tls0.value, rel=1e-3)
 
@@ -139,23 +143,23 @@ class TestFit:
             TlsParams(UValue(1e6), f0=f0)
 
     def test_too_few_cold_points(self):
-        pts = [QPoint(10 ** k, 0.150, UValue(1e6, 1e4)) for k in range(6)]
+        pts = QGrid(*zip(*[(10 ** k, 0.150, 1e6, 1e4) for k in range(6)]))
         with pytest.raises(DatasetError):
             fit_tls(pts, f0=F0)
 
     def test_requires_two_decades(self):
         for n_scale in (1.0, 1e-320, 1e307):  # no ratio of n_bar, nor 100 x n_bar, overflows
-            pts = [QPoint(n_scale * (1.0 + 0.1 * k), 0.010, UValue(1e6, 1e4))
-                   for k in range(8)]
+            pts = QGrid(*zip(*[(n_scale * (1.0 + 0.1 * k), 0.010, 1e6, 1e4)
+                               for k in range(8)]))
             with pytest.raises(DatasetError, match="2 decades"):
                 fit_tls(pts, f0=F0)
 
     def test_zero_photon_rows(self):
-        pts = grid_points(TRUE) + [
-            QPoint(0.0, T, UValue(1.0 / (1.0 / q_tls(0.0, T, TRUE) + 1.0 / TRUE.q_other),
-                                  1e-4 * TRUE.q_tls0.value))
+        pts = with_rows(grid_points(TRUE), [
+            (0.0, T, 1.0 / (1.0 / q_tls(0.0, T, TRUE) + 1.0 / TRUE.q_other),
+             1e-4 * TRUE.q_tls0.value)
             for T in (0.010, 0.050)
-        ]
+        ])
         params, cov = fit_tls(pts, f0=F0)
         assert np.all(np.isfinite(cov))
         assert params.q_tls0.value == pytest.approx(TRUE.q_tls0.value, rel=1e-3)
@@ -175,8 +179,7 @@ class TestFit:
     @staticmethod
     def projection_inputs(pts):
         """(evaluate, y, sigma) of ``fit_tls`` on its points, none at the cutoff."""
-        n, T, q, sigma = (np.array(c) for c in zip(
-            *((p.n_bar, p.temperature, p.q_int.value, p.q_int.sigma) for p in pts)))
+        n, T, q, sigma = pts.n_bar, pts.temperature, pts.q_int, pts.sigma
         ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
         evaluate = partial(_model_inv_q_jac, n=n, T=T, th=tls._tanh_factor(F0, T),
                            ln_T=np.log(T), ln_n=ln_n)
