@@ -1,8 +1,8 @@
 """Bounded nonlinear least squares by the trust-region-reflective (TRF) method, in numpy.
 
-``least_squares(fun, x0, jac, bounds, xtol, ftol, gtol)`` minimises 0.5 |fun(x)|^2 over
-lb <= x <= ub, with ``jac(x)`` the dense Jacobian of ``fun`` at the point ``fun`` was
-last called at.  It is scipy's ``trf_bounds`` (``scipy.optimize.least_squares``,
+``least_squares(evaluate, x0, bounds, xtol, ftol, gtol)`` minimises 0.5 |f(x)|^2 over
+lb <= x <= ub, where one call ``evaluate(x) -> (f, J)`` gives the residuals f and their
+dense Jacobian J at x.  It is scipy's ``trf_bounds`` (``scipy.optimize.least_squares``,
 method 'trf'; SciPy is BSD-3-Clause, Copyright (c) 2001-2002 Enthought, Inc. and
 2003-2024 SciPy Developers) reduced to the one branch qlb runs: dense J, linear loss,
 x_scale 1, the exact trust-region subproblem and a cap of 100 n evaluations.
@@ -29,14 +29,17 @@ The method (Branch, Coleman & Li, SIAM J. Sci. Comput. 21, 1 (1999)):
   ftol cost.  At tolerances near rounding (qlb fits at 1e-14) scipy spends its last
   evaluations on cost changes of rounding size, which its ratio test cannot read.
 
-A non-finite trial cost shrinks the trust radius to a quarter of the step.  A start
-outside the bounds, a non-finite cost at the start and a non-finite Jacobian at an
-accepted point are ValueErrors.  The solve runs under ``np.errstate(all="ignore")``,
-``fun`` and ``jac`` included: every overflow ends in one of those checks.
+A non-finite trial cost shrinks the trust radius to a quarter of the step; the J of a
+rejected trial is dropped.  A start outside the bounds, a cost that overflows at the
+start and a non-finite J at an accepted point are ValueErrors; a non-finite f or J at
+the strictly feasible start is a DegenerateSystemError (a ValueError too).  The solve
+runs under ``np.errstate(all="ignore")``, ``evaluate`` included: every overflow ends in
+one of those checks.
 
-The result is a ``scipy.optimize.OptimizeResult`` with the fields scipy's solver gives
-qlb's callers (x, fun, jac, cost, nfev, njev, status, success, message).  It is qlb's
-one runtime use of scipy, and it keeps ``scipy.optimize`` loaded by ``import qlb``.
+The result is a ``scipy.optimize.OptimizeResult`` with the fields qlb reads: x, fun and
+jac (f and J at x), cost, nfev (points evaluated), njev (the start and each accepted
+point), status and success (status > 0).  It is qlb's one runtime use of scipy, and it
+keeps ``scipy.optimize`` loaded by ``import qlb``.
 """
 
 from __future__ import annotations
@@ -46,21 +49,16 @@ import math
 import numpy as np
 from scipy.optimize import OptimizeResult
 
+from .errors import DegenerateSystemError
+
 __all__ = ["least_squares"]
 
 EPS = np.finfo(float).eps
-MESSAGES = {
-    0: "The maximum number of function evaluations is exceeded.",
-    1: "`gtol` termination condition is satisfied.",
-    2: "`ftol` termination condition is satisfied.",
-    3: "`xtol` termination condition is satisfied.",
-    4: "Both `ftol` and `xtol` termination conditions are satisfied.",
-}
 
 
-def least_squares(fun, x0, jac, bounds, xtol, ftol, gtol):
-    """Minimise 0.5 |fun(x)|^2 for bounds[0] <= x <= bounds[1] from ``x0``; the module
-    docstring gives the method and the result."""
+def least_squares(evaluate, x0, bounds, xtol, ftol, gtol):
+    """Minimise 0.5 |f(x)|^2 for bounds[0] <= x <= bounds[1] from ``x0``, with
+    ``evaluate(x) -> (f, J)``; the module docstring gives the method and the result."""
     x = np.array(x0, dtype=float)
     lb, ub = (np.broadcast_to(np.asarray(b, dtype=float), x.shape) for b in bounds)
     if not (lb < ub).all():
@@ -68,7 +66,7 @@ def least_squares(fun, x0, jac, bounds, xtol, ftol, gtol):
     if not ((lb <= x) & (x <= ub)).all():
         raise ValueError("the start is outside the bounds")
     with np.errstate(all="ignore"):
-        return _solve(fun, jac, x, lb, ub, xtol, ftol, gtol)
+        return _solve(evaluate, x, lb, ub, xtol, ftol, gtol)
 
 
 def _norm(v):
@@ -76,15 +74,7 @@ def _norm(v):
     return (v @ v) ** 0.5
 
 
-def _jacobian(jac, x, f):
-    """(J, g = J^T f) at x; a non-finite J is a ValueError."""
-    J = jac(x)
-    if not np.isfinite(J).all():
-        raise ValueError("the Jacobian is not finite at an accepted point")
-    return J, J.T @ f
-
-
-def _solve(fun, jac, x, lb, ub, xtol, ftol, gtol):
+def _solve(evaluate, x, lb, ub, xtol, ftol, gtol):
     lb_finite, ub_finite = np.isfinite(lb), np.isfinite(ub)
     # strictly feasible start: 1e-10 max(1, |bound|) inside a bound it is that close to
     step_in = 1e-10 * np.maximum(1.0, np.abs(lb)), 1e-10 * np.maximum(1.0, np.abs(ub))
@@ -95,11 +85,13 @@ def _solve(fun, jac, x, lb, ub, xtol, ftol, gtol):
         x = np.where(at_lb, lb + step_in[0], np.where(at_ub, ub - step_in[1], x))
         x = np.where((x < lb) | (x > ub), 0.5 * (lb + ub), x)
 
-    f = fun(x)
+    f, J = evaluate(x)
+    if not (np.isfinite(f).all() and np.isfinite(J).all()):
+        raise DegenerateSystemError("the model is not finite at the start")
     cost = 0.5 * float(f @ f)
     if not math.isfinite(cost):
         raise ValueError("the residuals are not finite at the start")
-    J, g = _jacobian(jac, x, f)
+    g = J.T @ f
     m, n = J.shape
     nfev = njev = 1
     max_nfev = 100 * n
@@ -141,7 +133,7 @@ def _solve(fun, jac, x, lb, ub, xtol, ftol, gtol):
             if ((x_new <= lb) | (x_new >= ub)).any():  # on a bound: to the next float
                 x_new = np.where(x_new <= lb, np.nextafter(lb, ub),
                                  np.where(x_new >= ub, np.nextafter(ub, lb), x_new))
-            f_new = fun(x_new)
+            f_new, J_new = evaluate(x_new)
             nfev += 1
             step_h_norm = _norm(step_h)
             cost_new = 0.5 * float(f_new @ f_new)
@@ -166,12 +158,14 @@ def _solve(fun, jac, x, lb, ub, xtol, ftol, gtol):
             alpha *= Delta / Delta_new
             Delta = Delta_new
         if actual_reduction > 0:
-            x, f, cost = x_new, f_new, cost_new
-            J, g = _jacobian(jac, x, f)
+            x, f, J, cost = x_new, f_new, J_new, cost_new
+            if not np.isfinite(J).all():
+                raise ValueError("the Jacobian is not finite at an accepted point")
+            g = J.T @ f
             njev += 1
     status = status or 0
     return OptimizeResult(x=x, fun=f, jac=J, cost=cost, nfev=nfev, njev=njev, status=status,
-                          success=status > 0, message=MESSAGES[status])
+                          success=status > 0)
 
 
 def _subproblem(lam, suf, Delta, alpha, full_rank):

@@ -249,7 +249,7 @@ def fit_tls(
     linear, project = _projection(evaluate, y, sig)
     phi = bounded_fit(least_squares, project, y, sig, np.array([0.0, 1.0, 1.0]),
                       lower[1:4], upper[1:4], "TLS fit")[0].x
-    with np.errstate(all="ignore"):  # as in the solve's evaluations (uncert._whitened)
+    with np.errstate(all="ignore"):  # as in the solver's evaluations (qlb._trf)
         J, *coef, _ = linear(phi)
     # (a, b) clipped to [1/upper, 1/lower] of their q bounds: b <= 0 starts q_other at 1e14
     a, b = np.clip(coef, np.exp(-upper[[0, 4]]), np.exp(-lower[[0, 4]]))

@@ -12,7 +12,7 @@ Every fit's covariance comes from one column-scaled, R-only QR (``_qr_solve``):
 candidates as one stack of designs) solves from that R alone, and ``bounded_fit`` runs
 every nonlinear solve (the TLS variable projection, the five-parameter TLS fit where a
 linear parameter passes its bound, the XPS fit), each model returning its value with its
-Jacobian, evaluated once per point.
+Jacobian from one call, which the solver takes once per point.
 
 ``mc_propagate`` is a seeded Monte-Carlo sampler used as an independent
 oracle for the first-order propagation routines.
@@ -197,35 +197,19 @@ def weighted_lstsq(A, y, sigma) -> tuple[np.ndarray, np.ndarray, float | np.ndar
     return coef, cov, chi2
 
 
-def _whitened(evaluate, y, sigma):
-    """p -> (whitened residual (model - y) / sigma, Jacobian J / sigma) from one
-    ``evaluate(p) -> (model, J)`` per point: ``least_squares`` asks for the Jacobian
-    at the point of its last residual, so the last point's pair is kept."""
-    last = [None, None]
-
-    def at(p):
-        key = np.asarray(p, dtype=float).tobytes()
-        if key != last[0]:
-            with np.errstate(all="ignore"):  # a non-finite model is raised by the caller
-                model, J = evaluate(p)
-                last[:] = key, ((model - y) / sigma, J / sigma[:, None])
-        return last[1]
-    return at
-
-
 def bounded_fit(solve, evaluate, y, sigma, p0, lower, upper, what: str):
     """Fit ``evaluate(p) -> (model, J)`` to arrays ``y`` +- ``sigma`` by ``solve``
-    (``least_squares``' signature, 1e-14 tolerances), one ``_whitened`` evaluation per
-    point, p0's check included: the result and the ``_qr_solve`` covariance of its
-    whitened Jacobian.  Errors name ``what``: a model not finite at ``p0`` or a degenerate
-    QR is a DegenerateSystemError, a solver ValueError or no convergence a
+    (``_trf.least_squares``' call form, 1e-14 tolerances), which takes the whitened
+    residual (model - y) / sigma and its Jacobian J / sigma from one ``evaluate`` per
+    point: the result and the ``_qr_solve`` covariance of its whitened Jacobian.  Errors
+    name ``what``: a model not finite at the solver's start or a degenerate QR is a
+    DegenerateSystemError, any other solver ValueError or no convergence a
     ConvergenceError."""
-    at = _whitened(evaluate, y, sigma)
+    def whitened(p):
+        model, J = evaluate(p)
+        return (model - y) / sigma, J / sigma[:, None]
     try:  # DegenerateSystemError is a ValueError, so it is caught first
-        if not all(np.isfinite(a).all() for a in at(p0)):
-            raise DegenerateSystemError("the model is not finite at the start")
-        res = solve(lambda p: at(p)[0], p0, jac=lambda p: at(p)[1], bounds=(lower, upper),
-                    xtol=1e-14, ftol=1e-14, gtol=1e-14)
+        res = solve(whitened, p0, bounds=(lower, upper), xtol=1e-14, ftol=1e-14, gtol=1e-14)
         if not res.success:
             raise ConvergenceError(f"{what} did not converge",
                                    residual=float(np.max(np.abs(res.fun))))

@@ -251,18 +251,28 @@ class TestFit:
         (dict(UNRESOLVED_Q_OTHER, seed=3), 2),
     ], ids=["noiseless", "seed-11", "unresolved-seed-1", "unresolved-seed-3"])
     def test_five_parameter_solve_only_past_a_bound(self, monkeypatch, grid, solves):
-        starts = []
-        solve = tls.least_squares
+        starts, nfev, calls = [], [], []
+        solve, model = tls.least_squares, tls._model_inv_q_jac
 
-        def recorded(fun, x0, **kwargs):
+        def recorded(evaluate, x0, **kwargs):
             starts.append(np.array(x0))
-            return solve(fun, x0, **kwargs)
+            res = solve(evaluate, x0, **kwargs)
+            nfev.append(res.nfev)
+            return res
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return model(*args, **kwargs)
 
         monkeypatch.setattr(tls, "least_squares", recorded)
+        monkeypatch.setattr(tls, "_model_inv_q_jac", counted)
         fit_tls(grid_points(**grid), f0=F0)
         assert [x0.size for x0 in starts] == [3, 5][:solves]
         if solves == 2:  # from the projection, its 1/q_other <= 0 clipped to the bound
             assert starts[1][4] == pytest.approx(np.log(1e14), rel=1e-12)
+        # one model call per solver point, a start moved off its bound included, and the
+        # projection's at its solution
+        assert len(calls) == sum(nfev) + 1
 
     @pytest.mark.parametrize("seed", [1, 3])
     def test_parameter_at_its_bound_is_reported(self, seed):
