@@ -32,6 +32,7 @@ from .xps import (
     XpsSpectrum,
     PeakComponent,
     StrohmeierConstants,
+    KineticsPoints,
     KineticsFit,
     load_spectrum,
     calibrate_energy,

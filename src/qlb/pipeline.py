@@ -237,31 +237,23 @@ def read_q_grid(path: Path) -> tls_mod.QGrid:
 
 
 def read_spr_points(path: Path) -> dict[str, spr_mod.SprPoints]:
-    """Points by treatment, checked in file order; Q +- sigma is read as 1/Q +- sigma/Q^2."""
+    """Points by treatment, checked before the split; Q +- sigma is read as 1/Q +- sigma/Q^2."""
     def make(treatment, p_ms, q, sigma_q):
-        with np.errstate(all="ignore"):  # a non-finite 1/Q breaks a row rule of SprPoints
-            points = spr_mod.SprPoints(p_ms, 1.0 / q, sigma_q / q ** 2)
+        with np.errstate(all="ignore"):  # an overflow or a zero breaks the rule below
+            inv_q, sigma_inv_q = 1.0 / q, sigma_q / q ** 2
+            check_rows(((0 < inv_q) & (inv_q < np.inf) & (0 < sigma_inv_q)
+                        & (sigma_inv_q < np.inf),
+                        lambda i: f"q_tls0 {q[i]} +- {sigma_q[i]} must be > 0 with a finite, "
+                                  "positive 1/Q and sigma/Q^2"))
+        points = spr_mod.SprPoints(p_ms, inv_q, sigma_inv_q)
         treatment = np.array(treatment)
         return {label: points[treatment == label] for label in dict.fromkeys(treatment.tolist())}
 
     return read_csv(path, ("treatment", "p_ms", "q_tls0", "sigma_q"), make, text=("treatment",))
 
 
-def read_kinetics(path: Path) -> tuple[np.ndarray, np.ndarray]:
-    """(times, thicknesses) of a kinetics CSV, the thicknesses a record array of (value, sigma)."""
-    def make(time, thickness, sigma):
-        with np.errstate(all="ignore"):  # an overflow or a zero breaks a rule below
-            check_rows(
-                ((sigma > 0) & np.isfinite(1.0 / sigma),
-                 lambda i: f"sigma_nm must be > 0 with a finite weight 1/sigma, got {sigma[i]}"),
-                (np.isfinite((thickness / sigma) ** 2),  # a term of the fit's chi2
-                 lambda i: f"thickness_nm {thickness[i]} over sigma_nm {sigma[i]} "
-                           "overflows the weighted fit"),
-                (time > np.append(0.0, time[:-1]),
-                 lambda i: f"time_hours must be > 0 and strictly ascending, got {time[i]}"))
-        return time, np.rec.fromarrays([thickness, sigma], names="value,sigma")
-
-    return read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), make)
+def read_kinetics(path: Path) -> xps_mod.KineticsPoints:
+    return read_csv(path, ("time_hours", "thickness_nm", "sigma_nm"), xps_mod.KineticsPoints)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +509,9 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
 
 def _stage_kinetics(config: AnalysisConfig, warnings_out: list) -> dict:
     path = _configured((config.kinetics or {}).get("points_file"), "kinetics.points_file")
-    times, thick = read_kinetics(path)
+    points = read_kinetics(path)
     with _fitting(path):
-        fit = xps_mod.fit_kinetics(times, thick)
+        fit = xps_mod.fit_kinetics(points)
     if fit.degenerate_log:
         warnings_out.append("kinetics: purely linear data, log segment degenerate")
     return {
@@ -529,8 +521,8 @@ def _stage_kinetics(config: AnalysisConfig, warnings_out: list) -> dict:
         "log_b": fit.log_b,
         "d_sat_nm": fit.d_sat,
         "degenerate_log": fit.degenerate_log,
-        "points": [{"time_hours": t, "thickness_nm": d, "sigma_nm": s} for t, d, s
-                   in zip(times.tolist(), thick.value.tolist(), thick.sigma.tolist())],
+        "points": [{"time_hours": t, "thickness_nm": d, "sigma_nm": s} for t, d, s in zip(
+            points.time.tolist(), points.thickness.tolist(), points.sigma.tolist())],
     }
 
 

@@ -9,7 +9,8 @@ function accepts complex arguments), and returns the output covariance.
 
 Every fit's covariance comes from one column-scaled, R-only QR (``_qr_solve``):
 ``weighted_lstsq`` (SPR slopes, pooling, the XPS area start, the kinetics breakpoint
-candidates as one stack of designs) solves from that R alone, and ``bounded_fit`` runs
+candidates: the two-column ones as one stack of designs, the linear-only one alone)
+solves from that R alone, and ``bounded_fit`` runs
 every nonlinear solve (the TLS variable projection, the five-parameter TLS fit where a
 linear parameter passes its bound, the XPS fit), each model returning its value with its
 Jacobian from one call, which the solver takes once per point.

@@ -4,7 +4,8 @@ Covers the full chain used on Al2p spectra: binding-energy calibration to
 a reference peak, iterative Shirley background construction, constrained
 multicomponent fitting with spin-orbit doublets (0.44 eV splitting, 2:1
 area ratio), the Strohmeier overlayer-thickness formula, and the
-piecewise linear/logarithmic oxide-growth-kinetics fit.
+piecewise linear/logarithmic oxide-growth-kinetics fit.  Both datasets are
+records holding their row rules, ``XpsSpectrum`` and ``KineticsPoints``.
 
 ``synthesize_spectrum`` generates deterministic forward-model spectra and
 serves as the independent oracle for the fitting routines.
@@ -37,6 +38,7 @@ __all__ = [
     "XpsSpectrum",
     "PeakComponent",
     "StrohmeierConstants",
+    "KineticsPoints",
     "KineticsFit",
     "FitResult",
     "load_spectrum",
@@ -129,6 +131,31 @@ class StrohmeierConstants:
         """(k, pref) of the Strohmeier formula d = k ln(pref I_ox / I_m + 1)."""
         return (self.lambda_ox * math.sin(math.radians(self.theta)),
                 (self.n_m / self.n_ox) * (self.lambda_m / self.lambda_ox))
+
+
+@dataclass(frozen=True)
+class KineticsPoints:
+    """Oxide thickness +- sigma over time, one row per measurement, as float arrays:
+    >= 6 rows, each with sigma > 0 and a finite weight 1/sigma, a finite chi2 term
+    (thickness / sigma)^2, and a time above the previous row's (the first above 0)."""
+
+    time: np.ndarray  # hours, strictly ascending
+    thickness: np.ndarray  # nm
+    sigma: np.ndarray  # nm
+
+    def __post_init__(self):
+        t, d, s = float_columns(self, ("time", "thickness", "sigma"))
+        with np.errstate(all="ignore"):  # an overflow or a zero breaks a rule below
+            check_rows(
+                ((s > 0) & np.isfinite(1.0 / s),
+                 lambda i: f"sigma_nm must be > 0 with a finite weight 1/sigma, got {s[i]}"),
+                (np.isfinite((d / s) ** 2),
+                 lambda i: f"thickness_nm {d[i]} over sigma_nm {s[i]} "
+                           "overflows the weighted fit"),
+                (t > np.append(0.0, t[:-1]),
+                 lambda i: f"time_hours must be > 0 and strictly ascending, got {t[i]}"))
+        if t.size < 6:
+            raise DatasetError("need >= 6 (time, thickness) points")
 
 
 @dataclass(frozen=True)
@@ -491,42 +518,20 @@ def invert_strohmeier(d: float, constants: StrohmeierConstants) -> float:
     return (math.exp(d / k) - 1.0) / pref
 
 
-def fit_kinetics(times: Sequence[float], thicknesses: Sequence[UValue]) -> KineticsFit:
-    """Fit the piecewise linear/logarithmic oxide growth model.
+def fit_kinetics(points: KineticsPoints) -> KineticsFit:
+    """Fit the piecewise linear/logarithmic oxide growth model to ``points``.
 
     The breakpoint is grid-searched over the measured time points; for each
     candidate tb, the ``KineticsFit`` law d = k min(t, tb) + b ln(max(t, tb)/tb)
     is a weighted linear least-squares problem in (k, b), in k alone at the last time.
     The first candidate of least chi2 wins.  The two-column candidates, those leaving
-    >= 2 points per regime, are one stack of designs in one ``weighted_lstsq`` call; the
-    linear-only last one is its single column in closed form, under the same rules and
-    with the same errors.
+    >= 2 points per regime, are one stack of designs in one ``weighted_lstsq`` call, and
+    the linear-only last one is a second call on its single column.
     """
-    t = np.asarray(times, dtype=float)
-    if t.size < 6 or t.size != len(thicknesses):
-        raise DatasetError("need >= 6 (time, thickness) points")
-    if np.any(np.diff(t) <= 0) or t[0] <= 0:
-        raise InvalidInputError("times must be positive and strictly ascending")
-    d = np.array([v.value for v in thicknesses])
-    sig = np.array([v.sigma for v in thicknesses])
-
-    # the two-column candidates t[1:-2] as one stack; the sigmas are checked here first
+    t, d, sig = points.time, points.thickness, points.sigma
     coef, _, chi2 = weighted_lstsq(np.stack(_growth_columns(t, t[1:-2, None]), axis=-1),
                                    d, sig)
-    with np.errstate(all="ignore"):  # the linear-only t[-1]: one column u, closed form
-        u, yw = t / sig, d / sig
-        n = np.hypot.reduce(u)  # hypot: no overflow of the squares
-        q = u / n
-        r = yw - (q @ yw) * q
-        line_var, line_chi2, line_k = float(1.0 / n / n), float(r @ r), float(q @ yw / n)
-    for ok, message in ((np.isfinite(u).all(), "the weighted system is not finite"),
-                        (0 < n < math.inf,
-                         "rank-deficient design matrix (collinear columns?)"),
-                        (math.isfinite(line_var), "covariance of the weighted fit overflows"),
-                        (math.isfinite(line_chi2), "chi2 of the weighted fit is not finite"),
-                        (math.isfinite(line_k), "coefficients of the weighted fit overflow")):
-        if not ok:  # weighted_lstsq's rules and errors, in its order
-            raise DegenerateSystemError(message)
+    (line_k,), _, line_chi2 = weighted_lstsq(t, d, sig)
     candidates, coef = np.append(t[1:-2], t[-1]), np.vstack([coef, [line_k, 0.0]])
     best = int(np.argmin(np.append(chi2, line_chi2)))  # the first minimum
     tb, (k, b) = candidates[best], coef[best].tolist()

@@ -37,6 +37,7 @@ from qlb.spr import SprPoints, fit_through_origin, pool_tangents
 from qlb.tls import QGrid, TlsParams, fit_tls, q_tls
 from qlb.uncert import UValue, mc_propagate, propagate
 from qlb.xps import (
+    KineticsPoints,
     PeakComponent,
     StrohmeierConstants,
     XpsSpectrum,
@@ -299,15 +300,15 @@ def test_criterion_14_kinetics():
     for t in times:
         d = k * t if t <= tb else k * tb + b * math.log(t / tb)
         thick.append(UValue(d * (1 + rng.normal(0, 0.015)), 0.07))
-    fit = fit_kinetics(times, thick)
+    fit = fit_kinetics(KineticsPoints(times, [v.value for v in thick],
+                                      [v.sigma for v in thick]))
     assert fit.k_lin == pytest.approx(k, rel=0.10)
     assert fit.t_break == pytest.approx(tb, rel=0.10)
     assert fit.log_b == pytest.approx(b, rel=0.10)
     # bundled paper-shaped dataset saturates in the published window
-    data_times, data_thick = read_kinetics(
+    bundled = fit_kinetics(read_kinetics(
         paper_defaults_path().parent / "kinetics_native_oxide.csv"
-    )
-    bundled = fit_kinetics(data_times, data_thick)
+    ))
     assert 2.9 <= bundled.d_sat <= 3.2
     # one carbon monolayer per 7.6 at.%
     assert carbon_thickness(7.6) == pytest.approx(0.5, abs=1e-15)

@@ -657,13 +657,18 @@ class TestCli:
         assert rc == 3
         assert f"error [StageNotConfigured]: {reason}" in capsys.readouterr().err
 
-    # an error raised inside a fit names its dataset: (stage, rewrite of the data
-    # lines, xps background window or None, error class, message, exit code)
+    # an error raised inside a fit, or by the size rule of its dataset's record, names
+    # the dataset: (stage, rewrite of the data lines, xps background window or None,
+    # error class, message, exit code)
     FIT_ERRORS = {
         "tls-four-rows": ("tls-fit", lambda lines: lines[:5], None, "DatasetError",
                           "need >= 5 points below 0.12 K", 3),
         "kinetics-five-rows": ("kinetics", lambda lines: lines[:6], None, "DatasetError",
                                "need >= 6 (time, thickness) points", 3),
+        # blank rows are not points: five data rows among blank lines are still five
+        "kinetics-five-rows-and-blank-lines": ("kinetics", lambda lines: lines[:4] + [
+            "", ","] + lines[4:6] + [",,", ""], None, "DatasetError",
+            "need >= 6 (time, thickness) points", 3),
         "xps-window-15-samples": ("xps-fit", lambda lines: lines, [76.0, 76.7],
                                   "DatasetError", "need >= 16 samples, got 15", 3),
         "tls-one-temperature-1e-300": ("tls-fit", lambda lines: lines[:2] + [

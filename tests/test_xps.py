@@ -15,6 +15,7 @@ from qlb.xps import (
     DOUBLET_AREA_RATIO,
     DOUBLET_SPLITTING_EV,
     KineticsFit,
+    KineticsPoints,
     PeakComponent,
     StrohmeierConstants,
     XpsSpectrum,
@@ -378,6 +379,58 @@ class TestStrohmeier:
             StrohmeierConstants(theta=120.0)
 
 
+def points(times, thick) -> KineticsPoints:
+    """The kinetics record of ``times`` and UValue ``thick``nesses."""
+    return KineticsPoints(times, [v.value for v in thick], [v.sigma for v in thick])
+
+
+class TestKineticsPoints:
+    TIMES = [1.0, 2.0, 4.0, 8.0, 12.0, 24.0]
+
+    # (column, row, value, the reader's message for it): one case per row rule
+    ROW_RULES = [
+        ("sigma", 2, 0.0, "sigma_nm must be > 0 with a finite weight 1/sigma, got 0.0"),
+        ("sigma", 3, 1e-320,
+         "sigma_nm must be > 0 with a finite weight 1/sigma, got 1e-320"),
+        ("thickness", 1, 1e300,
+         "thickness_nm 1e+300 over sigma_nm 0.07 overflows the weighted fit"),
+        ("sigma", 4, 1e-300, "thickness_nm 0.5 over sigma_nm 1e-300 overflows the weighted fit"),
+        ("time", 0, 0.0, "time_hours must be > 0 and strictly ascending, got 0.0"),
+        ("time", 3, 4.0, "time_hours must be > 0 and strictly ascending, got 4.0"),
+    ]
+
+    def columns(self):
+        return {"time": list(self.TIMES), "thickness": [0.5] * 6, "sigma": [0.07] * 6}
+
+    @pytest.mark.parametrize("column, row, value, message", ROW_RULES)
+    def test_row_rule_names_the_row(self, column, row, value, message):
+        cells = self.columns()
+        cells[column][row] = value
+        with pytest.raises(InvalidInputError) as exc:
+            KineticsPoints(**cells)
+        assert (exc.value.row, str(exc.value)) == (row, message)
+
+    def test_first_broken_row_is_named(self):
+        cells = self.columns()
+        cells["sigma"][4] = 0.0
+        cells["time"][2] = 1.0
+        with pytest.raises(InvalidInputError) as exc:
+            KineticsPoints(**cells)
+        assert exc.value.row == 2
+
+    def test_fewer_than_six_rows(self):
+        cells = {name: column[:5] for name, column in self.columns().items()}
+        with pytest.raises(DatasetError, match=r"^need >= 6 \(time, thickness\) points$"):
+            KineticsPoints(**cells)
+
+    def test_columns_of_unequal_length(self):
+        cells = self.columns()
+        cells["sigma"].append(0.07)
+        with pytest.raises(InvalidInputError,
+                           match="time, thickness, sigma must be equal-length 1-d arrays"):
+            KineticsPoints(**cells)
+
+
 class TestKinetics:
     def synth(self, k=0.1, tb=24.0, b=0.22, noise=0.0, seed=0):
         rng = np.random.default_rng(seed)
@@ -392,7 +445,7 @@ class TestKinetics:
 
     def test_noiseless_round_trip(self):
         times, thick = self.synth()
-        fit = fit_kinetics(times, thick)
+        fit = fit_kinetics(points(times, thick))
         assert fit.k_lin == pytest.approx(0.1, rel=1e-6)
         assert fit.t_break == pytest.approx(24.0)
         assert fit.log_b == pytest.approx(0.22, rel=1e-6)
@@ -400,7 +453,7 @@ class TestKinetics:
 
     def test_model_continuous_at_breakpoint(self):
         times, thick = self.synth(noise=0.01, seed=3)
-        fit = fit_kinetics(times, thick)
+        fit = fit_kinetics(points(times, thick))
         eps = 1e-9
         below = float(fit.thickness(fit.t_break - eps))
         above = float(fit.thickness(fit.t_break + eps))
@@ -409,18 +462,18 @@ class TestKinetics:
     def test_purely_linear_data(self):
         times = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0]
         thick = [UValue(0.05 * t, 0.01) for t in times]
-        fit = fit_kinetics(times, thick)
+        fit = fit_kinetics(points(times, thick))
         assert fit.k_lin == pytest.approx(0.05, rel=1e-6)
 
     def test_validation(self):
         with pytest.raises(DatasetError):
-            fit_kinetics([1, 2, 3], [UValue(1, 0.1)] * 3)
+            fit_kinetics(points([1, 2, 3], [UValue(1, 0.1)] * 3))
         with pytest.raises(InvalidInputError):
-            fit_kinetics([3, 2, 4, 8, 12, 20], [UValue(1, 0.1)] * 6)
+            fit_kinetics(points([3, 2, 4, 8, 12, 20], [UValue(1, 0.1)] * 6))
 
     def test_thickness_helper_matches_fit(self):
         times, thick = self.synth()
-        fit = fit_kinetics(times, thick)
+        fit = fit_kinetics(points(times, thick))
         assert float(fit.thickness(times[-1])) == pytest.approx(fit.d_sat, rel=1e-12)
 
     @staticmethod
@@ -442,7 +495,7 @@ class TestKinetics:
         if seed == 5:  # growth that never leaves the line: the linear-only candidate wins
             times, thick = self.synth(tb=1000.0, noise=0.002, seed=seed)
         _, tb, k, b = self.per_candidate(times, thick)
-        fit = fit_kinetics(times, thick)
+        fit = fit_kinetics(points(times, thick))
         assert (fit.t_break, fit.degenerate_log) == (tb, seed == 5)
         assert fit.k_lin == pytest.approx(k, rel=1e-12)
         assert fit.log_b == pytest.approx(b, rel=1e-12, abs=1e-300)
@@ -453,8 +506,8 @@ class TestKinetics:
         qr = np.linalg.qr
         monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: calls.append(a) or qr(*a, **k))
         times = np.geomspace(1.0, 600.0, n)
-        fit_kinetics(times, [UValue(0.1 * t ** 0.5, 0.05) for t in times])
-        assert len(calls) == 1
+        fit_kinetics(points(times, [UValue(0.1 * t ** 0.5, 0.05) for t in times]))
+        assert len(calls) == 2  # the two-column candidates' stack and the linear-only one
 
     def test_rank_deficient_candidate_raises(self):
         # one row outweighs the rest by 1e14: each two-column candidate has rank 1 to
@@ -465,7 +518,7 @@ class TestKinetics:
         with pytest.raises(DegenerateSystemError, match="rank-deficient"):
             self.per_candidate(times, thick)
         with pytest.raises(DegenerateSystemError, match="rank-deficient"):
-            fit_kinetics(times, thick)
+            fit_kinetics(points(times, thick))
 
     @pytest.mark.parametrize("last_times, last_sigma, message", [
         ((400.0, 1e300), 1e-10, "the weighted system is not finite"),  # t / sigma = 1e310
@@ -482,14 +535,14 @@ class TestKinetics:
         with pytest.raises(DegenerateSystemError, match=message) as alone:
             weighted_lstsq(times, d, sig)
         with pytest.raises(DegenerateSystemError) as fitted:
-            fit_kinetics(times, thick)
+            fit_kinetics(points(times, thick))
         assert str(fitted.value) == str(alone.value)
 
     def test_overflowing_covariance_raises(self):
         times, thick = self.synth()
         thick = [UValue(v.value, 1e300) for v in thick]  # weights 1e-600: no covariance
         with pytest.raises(DegenerateSystemError, match="covariance"):
-            fit_kinetics(times, thick)
+            fit_kinetics(points(times, thick))
 
 
 def test_kinetics_dataclass_evaluation():
