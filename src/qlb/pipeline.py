@@ -241,11 +241,13 @@ def read_spr_points(path: Path) -> dict[str, spr_mod.SprPoints]:
     def make(treatment, p_ms, q, sigma_q):
         with np.errstate(all="ignore"):  # an overflow or a zero breaks the rule below
             inv_q, sigma_inv_q = 1.0 / q, sigma_q / q ** 2
-            check_rows(((0 < inv_q) & (inv_q < np.inf) & (0 < sigma_inv_q)
-                        & (sigma_inv_q < np.inf),
-                        lambda i: f"q_tls0 {q[i]} +- {sigma_q[i]} must be > 0 with a finite, "
-                                  "positive 1/Q and sigma/Q^2"))
-        points = spr_mod.SprPoints(p_ms, inv_q, sigma_inv_q)
+            q_ok = (0 < inv_q) & (inv_q < np.inf) & (0 < sigma_inv_q) & (sigma_inv_q < np.inf)
+        # SprPoints' rules first, on the rows before the first bad Q cell: the error named
+        # is the first in file order, a Q cell's on its own row
+        rows = slice(None if q_ok.all() else int(np.argmin(q_ok)))
+        points = spr_mod.SprPoints(p_ms[rows], inv_q[rows], sigma_inv_q[rows])
+        check_rows((q_ok, lambda i: f"q_tls0 {q[i]} +- {sigma_q[i]} must be > 0 with a finite, "
+                                    "positive 1/Q and sigma/Q^2"))
         treatment = np.array(treatment)
         return {label: points[treatment == label] for label in dict.fromkeys(treatment.tolist())}
 

@@ -7,15 +7,16 @@ area ratio), the Strohmeier overlayer-thickness formula, and the
 piecewise linear/logarithmic oxide-growth-kinetics fit.  Both datasets are
 records holding their row rules, ``XpsSpectrum`` and ``KineticsPoints``.
 
-``synthesize_spectrum`` generates deterministic forward-model spectra and
-serves as the independent oracle for the fitting routines.
+``synthesize_spectrum`` generates deterministic spectra from the same
+``_peak_model`` the fit evaluates, so its round trips test the fitting, not the
+lineshapes; ``benchmarks/gen.py`` holds an independent copy of those.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -205,30 +206,30 @@ class FitResult:
 
 
 def _lineshape(x, shape, center, fwhm, area):
-    if shape == "lorentzian":
-        gamma = fwhm / 2.0
-        return area * gamma / (math.pi * ((x - center) ** 2 + gamma ** 2))
-    return (area * _GAUSS_NORM / fwhm) * np.exp(
-        -4.0 * math.log(2.0) * ((x - center) / fwhm) ** 2
-    )
+    return _lineshape_grad(x, shape, center, fwhm, area)[0]
 
 
 def _lineshape_grad(x, shape, center, fwhm, area):
-    """``_lineshape`` and its derivatives with respect to (center, fwhm, area).
+    """The ``shape`` of ``area`` at x and its derivatives with respect to (center, fwhm,
+    area), from each shape's common term, u^2 + (fwhm / 2)^2 or (u / fwhm)^2, u = x - center.
 
-    The area derivative is the unit-area shape ``_lineshape(..., 1.0)`` rather
-    than value / area, so it stays defined for an area at its lower bound of 0.
+    The area derivative is the unit-area shape rather than value / area, so it stays
+    defined for an area at its lower bound of 0.
     """
     u = x - center
-    unit = _lineshape(x, shape, center, fwhm, 1.0)
-    value = area * unit
     if shape == "lorentzian":
-        den = u ** 2 + (fwhm / 2.0) ** 2
-        d_center = value * 2.0 * u / den
-        d_fwhm = area * (u ** 2 - (fwhm / 2.0) ** 2) / (2.0 * math.pi * den ** 2)
+        gamma, u2 = fwhm / 2.0, u * u
+        den = u2 + gamma ** 2
+        unit = gamma / math.pi / den
+        value = area * unit
+        d_center = value * (2.0 * u / den)
+        d_fwhm = area / (2.0 * math.pi) * (u2 - gamma ** 2) / (den * den)
     else:
-        d_center = value * 8.0 * math.log(2.0) * u / fwhm ** 2
-        d_fwhm = value * (8.0 * math.log(2.0) * (u / fwhm) ** 2 - 1.0) / fwhm
+        z = (u / fwhm) ** 2
+        unit = (_GAUSS_NORM / fwhm) * np.exp(-4.0 * math.log(2.0) * z)
+        value = area * unit
+        d_center = value * u * (8.0 * math.log(2.0) / fwhm ** 2)
+        d_fwhm = value * (8.0 * math.log(2.0) / fwhm * z - 1.0 / fwhm)
     return value, d_center, d_fwhm, unit
 
 
@@ -243,40 +244,20 @@ def _peaks(model):
 
 def _peak_model(x, model, p):
     """Sum of the ``model`` peaks at p = (center, fwhm, area) per template and its
-    Jacobian in p: one ``_lineshape_grad`` per lineshape over all of its peaks, the
-    Jacobian gathered by ``_layout``'s incidence matrix; only shape and doublet are read
-    from the templates."""
-    groups, M = _layout(tuple((model[i].shape, i, offset, factor)
-                              for i, _, offset, factor in _peaks(model)))
-    p = np.asarray(p, dtype=float)
-    total, rows = np.zeros_like(x), [np.empty((0, x.size))]  # no peaks: 0 and no columns
-    for shape, i, offset, factor in groups:
+    Jacobian in p, by one loop over the templates: one ``_lineshape_grad`` over the
+    template's peaks, at the centre offsets and area factors ``_peaks`` gives, summed into
+    its three columns (the area column each unit shape times its factor).  Only shape and
+    doublet are read from the templates."""
+    p = np.asarray(p, dtype=float).tolist()
+    total, JT = np.zeros_like(x), np.empty((3 * len(model), x.size))
+    for i, c in enumerate(model):
+        # (k, 1) arrays over the template's k peaks
+        offset, factor = np.array([peak[2:] for peak in _peaks([c])]).T[:, :, None]
         value, d_center, d_fwhm, unit = _lineshape_grad(
-            x, shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
+            x, c.shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
         total += value.sum(axis=0)
-        rows += [d_center, d_fwhm, unit]
-    return total, np.concatenate(rows).T @ M
-
-
-@lru_cache(maxsize=64)
-def _layout(peaks):
-    """For ``_peak_model``, from its (shape, template index, centre offset, area factor)
-    per peak: per lineshape, the last three as column arrays over its peaks, and M with
-    J = R^T M, R being each lineshape's d_center, d_fwhm and unit-shape rows in turn (a
-    1/2 partner adds to its 3/2 member's columns, its unit shape times its factor)."""
-    groups, columns = [], []
-    for shape in ("lorentzian", "gaussian"):
-        mine = [peak[1:] for peak in peaks if peak[0] == shape]
-        if mine:
-            groups.append((shape, *(np.array(v)[:, None] for v in zip(*mine))))
-            columns += [(3 * i + k, factor if k == 2 else 1.0)
-                        for k in range(3) for i, _, factor in mine]
-    M = np.zeros((len(columns), 3 * (max((peak[1] for peak in peaks), default=-1) + 1)))
-    for row, (column, weight) in enumerate(columns):
-        M[row, column] = weight
-    for array in (M, *(a for group in groups for a in group[1:])):
-        array.flags.writeable = False  # shared by every caller of the cache
-    return tuple(groups), M
+        JT[3 * i:3 * i + 3] = d_center.sum(0), d_fwhm.sum(0), (unit * factor).sum(0)
+    return total, np.ascontiguousarray(JT.T)  # C order: the solver's rounding depends on it
 
 
 def expand_doublets(components: Sequence[PeakComponent]) -> list[PeakComponent]:
@@ -549,7 +530,7 @@ def fit_kinetics(points: KineticsPoints) -> KineticsFit:
 
 
 # ---------------------------------------------------------------------------
-# synthesis oracle
+# synthesis
 
 
 def synthesize_spectrum(

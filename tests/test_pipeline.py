@@ -145,6 +145,21 @@ def test_read_spr_points_converts_q_to_inv_q(tmp_path):
     assert pts.sigma[0] == pytest.approx(1e5 / 4e12)
 
 
+@pytest.mark.parametrize("p_ms_line, q_line, named", [
+    (3, 6, "line 3: p_ms must be > 0, got 0.0"),
+    (6, 3, "line 3: q_tls0 0.0 +- 100000.0 must be > 0"),
+    (4, 4, "line 4: q_tls0 0.0 +- 100000.0 must be > 0"),  # one row: the Q rule
+])
+def test_read_spr_points_names_the_first_bad_row(tmp_path, p_ms_line, q_line, named):
+    rows = [["hf", "1e-4", "2e6", "1e5"] for _ in range(6)]  # lines 2 to 7
+    rows[p_ms_line - 2][1] = rows[q_line - 2][2] = "0"
+    path = tmp_path / "points.csv"
+    path.write_text("treatment,p_ms,q_tls0,sigma_q\n" + "".join(
+        ",".join(row) + "\n" for row in rows))
+    with pytest.raises(DatasetError, match=re.escape(f"points.csv, {named}")):
+        read_spr_points(path)
+
+
 @pytest.fixture(scope="module")
 def config(tmp_path_factory):
     return load_config(write_config(tmp_path_factory.mktemp("cfg")))

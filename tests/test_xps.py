@@ -1,9 +1,13 @@
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qlb import xps
 from qlb.errors import (
     CalibrationError,
     DatasetError,
@@ -103,7 +107,7 @@ class TestFitJacobian:
         assert np.abs(J[:, -1]).max() > 0
 
     def test_matches_the_per_peak_loop(self):
-        """The broadcast model against one ``_lineshape_grad`` per peak, a 1/2 partner
+        """The per-template model against one ``_lineshape_grad`` per peak, a 1/2 partner
         added to its 3/2 member's columns: sums in another order, so equal to rounding."""
         p = np.array([v for c in self.model for v in (c.center, c.fwhm, c.area)])
         total, JT = np.zeros_like(self.x), np.zeros((p.size, self.x.size))
@@ -120,6 +124,52 @@ class TestFitJacobian:
         scale = np.maximum(np.abs(JT).max(axis=1), np.finfo(float).tiny)  # Z's are 0
         np.testing.assert_allclose(J / scale, JT.T / scale, rtol=0.0,
                                    atol=4 * np.finfo(float).eps)
+
+    @settings(max_examples=30)
+    @given(st.lists(st.tuples(st.sampled_from(["lorentzian", "gaussian"]),
+                              st.floats(60.0, 90.0), st.floats(0.1, 3.0),
+                              st.just(0.0) | st.floats(0.0, 500.0), st.booleans()),
+                    max_size=5))
+    def test_drawn_models_agree_with_their_peaks(self, drawn):
+        """The three readers of the doublet rule on 0-5 drawn templates, centres inside and
+        outside the grid: ``_peak_model`` against one ``_lineshape_grad`` per peak and
+        against ``_lineshape`` over ``expand_doublets``, and each template's area row in
+        ``fit_components`` (its solve skipped) against the integral of its peaks."""
+        model = tuple(PeakComponent(f"c{i}", shape, center, fwhm, area=area, doublet=doublet)
+                      for i, (shape, center, fwhm, area, doublet) in enumerate(drawn))
+        p = np.array([v for c in model for v in (c.center, c.fwhm, c.area)])
+        total, JT = np.zeros_like(self.x), np.zeros((p.size, self.x.size))
+        for i, c in enumerate(model):
+            for offset, factor in [(0.0, 1.0)] + [
+                    (DOUBLET_SPLITTING_EV, 1.0 / DOUBLET_AREA_RATIO)] * c.doublet:
+                value, d_center, d_fwhm, unit = _lineshape_grad(
+                    self.x, c.shape, p[3 * i] + offset, p[3 * i + 1], p[3 * i + 2] * factor)
+                total += value
+                JT[3 * i: 3 * i + 3] += [d_center, d_fwhm, unit * factor]
+        model_sum, J = _peak_model(self.x, model, p)
+        atol = 4 * np.finfo(float).eps * np.abs(total).max()
+        np.testing.assert_allclose(model_sum, total, rtol=0.0, atol=atol)
+        scale = np.maximum(np.abs(JT).max(axis=1), np.finfo(float).tiny)
+        np.testing.assert_allclose(J / scale, JT.T / scale, rtol=0.0,
+                                   atol=4 * np.finfo(float).eps)
+        peaks = sum((_lineshape(self.x, c.shape, c.center, c.fwhm, c.area)
+                     for c in expand_doublets(model)), np.zeros_like(self.x))
+        np.testing.assert_allclose(model_sum, peaks, rtol=0.0, atol=atol)
+        if not model:
+            return
+        spectrum = synthesize_spectrum(model, energy_lo=55.0, energy_hi=95.0)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(xps, "bounded_fit", lambda solve, evaluate, y, sigma, p0, *_: (
+                SimpleNamespace(x=p0, cost=0.0), np.zeros((p0.size, p0.size))))
+            fit = fit_components(spectrum, np.zeros_like(spectrum.intensity), model)
+        u = np.linspace(-15.0, 15.0, 30001)  # x = 75 + sinh(u) spans +-1.6e6 eV
+        for i, c in enumerate(model):
+            fitted = replace(c, center=fit.params[3 * i], fwhm=fit.params[3 * i + 1],
+                             area=fit.params[3 * i + 2])
+            y = sum(_lineshape(75.0 + np.sinh(u), d.shape, d.center, d.fwhm, d.area)
+                    for d in expand_doublets([fitted]))
+            assert fit.area_rows[c.label] @ fit.params == pytest.approx(
+                np.trapezoid(y * np.cosh(u), u), rel=1e-5, abs=1e-9)
 
     def test_no_peaks_give_zero_and_no_columns(self):
         model, J = _peak_model(self.x, (), [])
