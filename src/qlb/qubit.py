@@ -9,7 +9,6 @@ to the shunt capacitance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .constants import EPS0
@@ -125,22 +124,15 @@ def predict_regime(geom: QubitGeometry,
 
 
 def junction_capacitance(junction: JunctionDims) -> UValue:
-    """Parallel-plate junction capacitance in fF.
-
-    C = eps0 eps_r (w l) / t.  The width and length uncertainties come
-    from the same lithography/imaging step, so their contributions are
-    added coherently (fully correlated); the barrier thickness is
-    independent.  This reproduces the quoted uncertainty for a square
-    junction, where independent lateral errors would understate it.
-    """
+    """Parallel-plate junction capacitance C = eps0 eps_r (w l) / t in fF.  Width and length
+    come from one lithography/imaging step, so their errors are propagated fully correlated,
+    the barrier thickness independent: for a square junction this gives the quoted sigma,
+    which independent lateral errors would understate."""
     w, l, t = junction.width, junction.length, junction.barrier_thickness
-    if t.value == 0:
-        raise DegenerateSystemError("zero barrier thickness")
-    value = EPS0 * junction.eps_r * (w.value * 1e-9) * (l.value * 1e-9) / (t.value * 1e-9)
-    value_fF = value / 1e-15
-    rel_lateral = w.sigma / w.value + l.sigma / l.value
-    rel = math.hypot(rel_lateral, t.sigma / t.value)
-    return UValue(value_fF, value_fF * rel)
+    cov = [[w.sigma ** 2, w.sigma * l.sigma, 0.0], [w.sigma * l.sigma, l.sigma ** 2, 0.0],
+           [0.0, 0.0, t.sigma ** 2]]
+    return propagate(lambda w, l, t: EPS0 * junction.eps_r * (w * 1e-9) * (l * 1e-9)
+                     / (t * 1e-9) / 1e-15, [w, l, t], cov)
 
 
 def _junction_share(c_jj, c_shunt):

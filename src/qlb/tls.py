@@ -21,9 +21,8 @@ import numpy as np
 
 from ._trf import least_squares
 from .constants import HBAR, K_B
-from .errors import (DatasetError, DegenerateSystemError, InvalidInputError, check_rows,
-                     float_columns)
-from .uncert import UValue, _qr_solve, active_bounds, bounded_fit
+from .errors import DatasetError, InvalidInputError, check_rows, float_columns
+from .uncert import UValue, _qr_solve, active_bounds, bounded_fit, projection
 
 __all__ = ["TlsParams", "QGrid", "q_tls", "fit_tls", "rescale_q_tls0"]
 
@@ -127,71 +126,22 @@ def _model_inv_q_jac(theta, n, T, th, ln_T, ln_n):
 
     With g = 1/Q_TLS = th / (q_tls0 sqrt(1 + s th)) and s = n^b2 / (D T^b1), the
     saturation columns share h = g s th / (2 (1 + s th)).  ``ln_n`` must be
-    0 where n = 0, so those rows get a zero beta2 column (s = 0 there).
-    """
+    0 where n = 0, so those rows get a zero beta2 column (s = 0 there)."""
     q0, D, b1, b2, qo = _physical(theta)
     s_th = _saturation(n, T, th, D, b1, b2)
-    g = th / (q0 * np.sqrt(1.0 + s_th))
-    h = 0.5 * g * s_th / (1.0 + s_th)
-    return g + 1.0 / qo, np.column_stack([-g, h, h * ln_T, -h * ln_n,
-                                          np.full_like(g, -1.0 / qo)])
+    one_s = 1.0 + s_th
+    g = th / (q0 * np.sqrt(one_s))
+    h = 0.5 * g * s_th / one_s
+    J = np.empty((g.size, 5))  # filled in place, cheaper per evaluation than stacking
+    J[:, 0], J[:, 1], J[:, 2], J[:, 3], J[:, 4] = -g, h, h * ln_T, -h * ln_n, -1.0 / qo
+    return g + 1.0 / qo, J
 
 
-def _projection(evaluate, y, sig):
-    """(linear, project) of the variable projection of 1/Q = a g(phi) + b: linear(phi)
-    -> (J, a, b, Q), J being ``evaluate``'s Jacobian at q_tls0 = q_other = 1 (its first
-    column -g), (a, b) at their weighted optimum and Q an orthonormal basis of the whitened
-    design (g, 1) / sig; project(phi) -> (a g + b, Kaufman's Jacobian P_perp a dg/dphi).
-    The design's columns are taken unit-norm and orthogonalised by Gram-Schmidt, twice
-    (Giraud et al., Numer. Math. 101, 87 (2005)), for R = [[1, r12], [0, r22]], and (a, b)
-    by back substitution.  sig, y / sig and 1 / sig are checked once.  A non-finite g /
-    sig, a rank loss (r22 <= 1e-12, the ``uncert._qr_solve`` rule), or a covariance, chi2
-    or (a, b) that is not finite raise ``weighted_lstsq``'s DegenerateSystemError."""
-    if not ((sig > 0) & np.isfinite(sig)).all():
-        raise DegenerateSystemError("TLS fit: every sigma must be finite and > 0")
-    with np.errstate(over="ignore"):  # raised below
-        yw, u2 = y / sig, 1.0 / sig
-        finite_chi2 = math.isfinite(yw @ yw)  # chi2 <= |y / sig|^2: finite at every phi
-    if not (np.isfinite(yw).all() and np.isfinite(u2).all()):
-        raise DegenerateSystemError("TLS fit: the weighted system is not finite")
-    n2 = float(np.hypot.reduce(u2))  # hypot: no overflow of the squares
-    w2 = u2 / n2
-
-    def linear(phi):
-        J = evaluate(np.concatenate([[0.0], phi, [0.0]]))[1]
-        u1 = -J[:, 0] / sig
-        n1 = float(np.hypot.reduce(u1))
-        if not 0.0 < n1 < math.inf:
-            raise DegenerateSystemError("the weighted system is not finite"
-                                        if not np.isfinite(u1).all() else
-                                        "rank-deficient design matrix (collinear columns?)")
-        q1 = u1 / n1
-        r12 = float(q1 @ w2)
-        v = w2 - r12 * q1
-        c = float(q1 @ v)  # the second pass
-        v -= c * q1
-        r12, r22 = r12 + c, math.sqrt(v @ v)
-        if not r22 > 1e-12:
-            raise DegenerateSystemError("rank-deficient design matrix (collinear columns?)")
-        g1, g2 = r12 / (r22 * n1), 1.0 / (r22 * n2)  # R^-1 of the unscaled design
-        if not all(map(math.isfinite, (1.0 / n1 / n1 + g1 * g1, g1 * g2, g2 * g2))):
-            raise DegenerateSystemError("covariance of the weighted fit overflows")
-        q2 = v / r22
-        c1, c2 = float(q1 @ yw), float(q2 @ yw)
-        if not finite_chi2:  # the residual, formed only where its chi2 may overflow
-            resid = yw - c1 * q1 - c2 * q2
-            if not math.isfinite(resid @ resid):
-                raise DegenerateSystemError("chi2 of the weighted fit is not finite")
-        a, b = (c1 - r12 * c2 / r22) / n1, c2 / r22 / n2
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise DegenerateSystemError("coefficients of the weighted fit overflow")
-        return J, a, b, np.column_stack([q1, q2])
-
-    def project(phi):
-        J, a, b, Q = linear(phi)
-        X = J[:, 1:4] * (a / sig)[:, None]  # whitened a dg/dphi
-        return b - a * J[:, 0], (X - Q @ (Q.T @ X)) * sig[:, None]
-    return linear, project
+def _basis(evaluate, phi):
+    """((g, 1), (dg/dphi, None)): the columns of 1/Q = a g(phi) + b and their derivatives
+    in phi = (ln D, beta1, beta2), from ``evaluate``'s Jacobian at q_tls0 = q_other = 1."""
+    J = evaluate(np.concatenate([[0.0], phi, [0.0]]))[1]
+    return (-J[:, 0], 1.0), (J[:, 1:4], None)
 
 
 def fit_tls(
@@ -206,14 +156,12 @@ def fit_tls(
     log-parameter space for the positive scale parameters, within fixed bounds: q_tls0 in
     ``Q_TLS0_BOUNDS``, D in [1e-8, 1e8], beta1 and beta2 in [0.05, 4], q_other in [1, 1e14].
     1/Q = a g(phi) + b is linear in (a, b) = (1/q_tls0, 1/q_other), so one ``bounded_fit``
-    runs over phi = (ln D, beta1, beta2) alone from D = beta1 = beta2 = 1, with (a, b) at
-    their weighted optimum for each phi and Kaufman's (1975) Jacobian P_perp a dg/dphi
-    (variable projection, Golub & Pereyra 1973), both in closed form (``_projection``).
-    One model call at the solution gives (a, b) and the full Jacobian.  Only where a or b
-    falls outside its bound does the five-parameter ``bounded_fit`` run, from there with
-    (a, b) clipped into their bounds, and its Jacobian at the solution is taken instead.
-    That whitened Jacobian, in the physical parameters, gives the covariance by
-    ``uncert._qr_solve``, whose rules then cover its overflow too.
+    runs over phi = (ln D, beta1, beta2) alone from D = beta1 = beta2 = 1: the
+    ``uncert.projection`` of the columns (g, 1) of ``_basis``.  One model call at the
+    solution gives (a, b) and the full Jacobian.  Only where a or b falls outside its
+    bound does the five-parameter ``bounded_fit`` run, from (a, b) clipped into their
+    bounds, and its Jacobian is taken instead.  That whitened Jacobian, in the physical
+    parameters, gives the covariance by ``uncert._qr_solve``, under its rules.
     Returns the fitted parameters (q_tls0 sigma from the covariance diagonal,
     ``boundary_active`` naming those at a bound, as ``uncert.active_bounds`` finds them
     on theta with the bound spans as scales) and the full 5x5 covariance matrix in the
@@ -246,16 +194,16 @@ def fit_tls(
     ln_n = np.log(n, out=np.zeros_like(n), where=n > 0)
     evaluate = partial(_model_inv_q_jac, n=n, T=T, th=th, ln_T=np.log(T), ln_n=ln_n)
 
-    linear, project = _projection(evaluate, y, sig)
-    phi = bounded_fit(least_squares, project, y, sig, np.array([0.0, 1.0, 1.0]),
-                      lower[1:4], upper[1:4], "TLS fit")[0].x
+    project = projection(partial(_basis, evaluate), y, sig)
+    phi = bounded_fit(least_squares, project, y, sig, np.array([0.0, 1.0, 1.0]), lower[1:4],
+                      upper[1:4], "TLS fit")[0].x
     with np.errstate(all="ignore"):  # as in the solver's evaluations (qlb._trf)
-        J, *coef, _ = linear(phi)
+        _, _, coef, _, ((g, _), (dg, _)) = project(phi)
     # (a, b) clipped to [1/upper, 1/lower] of their q bounds: b <= 0 starts q_other at 1e14
     a, b = np.clip(coef, np.exp(-upper[[0, 4]]), np.exp(-lower[[0, 4]]))
     theta = np.clip(np.concatenate([[-np.log(a)], phi, [-np.log(b)]]), lower, upper)
     if np.array_equal((a, b), coef):  # the projection's optimum is within every bound
-        jac = np.column_stack([a * J[:, :4], np.full_like(y, -b)]) / sig[:, None]
+        jac = np.column_stack([-a * g, a * dg, np.full_like(y, -b)]) / sig[:, None]
     else:
         res = bounded_fit(least_squares, evaluate, y, sig, theta, lower, upper, "TLS fit")[0]
         theta, jac = res.x, res.jac

@@ -217,6 +217,24 @@ class TestStages:
         assert frag["stages"]["tls_fit"]["q_other"] == pytest.approx(1e14, rel=1e-9)
         assert frag["warnings"] == ["tls-fit: constraint(s) active at bounds: ['q_other']"]
 
+    def test_xps_fit_at_a_bound_warns(self, tmp_path):
+        # Al_int's window 74.5 +- 0.1 eV excludes its 74.1 eV truth: the centre ends at 74.4
+        path = write_config(tmp_path, lambda raw: raw["xps"]["components"][1].update(
+            center_ev=74.5, center_window_ev=0.1))
+        report = run_report(load_config(path))
+        assert report["warnings"] == ["xps-fit: constraint(s) active at bounds: "
+                                      "['Al_int.center']"]
+
+    def test_purely_linear_kinetics_warns(self, tmp_path):
+        points = tmp_path / "kinetics.csv"
+        points.write_text("time_hours,thickness_nm,sigma_nm\n" + "".join(
+            f"{t},{0.05 * t!r},0.01\n" for t in (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)))
+        path = write_config(tmp_path, lambda raw: raw["kinetics"].update(
+            points_file=str(points)))
+        report = run_report(load_config(path))
+        assert report["stages"]["kinetics"]["degenerate_log"] is True
+        assert report["warnings"] == ["kinetics: purely linear data, log segment degenerate"]
+
     def test_qubit_barrier_solve_reuses_the_single_photon_loss(self, config, monkeypatch):
         # one joint propagation of 1/Q per regime; the barrier solve makes no second one
         calls = {name: [] for name in ("predict_regime", "predict_inv_q", "predict_q",
@@ -444,6 +462,13 @@ class TestCli:
         assert rc == 2
         assert (f"kinetics.points_file: {tmp_path} is a directory, not a file"
                 in capsys.readouterr().err)
+
+    def test_output_path_that_is_a_file_exits_5(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("a regular file")
+        assert cli.main(["--out", str(out), "report"]) == 5
+        assert capsys.readouterr().err.startswith(
+            f"error [io]: cannot create output directory {out}: ")
 
     def test_directory_as_config_exits_2(self, tmp_path, capsys):
         rc = cli.main(["--config", str(tmp_path), "--out", str(tmp_path / "out"),

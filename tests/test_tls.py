@@ -189,7 +189,7 @@ class TestFit:
     def test_closed_form_projection_matches_weighted_lstsq(self, noise, seed):
         pts = grid_points(TRUE, noise=noise, seed=seed)
         evaluate, y, sigma = self.projection_inputs(pts)
-        project = tls._projection(evaluate, y, sigma)[1]
+        project = uncert.projection(partial(tls._basis, evaluate), y, sigma)
         params, _ = fit_tls(pts, f0=F0)
         for phi in ([0.0, 1.0, 1.0], [np.log(params.D), params.beta1, params.beta2],
                     [3.0, 0.5, 1.5]):
@@ -200,7 +200,7 @@ class TestFit:
             coef, cov, _ = weighted_lstsq(A, y, sigma)
             dA = J[:, 1:4] * coef[0]
             ref_jac = dA - A @ (cov @ ((A / sigma[:, None]).T @ (dA / sigma[:, None])))
-            model, jac = project(np.array(phi))
+            model, jac, *_ = project(np.array(phi))
             np.testing.assert_allclose(model, A @ coef, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(jac, ref_jac, rtol=0.0,
                                        atol=1e-12 * np.max(np.abs(ref_jac)))
@@ -215,13 +215,13 @@ class TestFit:
         def evaluate(theta):
             return None, np.column_stack([-g, np.outer(x, [1.0, 2.0, 3.0]), -np.ones(40)])
 
-        linear = tls._projection(evaluate, y, sigma)[0]
-        _, a, b, Q = linear(np.zeros(3))
+        project = uncert.projection(partial(tls._basis, evaluate), y, sigma)
+        _, _, (a, b), Q, _ = project(np.zeros(3))
         np.testing.assert_allclose(Q.T @ Q, np.eye(2), rtol=0.0, atol=1e-14)
         assert (a, b) == pytest.approx((2.0, 0.5), rel=1e-5)
 
     def test_no_weighted_lstsq_in_the_solve(self, monkeypatch):
-        # the projection is closed form: the fit's QRs are the covariances at its end,
+        # the projection takes no QR: the fit's QRs are the covariances at its end,
         # bounded_fit's of the projection and fit_tls' of all five parameters
         counts = {"weighted_lstsq": 0, "qr": 0, "evaluations": 0}
 

@@ -18,6 +18,7 @@ from qlb.uncert import (
     bounded_fit,
     combine_linear,
     mc_propagate,
+    projection,
     propagate,
     propagate_joint,
     weighted_lstsq,
@@ -322,6 +323,74 @@ class TestWeightedLstsq:
         else:
             with pytest.raises(DegenerateSystemError, match="rank"):
                 weighted_lstsq(A, y, np.ones(5))
+
+class TestProjection:
+    X = np.linspace(0.0, 2.0, 12)
+
+    def exponentials(self, phi):
+        """(G, dG) of exp(-phi0 x), exp(-phi1 x) and a constant: k = 3, p = 2."""
+        e0, e1 = np.exp(-phi[0] * self.X), np.exp(-phi[1] * self.X)
+        zero = np.zeros_like(self.X)
+        return (e0, e1, 1.0), (np.column_stack([-self.X * e0, zero]),
+                               np.column_stack([zero, -self.X * e1]), None)
+
+    @pytest.mark.parametrize("phi", [(0.5, 3.0), (3.0, 0.5), (1.0, 6.0)])
+    def test_matches_weighted_lstsq_and_kaufman(self, phi):
+        rng = np.random.default_rng(3)
+        sigma = rng.uniform(0.01, 0.05, self.X.size)
+        y = 2.0 * np.exp(-0.8 * self.X) - np.exp(-2.0 * self.X) + 0.3 + rng.normal(0, sigma)
+        project = projection(self.exponentials, y, sigma)
+        project(np.array([1.5, 0.2]))  # the constant column is normalised once, here
+        model, jac, coef, Q, (G, dG) = project(np.array(phi))
+        A = np.column_stack([G[0], G[1], np.ones_like(y)])
+        ref_coef, cov, _ = weighted_lstsq(A, y, sigma)
+        np.testing.assert_allclose(coef, ref_coef, rtol=1e-11)
+        np.testing.assert_allclose(model, A @ ref_coef, rtol=1e-12)
+        np.testing.assert_allclose(Q.T @ Q, np.eye(3), rtol=0.0, atol=1e-14)
+        # Kaufman's Jacobian dA - A cov A_w^T dA_w, with dA = sum_j c_j dG_j
+        dA = coef[0] * dG[0] + coef[1] * dG[1]
+        ref_jac = dA - A @ (cov @ ((A / sigma[:, None]).T @ (dA / sigma[:, None])))
+        np.testing.assert_allclose(jac, ref_jac, rtol=0.0, atol=1e-12 * np.abs(ref_jac).max())
+
+    ONES = np.ones(4)
+    XS = np.array([1.0, 2.0, 3.0, 4.0])
+
+    @pytest.mark.parametrize("G, y, sigma, message", [
+        ((XS, 3.0 * XS), XS, ONES, "rank-deficient design matrix"),  # collinear
+        ((XS, 0.0 * XS), XS, ONES, "rank-deficient design matrix"),  # a zero column
+        ((XS, XS.copy()), XS, ONES, "rank-deficient design matrix"),  # a repeated one
+        ((ONES * [1, 0, 0, 0], ONES * [2, 0, 0, 0]), XS, ONES,
+         "rank-deficient design matrix"),  # Gram-Schmidt leaves exactly 0
+        ((XS, np.array([1.0, np.nan, 1.0, 1.0])), XS, ONES,
+         "the weighted system is not finite"),
+        ((XS, np.array([1.0, 1e300, 1.0, 1.0])), XS, np.full(4, 1e-10),
+         "the weighted system is not finite"),  # a column over sigma overflows
+        ((ONES,), np.array([1e200, -1e200, 1e200, -1e200]), ONES,
+         "chi2 of the weighted fit is not finite"),  # each |y / sigma| finite
+        ((np.array([1e-10]),), np.array([1e300]), np.ones(1),
+         "coefficients of the weighted fit overflow"),  # chi2 = 0: one row
+        ((1e-200 * ONES,), ONES, ONES, "covariance of the weighted fit overflows"),
+        ((XS,), XS, np.array([1.0, 0.0, 1.0, 1.0]), "every sigma must be finite and > 0"),
+    ])
+    def test_rules_are_weighted_lstsq_s(self, G, y, sigma, message):
+        # each error, message included, is weighted_lstsq's on the same design; the
+        # projection runs under the solver's errstate, as in a fit
+        with pytest.raises(DegenerateSystemError, match=message):
+            weighted_lstsq(np.column_stack(G), y, sigma)
+        basis = lambda phi: (G, (np.ones((y.size, 1)),) + (None,) * (len(G) - 1))  # noqa: E731
+        with pytest.raises(DegenerateSystemError, match=message), np.errstate(all="ignore"):
+            projection(basis, y, sigma)(np.zeros(1))
+
+    def test_no_lapack_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("np.linalg called")
+        for name in ("qr", "inv", "solve", "lstsq", "svd"):
+            monkeypatch.setattr(np.linalg, name, forbidden)
+        sigma = np.full(self.X.size, 0.1)
+        project = projection(self.exponentials, np.exp(-self.X) + 1.0, sigma)
+        coef = project(np.array([1.0, 3.0]))[2]
+        np.testing.assert_allclose(coef, [1.0, 0.0, 1.0], atol=1e-12)
+
 
 class TestBoundedFit:
     @staticmethod
