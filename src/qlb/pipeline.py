@@ -21,7 +21,7 @@ import math
 import reprlib
 from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import make_dataclass
 from datetime import datetime, timezone
 from importlib import resources
 from json.encoder import encode_basestring_ascii
@@ -67,23 +67,6 @@ SCHEMA_VERSION = 1
 # config
 
 
-@dataclass
-class AnalysisConfig:
-    """A config as validated: one mapping per SCHEMA section, keyed as in SCHEMA
-    (an absent optional section is None), then the config's provenance."""
-
-    participation: dict
-    qubit: dict
-    strohmeier: dict
-    tls: dict
-    treatments: dict  # label -> dict with tan_delta / t_ox / t_hc / points_file
-    xps: dict | None
-    kinetics: dict | None
-    defaults_used: list
-    derived_flags: list
-    config_sha256: str
-
-
 def paper_defaults_path() -> Path:
     """Path of the bundled paper-defaults configuration."""
     return Path(resources.files("qlb") / "data" / "paper_defaults.yaml")
@@ -97,23 +80,27 @@ NUMBER, UVALUE, STRING, BOOL, FILE, PAIR = (
 # an optional key: an absent or null node takes the default
 Opt = namedtuple("Opt", "spec default", defaults=[None])
 
-_UVALUE_NODE = {"value": NUMBER, "sigma": Opt(NUMBER, 0.0), "derived": Opt(BOOL)}
+_UVALUE_NODE = {"value": NUMBER, "sigma": Opt(NUMBER, UValue.sigma), "derived": Opt(BOOL)}
 _TANGENTS = {"tan_capacitor": UVALUE, "tan_alox_leads": UVALUE, "tan_ms_leads": UVALUE}
 _COMPONENT = {"label": STRING, "shape": STRING, "center_ev": NUMBER, "fwhm_ev": NUMBER,
-              "doublet": Opt(BOOL, False), "center_window_ev": Opt(NUMBER, 0.2)}
+              "doublet": Opt(BOOL, xps_mod.PeakComponent.doublet),
+              "center_window_ev": Opt(NUMBER, xps_mod.PeakComponent.center_window)}
 
 # The config schema: a mapping names its keys, [spec] is a list of spec and
-# {str: spec} a mapping with arbitrary string keys (the treatment labels).
+# {str: spec} a mapping with arbitrary string keys (the treatment labels).  A default
+# that a domain dataclass declares is read from that dataclass, never written again.
 SCHEMA = {
-    "participation": {"r_ma": UVALUE, "r_sa": UVALUE, "t0": Opt(NUMBER, 3.0)},
+    "participation": {"r_ma": UVALUE, "r_sa": UVALUE,
+                      "t0": Opt(NUMBER, budget_mod.ParticipationConfig.t0)},
     "qubit": {"p_capacitor": NUMBER, "p_ms_leads": NUMBER, "p_ma_leads": NUMBER,
               "c_shunt_fF": NUMBER, "q_measured": UVALUE,
               "junction": {"width_nm": UVALUE, "length_nm": UVALUE,
-                           "barrier_thickness_nm": UVALUE, "eps_r": Opt(NUMBER, 9.0)},
+                           "barrier_thickness_nm": UVALUE,
+                           "eps_r": Opt(NUMBER, qubit_mod.JunctionDims.eps_r)},
               "tangents": Opt({"linear-absorption": Opt(_TANGENTS),
                                "single-photon": Opt(_TANGENTS)}, {})},
     "strohmeier": {"lambda_m_nm": NUMBER, "lambda_ox_nm": NUMBER, "n_m": NUMBER,
-                   "n_ox": NUMBER, "theta_deg": Opt(NUMBER, 90.0)},
+                   "n_ox": NUMBER, "theta_deg": Opt(NUMBER, xps_mod.StrohmeierConstants.theta)},
     "tls": {"f0_hz": NUMBER, "points_file": Opt(FILE),
             "qp_cutoff_temperature_k": Opt(NUMBER, tls_mod.DEFAULT_QP_CUTOFF_K),
             "rescale_n_bar": Opt(NUMBER, 1.0),
@@ -128,6 +115,13 @@ SCHEMA = {
                 "metal_labels": Opt([STRING], []), "oxide_labels": Opt([STRING], [])}),
     "kinetics": Opt({"points_file": Opt(FILE)}),
 }
+
+
+# A config as validated: one field per SCHEMA section (None for an absent optional one),
+# then its provenance.  make_dataclass before Python 3.12 sets no __module__ of its own.
+AnalysisConfig = make_dataclass(
+    "AnalysisConfig", [*SCHEMA, "defaults_used", "derived_flags", "config_sha256"],
+    namespace={"__module__": __name__})
 
 
 def _number(node, where: str) -> float:

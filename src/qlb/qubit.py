@@ -100,9 +100,6 @@ def predict_q(geom: QubitGeometry, tangents: TangentSet) -> UValue:
 
 def surface_fractions(geom: QubitGeometry, tangents: TangentSet) -> tuple[UValue, UValue]:
     """Percent split of surface loss between capacitor pads and junction leads."""
-    if sum(_loss_terms(geom, tangents.tan_capacitor.value, tangents.tan_alox_leads.value,
-                       tangents.tan_ms_leads.value)) == 0:
-        raise DegenerateSystemError("zero total loss")
     return predict_regime(geom, tangents)[2:]
 
 

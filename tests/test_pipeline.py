@@ -420,6 +420,29 @@ class TestCli:
         assert f"{bad}: missing column(s) [{header[-1]!r}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_header_only_csv_exits_3(self, tmp_path, capsys, stage):
+        name, set_file = self.CSV_READERS[stage]
+        bad = tmp_path / name
+        bad.write_text((DATA_DIR / name).read_text().splitlines()[0] + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert f"{bad}: no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
+    def test_header_field_over_the_csv_limit_exits_3(self, tmp_path, capsys, stage):
+        name, set_file = self.CSV_READERS[stage]
+        lines = (DATA_DIR / name).read_text().splitlines()
+        lines[0] += "," + "x" * 131073  # one past the csv module's default field limit
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        cfg = write_config(tmp_path, lambda raw: set_file(raw, str(bad)))
+        rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), stage])
+        assert rc == 3
+        assert (f"{bad}, line 1: field larger than field limit (131072)"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("stage", sorted(CSV_READERS))
     def test_repeated_header_column_exits_3(self, tmp_path, capsys, stage):
         name, set_file = self.CSV_READERS[stage]
         lines = (DATA_DIR / name).read_text().splitlines()
@@ -976,6 +999,9 @@ CONFIG_RANGE_DEFECTS = {
                       "participation"),
     "zero-junction-width": (lambda raw: set_node(raw, ("qubit", "junction", "width_nm"), 0),
                             "qubit.junction"),
+    "negative-p-capacitor": (lambda raw: set_node(raw, ("qubit", "p_capacitor"), -0.1),
+                             "qubit"),
+    "zero-c-shunt": (lambda raw: set_node(raw, ("qubit", "c_shunt_fF"), 0), "qubit"),
     "negative-tangent": (lambda raw: set_node(
         raw, ("qubit", "tangents", "single-photon", "tan_capacitor"), -1),
         "qubit.tangents.single-photon"),
@@ -1019,6 +1045,24 @@ def test_rejected_config_value_names_its_key(tmp_path, capsys, defect):
     assert rc == 2
     assert f"error [ConfigurationError]: {key}: " in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("defect, message", [
+    ("negative-p-capacitor", "participations must be positive"),
+    ("zero-c-shunt", "c_shunt must be positive")])
+def test_rejected_qubit_value_names_the_rule(tmp_path, capsys, defect, message):
+    cfg = write_config(tmp_path, CONFIG_RANGE_DEFECTS[defect][0])
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"]) == 2
+    assert f"error [ConfigurationError]: qubit: {message}" in capsys.readouterr().err
+
+
+def test_background_window_with_too_few_samples_names_the_spectrum(tmp_path, capsys):
+    cfg = write_config(tmp_path, lambda raw: set_node(
+        raw, ("xps", "background_window_ev"), [72.0, 72.2]))
+    rc = cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "xps-fit"])
+    assert rc == 3
+    assert (f"{DATA_DIR / 'xps_al2p.csv'}: too few samples in the background window"
+            in capsys.readouterr().err)
 
 
 def test_single_stage_checks_only_the_sections_it_reads(tmp_path, capsys):

@@ -91,6 +91,12 @@ class TestPrediction:
         with pytest.raises(DegenerateSystemError, match="Q undefined"):
             predict_regime(make_geom(), t)
 
+    def test_fractions_without_loss_raise_the_regime_error(self):
+        t = TangentSet(UValue(0.0), UValue(0.0), UValue(0.0))
+        with pytest.raises(DegenerateSystemError, match=r"^zero predicted loss, Q undefined$"):
+            surface_fractions(make_geom(), t)
+
+
 class TestJunction:
     def test_parallel_plate_closed_form(self):
         jj = JunctionDims(UValue(100.0), UValue(100.0), UValue(1.0), eps_r=9.0)
