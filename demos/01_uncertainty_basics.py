@@ -1,17 +1,17 @@
 """Propagating measurement uncertainty through derived quantities.
 
 Every quantity in this package is a UValue: a central value with a
-1-sigma Gaussian uncertainty.  Linear combinations propagate exactly;
-everything else goes through first-order (complex-step) propagation,
+1-sigma Gaussian uncertainty.  Every derived quantity goes through one
+first-order (complex-step) propagation, exact for a linear combination,
 cross-checked against Monte-Carlo sampling.
 """
 
-from qlb.uncert import UValue, combine_linear, mc_propagate, propagate
+from qlb.uncert import UValue, mc_propagate, propagate
 
 # A resonator loss 1/Q built from two participation-weighted tangents.
 tan_a = UValue(11.3e-4, 0.5e-4)
 tan_b = UValue(6.19e-4, 4.96e-4)
-inv_q = combine_linear([(0.983e-4, tan_a), (0.160e-4, tan_b)])
+inv_q = propagate(lambda a, b: 0.983e-4 * a + 0.160e-4 * b, [tan_a, tan_b])
 print(f"1/Q = {inv_q.value:.4e} +- {inv_q.sigma:.2e}")
 
 # Nonlinear functions use first-order propagation...

@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .uncert import UValue, combine_linear, propagate, propagate_joint, mc_propagate
+from .uncert import UValue, propagate, propagate_joint, mc_propagate
 from .tls import TlsParams, QGrid, q_tls, fit_tls, rescale_q_tls0
 from .spr import SprPoints, fit_through_origin, pool_tangents
 from .budget import (

@@ -47,7 +47,7 @@ from .errors import (
     check_rows,
     read_csv,
 )
-from .uncert import UValue
+from .uncert import UValue, _reciprocal
 
 __all__ = [
     "AnalysisConfig",
@@ -233,9 +233,7 @@ def read_q_grid(path: Path) -> tls_mod.QGrid:
 def read_spr_points(path: Path) -> dict[str, spr_mod.SprPoints]:
     """Points by treatment, checked before the split; Q +- sigma is read as 1/Q +- sigma/Q^2."""
     def make(treatment, p_ms, q, sigma_q):
-        with np.errstate(all="ignore"):  # an overflow or a zero breaks the rule below
-            inv_q, sigma_inv_q = 1.0 / q, sigma_q / q ** 2
-            q_ok = (0 < inv_q) & (inv_q < np.inf) & (0 < sigma_inv_q) & (sigma_inv_q < np.inf)
+        inv_q, sigma_inv_q, q_ok = _reciprocal(q, sigma_q)
         # SprPoints' rules first, on the rows before the first bad Q cell: the error named
         # is the first in file order, a Q cell's on its own row
         rows = slice(None if q_ok.all() else int(np.argmin(q_ok)))
@@ -268,11 +266,12 @@ def _configured(value, key: str):
 
 
 @contextmanager
-def _section(key: str):
-    """A value rejected by the object built from config section ``key`` names ``key``."""
+def _section(key: str, *kinds):
+    """A value rejected by the object built from config section ``key``, or by the solve
+    it enters (an InvalidInputError or one of ``kinds``), names ``key``."""
     try:
         yield
-    except InvalidInputError as exc:
+    except (InvalidInputError, *kinds) as exc:
         raise ConfigurationError(f"{key}: {exc}") from exc
 
 
@@ -363,6 +362,11 @@ def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
                            ("untreated", "t_hc")))
     with _section("participation"):
         cfg = budget_mod.ParticipationConfig(**config.participation)
+    # solve_budget's rule, named by its key (a negative thickness is its own rule's)
+    for key, broken in (("treatments.untreated.t_hc", t_hc.value == 0),
+                        ("treatments.untreated.tan_delta", tan_untreated.value <= 0)):
+        if broken:
+            raise ConfigurationError(f"{key}: must be > 0 for the budget")
     result = budget_mod.solve_budget(
         tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc, cfg
     )
@@ -432,9 +436,10 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
     }
     sp = regimes.get("single-photon")
     if sp is not None:
-        solve = qubit_mod.solve_barrier_tangent(config.qubit["q_measured"],
-                                                inv_qs["single-photon"], c_jj, geom.c_shunt)
-        budget3 = qubit_mod.three_way_budget(geom, sp, config.qubit["q_measured"], c_jj)
+        with _section("qubit.q_measured", DegenerateSystemError):
+            solve = qubit_mod.solve_barrier_tangent(config.qubit["q_measured"],
+                                                    inv_qs["single-photon"], c_jj, geom.c_shunt)
+            budget3 = qubit_mod.three_way_budget(geom, sp, config.qubit["q_measured"], c_jj)
         entry["barrier"] = {
             "tan_barrier": _uv(solve.tan_barrier),
             "scaled_contribution": _uv(solve.scaled_contribution),

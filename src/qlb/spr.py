@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DatasetError, check_rows, float_columns
-from .uncert import UValue, weighted_lstsq
+from .uncert import UValue, _uvalues, weighted_lstsq
 
 __all__ = [
     "SprPoints",
@@ -60,7 +60,7 @@ class SprPoints:
 def _fit(columns, y, sigma) -> list[UValue]:
     """Weighted least-squares coefficients of ``y`` +- ``sigma`` on the design ``columns``."""
     coef, cov, _ = weighted_lstsq(np.column_stack(columns), y, sigma)
-    return [UValue(float(c), float(s)) for c, s in zip(coef, np.sqrt(np.diag(cov)))]
+    return _uvalues(coef, cov)
 
 
 def fit_through_origin(points: SprPoints) -> UValue:

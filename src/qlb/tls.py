@@ -22,7 +22,8 @@ import numpy as np
 from ._trf import least_squares
 from .constants import HBAR, K_B
 from .errors import DatasetError, InvalidInputError, check_rows, float_columns
-from .uncert import UValue, _qr_solve, active_bounds, bounded_fit, projection
+from .uncert import (UValue, _qr_solve, _reciprocal, _uvalues, active_bounds, bounded_fit,
+                     projection)
 
 __all__ = ["TlsParams", "QGrid", "q_tls", "fit_tls", "rescale_q_tls0"]
 
@@ -64,14 +65,14 @@ class QGrid:
 
     def __post_init__(self):
         n, T, q, sigma = float_columns(self, ("n_bar", "temperature", "q_int", "sigma"))
-        with np.errstate(all="ignore"):  # an overflow or a zero breaks a rule below
-            inv_q, sigma_inv_q, r = 1.0 / q, sigma / q / q, q / sigma
+        q_ok = _reciprocal(q, sigma)[2]
+        with np.errstate(all="ignore"):  # an overflow or a zero breaks the last rule
+            r = q / sigma
             check_rows(
                 (T > 0, lambda i: "temperature must be > 0"),
                 (n >= 0, lambda i: "n_bar must be >= 0"),
-                ((0 < inv_q) & (inv_q < np.inf) & (0 < sigma_inv_q) & (sigma_inv_q < np.inf),
-                 lambda i: f"q_int {q[i]} +- {sigma[i]} must be > 0 with a finite, "
-                           "positive 1/Q and sigma/Q^2"),
+                (q_ok, lambda i: f"q_int {q[i]} +- {sigma[i]} must be > 0 with a finite, "
+                                 "positive 1/Q and sigma/Q^2"),
                 (np.isfinite(r * r),
                  lambda i: f"q_int {q[i]} over sigma {sigma[i]} overflows the weighted fit"))
 
@@ -177,9 +178,7 @@ def fit_tls(
     positive_n = n[n > 0]
     if positive_n.size == 0 or positive_n.max() / 100.0 < positive_n.min():
         raise DatasetError("points must span at least 2 decades in n_bar")
-    y = 1.0 / q
-    # sigma(1/Q) = sigma_Q / Q^2
-    sig = points.sigma[kept] / q ** 2
+    y, sig, _ = _reciprocal(q, points.sigma[kept])
 
     q_max = float(np.max(q))
     if not Q_TLS0_BOUNDS[0] <= q_max <= Q_TLS0_BOUNDS[1]:  # input range check
@@ -210,8 +209,7 @@ def fit_tls(
     q0, D, b1, b2, qo = _physical(theta)
     # the whitened Jacobian in physical parameters: d theta / dp = 1 / p for the logs
     cov = _qr_solve(jac / np.array([q0, D, 1.0, 1.0, qo]))[0]
-    sigma_q0 = float(np.sqrt(max(cov[0, 0], 0.0)))
-    params = TlsParams(UValue(q0, sigma_q0), D=D, beta1=b1, beta2=b2, q_other=qo, f0=f0,
+    params = TlsParams(_uvalues([q0], cov)[0], D=D, beta1=b1, beta2=b2, q_other=qo, f0=f0,
                        boundary_active=active_bounds(_NAMES, theta, lower, upper,
                                                      upper - lower))
     return params, cov

@@ -5,7 +5,12 @@ a central value plus a one-standard-deviation Gaussian uncertainty.
 Inputs are independent unless their covariance is given.  Quantities
 derived from shared inputs are correlated: ``propagate_joint`` takes a
 whole chain in one Jacobian, exact by the complex step (so each propagated
-function accepts complex arguments), and returns the output covariance.
+function accepts complex arguments, and a linear one propagates exactly),
+and returns the output covariance J C J^T, the independent case being the
+diagonal C = diag(sigma^2) (GUM, JCGM 100:2008, 5.1.2 and 5.2.2).  Every sigma
+read from a covariance, a propagated or a fitted one, is sqrt(max(C_jj, 0))
+(``_uvalues``), and every measured Q is fitted as its first-order reciprocal
+1/Q +- sigma/Q^2 (``_reciprocal``).
 
 Every weighted fit whitens (``_whiten``) and solves (``_solution``) under one set of
 rules.  Every fit's covariance comes from one column-scaled, R-only QR (``_qr_solve``):
@@ -34,7 +39,7 @@ import numpy as np
 from .errors import (ConfigurationError, ConvergenceError, DegenerateSystemError,
                      InvalidInputError)
 
-__all__ = ["UValue", "combine_linear", "propagate", "propagate_joint", "weighted_lstsq",
+__all__ = ["UValue", "propagate", "propagate_joint", "weighted_lstsq",
            "projection", "bounded_fit", "active_bounds", "mc_propagate"]
 
 
@@ -62,28 +67,19 @@ class UValue:
         return f"{self.value:{spec}} +- {self.sigma:{spec}}"
 
 
-def _as_uvalue(v) -> UValue:
-    if isinstance(v, UValue):
-        return v
-    return UValue(float(v), 0.0)
+def _uvalues(values, cov) -> list[UValue]:
+    """One UValue per value, its sigma sqrt(max(C_jj, 0)) from the covariance array C =
+    ``cov``: rounding can leave a variance of correlated inputs a hair below 0."""
+    return [UValue(float(v), math.sqrt(max(c, 0.0)))
+            for v, c in zip(values, cov.diagonal().tolist())]
 
 
-def combine_linear(terms: Sequence[tuple[float, UValue]]) -> UValue:
-    """Exact propagation for a linear combination sum(c_i * v_i).
-
-    The sigma adds in quadrature, weighted by |c_i|; this is exact for
-    independent Gaussian inputs.
-    """
-    value = 0.0
-    var = 0.0
-    for coeff, v in terms:
-        coeff = float(coeff)
-        if not math.isfinite(coeff):
-            raise InvalidInputError(f"non-finite coefficient {coeff}")
-        v = _as_uvalue(v)
-        value += coeff * v.value
-        var += coeff * coeff * v.sigma * v.sigma
-    return UValue(value, math.sqrt(var))
+def _reciprocal(x, sigma):
+    """(1/x, sigma/x^2, ok) of arrays x +- sigma: their first-order reciprocal, the form in
+    which every Q is fitted, and ok where both are finite and > 0 (overflows unwarned)."""
+    with np.errstate(all="ignore"):
+        inv, sigma_inv = 1.0 / x, sigma / x ** 2
+    return inv, sigma_inv, (0 < inv) & (inv < np.inf) & (0 < sigma_inv) & (sigma_inv < np.inf)
 
 
 def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
@@ -98,35 +94,31 @@ def propagate_joint(f: Callable[..., Sequence[float]], inputs: Sequence[UValue],
     covariance J C J^T, with C the inputs' ``covariance`` if given (it replaces their
     sigmas), else diag(sigma^2).
     """
-    inputs = [_as_uvalue(v) for v in inputs]
     means = [v.value for v in inputs]
-    if covariance is not None and [len(r) for r in covariance] != [len(inputs)] * len(inputs):
+    C = np.diag([v.sigma * v.sigma for v in inputs]) if covariance is None else covariance
+    if [len(r) for r in C] != [len(inputs)] * len(inputs):
         raise InvalidInputError(f"covariance must be {len(inputs)} x {len(inputs)}")
+    C = np.asarray(C, dtype=float)
     center = [float(y) for y in f(*means)]
     if not all(map(math.isfinite, center)):
         raise InvalidInputError("function is non-finite at the input means")
-    grads = []  # (i, df/dx_i) for each input with a nonzero variance
-    for i, v in enumerate(inputs):
-        if (v.sigma if covariance is None else covariance[i][i]) == 0.0:
-            continue
+    kept, grads = [], []  # the inputs of nonzero variance and gradient, and df/dx_i
+    for i in np.flatnonzero(C.diagonal()).tolist():
         h = 1e-30 * max(abs(means[i]), 1.0)
         point = list(means)
         point[i] = complex(means[i], h)
         grad = [complex(y).imag / h for y in f(*point)]
         if not all(map(math.isfinite, grad)):
             raise InvalidInputError(f"gradient non-finite in input {i}")
-        grads.append((i, grad))
-    n = len(center)
-    if covariance is None:  # products overflow to inf, where ** 2 would raise
-        columns = [[g * inputs[i].sigma for g in grad] for i, grad in grads]
-        cov = [[sum(c[j] * c[k] for c in columns) for k in range(n)] for j in range(n)]
-    else:
-        cov = [[sum(ga[j] * covariance[a][b] * gb[k] for a, ga in grads for b, gb in grads)
-                for k in range(n)] for j in range(n)]
-    if not all(math.isfinite(cov[j][j]) for j in range(n)):
+        if any(grad):  # a zero column adds nothing, even where its variance is inf
+            kept.append(i)
+            grads.append(grad)
+    J = np.array(grads, dtype=float).reshape(len(kept), len(center)).T
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan variance raises below
+        cov = J @ C.take(kept, 0).take(kept, 1) @ J.T  # C of the kept inputs
+    if not np.isfinite(cov.diagonal()).all():
         raise InvalidInputError("propagated variance is not finite")
-    # max: rounding can leave a variance of correlated inputs a hair below 0
-    return [UValue(y, math.sqrt(max(cov[j][j], 0.0))) for j, y in enumerate(center)], cov
+    return _uvalues(center, cov), cov.tolist()
 
 
 def propagate(f: Callable[..., float], inputs: Sequence[UValue],
@@ -304,7 +296,6 @@ def mc_propagate(f: Callable[..., float], inputs: Sequence[UValue], n_samples: i
     if n_samples < 10**3:
         raise ConfigurationError(f"n_samples must be >= 1000, got {n_samples}")
     rng = np.random.default_rng(seed)
-    inputs = [_as_uvalue(v) for v in inputs]
     samples = [rng.normal(v.value, v.sigma, n_samples) for v in inputs]
     out = np.asarray(f(*samples), dtype=float)
     out = np.broadcast_to(out, (n_samples,))

@@ -33,7 +33,7 @@ from .errors import (
     float_columns,
     read_csv,
 )
-from .uncert import UValue, active_bounds, bounded_fit, propagate, weighted_lstsq
+from .uncert import UValue, _uvalues, active_bounds, bounded_fit, propagate, weighted_lstsq
 
 __all__ = [
     "XpsSpectrum",
@@ -395,10 +395,10 @@ def fit_components(
     """
     if not model:
         raise InvalidInputError("model needs >= 1 component")
-    x = spectrum.binding_energy
-    y = spectrum.intensity - np.asarray(background, dtype=float)
-    if y.shape != x.shape:
+    x, background = spectrum.binding_energy, np.asarray(background, dtype=float)
+    if background.shape != x.shape:
         raise InvalidInputError("background length must match the spectrum")
+    y = spectrum.intensity - background
 
     peak = max(float(np.max(y)), 0.0)
     p0, lower, upper, scale = [], [], [], []
@@ -464,8 +464,7 @@ def summed_areas(result: FitResult, oxide_labels: Sequence[str],
     S = np.array([sum((result.area_rows[label] for label in labels),
                       np.zeros_like(result.params)) for labels in groups])
     cov = S @ result.covariance @ S.T
-    areas = [UValue(v, math.sqrt(max(cov[j, j], 0.0))) for j, v in enumerate(values)]
-    return areas, cov.tolist()
+    return _uvalues(values, cov), cov.tolist()
 
 
 # ---------------------------------------------------------------------------

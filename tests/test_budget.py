@@ -84,6 +84,14 @@ class TestSolverGuards:
             solve_hc(UValue(3e-3), UValue(1e-2), UValue(5e-4),
                      UValue(2.7), UValue(0.0), CFG)
 
+    @pytest.mark.parametrize("tan_untreated, t_hc", [(3e-3, 0.0), (0.0, 0.5), (-1e-3, 0.5)])
+    def test_budget_needs_positive_hc_thickness_and_untreated_tangent(self, tan_untreated,
+                                                                      t_hc):
+        with pytest.raises(DegenerateSystemError, match="^hydrocarbon thickness and "
+                                                        "untreated tangent must be positive$"):
+            solve_budget(UValue(1.77e-3), UValue(2.51e-3), UValue(tan_untreated),
+                         UValue(1.9), UValue(3.1), UValue(2.7), UValue(t_hc), CFG)
+
     def test_hc_negative_warns(self):
         with pytest.warns(InconsistentInputsWarning):
             solve_hc(UValue(1e-4), UValue(1e-2), UValue(5e-4),
@@ -138,6 +146,11 @@ class TestFractionGuards:
         with pytest.raises(DegenerateSystemError):
             budget_fractions(UValue(0.0), UValue(1e-2), UValue(3e-3),
                              UValue(5e-4), UValue(2.7), UValue(0.5), CFG)
+
+    def test_all_zero_terms_rejected(self):
+        with pytest.raises(DegenerateSystemError, match="^all budget terms are zero$"):
+            budget_fractions(UValue(3e-3), UValue(0.0), UValue(0.0),
+                             UValue(0.0), UValue(2.7), UValue(0.5), CFG)
 
     def test_sigma_not_renormalized(self):
         # renormalization only shifts central values; sigmas stay physical

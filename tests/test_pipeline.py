@@ -269,12 +269,19 @@ class TestEmission:
         "nested": [[[]], [{"b": 1, "a": [{}]}]], "\u00e9 key": 1, "": 0.5,
     }
 
-    @pytest.mark.parametrize("tree", ["report", EVERY_LEAF], ids=["bundled", "every-leaf"])
+    @pytest.mark.parametrize("tree", ["report", EVERY_LEAF, {"a": [1.0, {2}]}, 2.5],
+                             ids=["bundled", "every-leaf", "non-json-leaf", "scalar"])
     def test_json_bytes_are_those_of_json_dumps(self, tree, report, tmp_path):
         tree = report if tree == "report" else tree
+        try:
+            expected = (json.dumps(tree, indent=2, sort_keys=True) + "\n").encode()
+        except TypeError as exc:  # a leaf json cannot write: its error, and no file
+            with pytest.raises(TypeError, match=f"^{re.escape(str(exc))}$"):
+                emit(tree, tmp_path, fmt="json")
+            assert not (tmp_path / "report.json").exists()
+            return
         (path,) = emit(tree, tmp_path, fmt="json")
-        assert path.read_bytes() == (json.dumps(tree, indent=2, sort_keys=True)
-                                     + "\n").encode()
+        assert path.read_bytes() == expected
 
     def test_plot_csv_tables(self, report, tmp_path):
         written = emit(report, tmp_path, fmt="plot-csv")
@@ -1034,6 +1041,17 @@ CONFIG_RANGE_DEFECTS = {
         "tls.rescale_temperature_k") for value in (1e300, 0, -1, 0.5)},
     "negative-rescale-n-bar": (lambda raw: set_node(raw, ("tls", "rescale_n_bar"), -1),
                                "tls.rescale_n_bar"),
+    "negative-q-measured": (lambda raw: set_node(raw, ("qubit", "q_measured", "value"), -5),
+                            "qubit.q_measured"),
+    "q-measured-above-the-surfaces-limit": (lambda raw: set_node(
+        raw, ("qubit", "q_measured", "value"), 1e9), "qubit.q_measured"),
+    "zero-untreated-t-hc": (lambda raw: set_node(
+        raw, ("treatments", "untreated", "t_hc", "value"), 0), "treatments.untreated.t_hc"),
+    "untreated-t-hc-left-out": (lambda raw: raw["treatments"]["untreated"].pop("t_hc"),
+                                "treatments.untreated.t_hc"),
+    **{f"untreated-tan-delta-{value}": (lambda raw, value=value: set_node(
+        raw, ("treatments", "untreated", "tan_delta", "value"), value),
+        "treatments.untreated.tan_delta") for value in (0, -1e-3)},
 }
 
 

@@ -143,6 +143,23 @@ class TestBarrierSolve:
         with pytest.raises(DegenerateSystemError):
             solve_barrier_tangent(UValue(1e8), UValue(1e-7), UValue(1.6), 96.0)
 
+    @pytest.mark.parametrize("solve, kind, message", [
+        (lambda geom, sp, c_jj: solve_barrier_tangent(UValue(-5.0), UValue(1e-7), c_jj, 96.0),
+         InvalidInputError, "measured Q must be positive"),
+        (lambda geom, sp, c_jj: solve_barrier_tangent(UValue(1e6), UValue(1e-7), UValue(0.0),
+                                                      96.0),
+         DegenerateSystemError, "zero junction capacitance"),
+        (lambda geom, sp, c_jj: three_way_budget(geom, sp, UValue(-5.0), c_jj),
+         InvalidInputError, "measured Q must be positive"),
+        (lambda geom, sp, c_jj: three_way_budget(geom, sp, UValue(1e9), c_jj),
+         DegenerateSystemError, "barrier share is non-positive; surfaces already exceed "
+                                "measured loss"),
+    ], ids=["solve-negative-q", "solve-zero-c-jj", "budget-negative-q", "budget-q-1e9"])
+    def test_rejected_inputs(self, solve, kind, message):
+        geom = make_geom()
+        with pytest.raises(kind, match=f"^{message}$"):
+            solve(geom, make_tangents("single-photon"), junction_capacitance(geom.junction))
+
     def test_three_way_budget_sums_to_100(self):
         geom = make_geom()
         tangents = make_tangents("single-photon")

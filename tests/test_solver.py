@@ -101,6 +101,14 @@ def test_bad_start_is_a_value_error(evaluate, x0, match):
     assert isinstance(info.value, DegenerateSystemError) == str(info.value).startswith("the model")
 
 
+@pytest.mark.parametrize("bounds", [([1.0], [1.0]), ([1.0], [-1.0])], ids=["empty", "inverted"])
+def test_bounds_without_interior_are_a_value_error(bounds):
+    with pytest.raises(ValueError, match="^each lower bound must be below its upper bound$") \
+            as info:
+        least_squares(line, [1.0], bounds=bounds, **TOLERANCES)
+    assert not isinstance(info.value, DegenerateSystemError)
+
+
 def test_non_finite_jacobian_at_an_accepted_point_is_a_value_error():
     calls = []
 

@@ -93,6 +93,16 @@ class TestModel:
         with pytest.raises(InvalidInputError):
             QGrid([1.0], [0.01], [-1.0], [0.0])
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("D", 0.0, r"^q_tls0, q_other and D must be positive$"),
+        ("q_other", -1.0, r"^q_tls0, q_other and D must be positive$"),
+        ("beta2", 0.0, r"^beta2 must be > 0 \(Q_TLS increases with photon number\)$"),
+        ("beta2", -0.5, r"^beta2 must be > 0 \(Q_TLS increases with photon number\)$"),
+    ])
+    def test_params_rules(self, field, value, message):
+        with pytest.raises(InvalidInputError, match=message):
+            replace(TRUE, **{field: value})
+
     @pytest.mark.parametrize("q,sigma", [(1e6, 0.0), (1e-320, 1e4), (1e200, 1.0)])
     def test_point_without_finite_fit_weight_rejected(self, q, sigma):
         # 1/Q and sigma/Q^2 must both be finite and > 0

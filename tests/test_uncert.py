@@ -16,7 +16,6 @@ from qlb.uncert import (
     UValue,
     active_bounds,
     bounded_fit,
-    combine_linear,
     mc_propagate,
     projection,
     propagate,
@@ -35,35 +34,38 @@ def test_uvalue_invariants():
 
 
 class TestCombineLinear:
+    """Linear combinations sum(c_i x_i) through propagate: sigma = hypot(c_i sigma_i)."""
+
     def test_3_4_5_quadrature(self):
-        out = combine_linear([(1, UValue(2, 0.3)), (1, UValue(1, 0.4))])
-        assert out.value == pytest.approx(3.0)
-        assert out.sigma == pytest.approx(0.5)
+        out = propagate(lambda a, b: a - b, [UValue(2, 0.3), UValue(1, 0.4)])
+        assert out.value == pytest.approx(1.0)
+        assert out.sigma == pytest.approx(0.5, rel=1e-15)
 
     def test_identity(self):
-        out = combine_linear([(1, UValue(7.5, 0.2)), (1, UValue(0, 0))])
+        out = propagate(lambda a, b: a + b, [UValue(7.5, 0.2), UValue(0, 0)])
         assert out.value == 7.5 and out.sigma == 0.2
 
     def test_mixed_coefficients(self):
         # closed form: sigma = sqrt((2*0.1)^2 + (1*0.2)^2) = sqrt(0.08)
-        out = combine_linear([(2, UValue(5, 0.1)), (-1, UValue(3, 0.2))])
+        out = propagate(lambda a, b: 2 * a - b, [UValue(5, 0.1), UValue(3, 0.2)])
         assert out.value == pytest.approx(7.0)
-        assert out.sigma == pytest.approx(math.sqrt(0.08))
+        assert out.sigma == pytest.approx(math.sqrt(0.08), rel=1e-15)
 
     def test_rejects_nonfinite_coefficient(self):
-        with pytest.raises(InvalidInputError):
-            combine_linear([(float("inf"), UValue(1, 0.1))])
+        with pytest.raises(InvalidInputError, match="non-finite at the input means"):
+            propagate(lambda a: math.inf * a, [UValue(1, 0.1)])
 
     @given(st.lists(
         st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(0, 5)),
         min_size=1, max_size=6,
     ))
     def test_sigma_invariant_under_sign_flip(self, rows):
-        terms = [(c, UValue(v, s)) for c, v, s in rows]
-        flipped = [(-c, UValue(v, s)) for c, v, s in rows]
-        assert combine_linear(terms).sigma == pytest.approx(
-            combine_linear(flipped).sigma, abs=1e-15
-        )
+        inputs = [UValue(v, s) for _, v, s in rows]
+
+        def linear(sign):
+            return propagate(lambda *x: sum(sign * c * xi for (c, _, _), xi in zip(rows, x)),
+                             inputs).sigma
+        assert linear(1.0) == pytest.approx(linear(-1.0), abs=1e-15)
 
 
 class TestPropagate:
@@ -88,6 +90,11 @@ class TestPropagate:
     def test_nonfinite_at_means(self):
         with pytest.raises(InvalidInputError):
             propagate(lambda x: math.inf, [UValue(1, 0.1)])
+
+    def test_nonfinite_gradient_rejected(self):
+        # finite at the means (1e308), but the complex step's Im f / h overflows
+        with pytest.raises(InvalidInputError, match="^gradient non-finite in input 1$"):
+            propagate(lambda a, b: a + b * 1e308 * 10.0, [UValue(1.0, 0.1), UValue(0.1, 0.01)])
 
     def test_overflowing_variance(self):
         # (grad * sigma)^2 = 1e400 is past the largest float
@@ -169,6 +176,29 @@ class TestPropagateJoint:
                                                              rel=1e-15)
         for row, diag_row in zip(cov_diag, cov):
             assert row == pytest.approx(diag_row, rel=1e-14)
+
+    def test_given_covariance_with_a_zero_variance_input(self):
+        # closed form for (a + 2b - c, a c): J = [[1, 2, -1], [c, 0, a]] at (a, b, c) = (2, 5, 3);
+        # b is exact, so only the (a, c) block of the covariance enters J C J^T
+        calls = []
+        f = lambda a, b, c: calls.append(1) or (a + 2 * b - c, a * c)
+        cov_in = [[0.04, 0.0, 0.01], [0.0, 0.0, 0.0], [0.01, 0.0, 0.09]]
+        outs, cov = propagate_joint(f, [UValue(2.0, 9.0), UValue(5.0, 9.0), UValue(3.0, 9.0)],
+                                    covariance=cov_in)
+        assert len(calls) == 3  # the means, then a and c
+        J = np.array([[1.0, -1.0], [3.0, 2.0]])
+        expected = J @ np.array([[0.04, 0.01], [0.01, 0.09]]) @ J.T
+        np.testing.assert_allclose(cov, expected, rtol=1e-15, atol=0)
+        assert [o.sigma for o in outs] == pytest.approx(np.sqrt(expected.diagonal()),
+                                                        rel=1e-15)
+
+    def test_zero_gradient_input_of_huge_sigma_adds_nothing(self):
+        # sigma^2 = 1e400 overflows; b enters no output, so 0 * inf must not reach the sum
+        outs, cov = propagate_joint(lambda a, b: (3.0 * a, a + 1.0),
+                                    [UValue(2.0, 0.1), UValue(1.0, 1e200)])
+        assert [o.value for o in outs] == [6.0, 3.0]
+        assert [o.sigma for o in outs] == pytest.approx([0.3, 0.1], rel=1e-15)
+        assert np.isfinite(cov).all()
 
     def test_covariance_shape_checked(self):
         with pytest.raises(InvalidInputError, match="2 x 2"):
@@ -495,14 +525,13 @@ class TestMcPropagate:
 
 class TestFirstOrderVsMc:
     def test_linear_agreement_within_mc_error(self):
-        terms = [(2.0, UValue(1.5, 0.05)), (-3.0, UValue(0.7, 0.02))]
-        exact = combine_linear(terms)
+        exact = math.hypot(2.0 * 0.05, 3.0 * 0.02)  # the closed form of 2a - 3b
         n = 10**6
         mc = mc_propagate(lambda a, b: 2 * a - 3 * b,
-                          [t[1] for t in terms], n_samples=n, seed=3)
+                          [UValue(1.5, 0.05), UValue(0.7, 0.02)], n_samples=n, seed=3)
         # standard error of an MC sd estimate is sigma/sqrt(2n)
-        se = exact.sigma / math.sqrt(2 * n)
-        assert abs(mc.sigma - exact.sigma) < 3 * se * 3  # 3 std errors, margin 3
+        se = exact / math.sqrt(2 * n)
+        assert abs(mc.sigma - exact) < 3 * se * 3  # 3 std errors, margin 3
 
     @pytest.mark.parametrize("f,inputs", [
         (lambda a, b: a * b, [UValue(10, 0.3), UValue(4, 0.15)]),

@@ -67,6 +67,8 @@ class TestLineshapes:
             PeakComponent("x", "voigt", 72.6, 0.45)
         with pytest.raises(InvalidInputError):
             PeakComponent("x", "gaussian", 72.6, -1.0)
+        with pytest.raises(InvalidInputError, match="^area must be >= 0$"):
+            PeakComponent("x", "gaussian", 72.6, 0.45, area=-1.0)
 
 
 class TestFitJacobian:
@@ -202,6 +204,11 @@ class TestSpectrumIngestion:
         with pytest.raises(DatasetError):
             load_spectrum(bad)
 
+    def test_unknown_synthetic_background_rejected(self):
+        with pytest.raises(InvalidInputError, match="^unknown background kind 'linear'$"):
+            synthesize_spectrum([PeakComponent("m", "gaussian", 73.0, 0.6, area=500.0)],
+                                background_kind=("linear", 10.0))
+
 
 class TestCalibration:
     def test_shift_applied(self):
@@ -308,6 +315,16 @@ class TestFit:
         with pytest.raises(InvalidInputError, match="bounds"):
             fit_components(spec, bg, comps)
 
+    @pytest.mark.parametrize("malformed, message", [
+        (lambda comps, bg: ([], bg), "model needs >= 1 component"),
+        (lambda comps, bg: (comps, bg[:-1]), "background length must match the spectrum"),
+    ], ids=["no-component", "short-background"])
+    def test_malformed_model_or_background_rejected(self, malformed, message):
+        comps, spec, bg = self.make_spectrum()
+        model, background = malformed(comps, bg)
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            fit_components(spec, background, model)
+
     def test_center_window_clipped_to_the_energy_range(self):
         comps, spec, bg = self.make_spectrum()
         # 20 eV covers the whole 68.5-81.5 eV window from every centre
@@ -410,6 +427,10 @@ class TestStrohmeier:
             ratio = invert_strohmeier(d, consts)
             out = strohmeier_thickness(UValue(ratio), UValue(1.0), consts)
             assert out.value == pytest.approx(d, rel=1e-12)
+
+    def test_negative_oxide_intensity_rejected(self):
+        with pytest.raises(InvalidInputError, match="^oxide intensity must be >= 0$"):
+            strohmeier_thickness(UValue(-1.0), UValue(1000.0), StrohmeierConstants())
 
     def test_unresolved_metal_intensity_rejected(self):
         # 1.0 +- 2.0 is within its sigma of 0, where the log's argument has no bound
