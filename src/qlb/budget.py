@@ -117,14 +117,23 @@ def _chain(tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_ox, t_hc, r_ma, r_sa
     return (tan_alox, ms_sa, tan_hc, *_shares(tan_untreated, row, (tan_alox, tan_hc, ms_sa)))
 
 
-def _check(t_hf=None, t_hf90=None, t_untreated_ox=None, t_hc=None) -> None:
-    """Reject negative thicknesses and an HF pair without oxide regrowth."""
+def _check(t_hf=None, t_hf90=None, t_untreated_ox=None, t_hc=None, tan_untreated=None,
+           solving_hc=False) -> None:
+    """The budget's input rules on the inputs given, the error's ``arg`` naming the one it
+    rejects: thicknesses >= 0, t_hf90 > t_hf (regrowth), t_hc > 0 where tan_hc is solved
+    for (``solving_hc``) and tan_untreated > 0, which the shares divide by."""
     named = {"t_hf": t_hf, "t_hf90": t_hf90, "t_untreated_ox": t_untreated_ox, "t_hc": t_hc}
     for name, t in named.items():
         if t is not None and t.value < 0:
-            raise InvalidInputError(f"{name} must be >= 0 nm, got {t.value}")
+            raise InvalidInputError(f"{name} must be >= 0 nm, got {t.value}", arg=name)
     if t_hf90 is not None and t_hf90.value <= t_hf.value:
-        raise DegenerateSystemError("regrown oxide must be thicker than fresh oxide")
+        raise DegenerateSystemError("regrown oxide must be thicker than fresh oxide: t_hf90 "
+                                    f"{t_hf90.value} nm, t_hf {t_hf.value} nm", arg="t_hf90")
+    if solving_hc and t_hc.value == 0:
+        raise DegenerateSystemError("t_hc must be > 0 nm to solve for tan_hc", arg="t_hc")
+    if tan_untreated is not None and tan_untreated.value <= 0:
+        raise DegenerateSystemError(f"tan_untreated must be > 0, got {tan_untreated.value}",
+                                    arg="tan_untreated")
 
 
 def _renormalize(raw: list[UValue]) -> tuple[dict, float]:
@@ -181,9 +190,7 @@ def solve_hc(
     The untreated row solved for tan_hc, for independent inputs
     (``solve_budget`` solves the whole chain).
     """
-    _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc)
-    if t_hc.value == 0:
-        raise DegenerateSystemError("hydrocarbon thickness is zero")
+    _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc, solving_hc=True)
     out = propagate(lambda tan, alox, m, t_ox, t, r_ma, r_sa: _solve_row(
         tan, _row(t_ox, t, r_ma, r_sa, cfg.t0), (alox, 0.0, m), 1),
         [tan_untreated, tan_alox, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa])
@@ -228,9 +235,7 @@ def budget_fractions(
     renormalization factor is returned alongside (it is ~1 when the
     tangents solve the forward model consistently).
     """
-    _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc)
-    if tan_untreated.value <= 0:
-        raise DegenerateSystemError("untreated tangent must be positive")
+    _check(t_untreated_ox=t_untreated_ox, t_hc=t_hc, tan_untreated=tan_untreated)
     raw, _ = propagate_joint(lambda tan, alox, hc, m, t_ox, t, r_ma, r_sa: _shares(
         tan, _row(t_ox, t, r_ma, r_sa, cfg.t0), (alox, hc, m)),
         [tan_untreated, tan_alox, tan_hc, ms_sa, t_untreated_ox, t_hc, cfg.r_ma, cfg.r_sa])
@@ -252,10 +257,7 @@ def solve_budget(
     Tangents and fractions come from one propagation over the primitive
     inputs, so their sigmas keep the correlations between them.
     """
-    _check(t_hf, t_hf90, t_untreated_ox, t_hc)
-    if t_hc.value == 0 or tan_untreated.value <= 0:
-        raise DegenerateSystemError("hydrocarbon thickness and untreated tangent "
-                                    "must be positive")
+    _check(t_hf, t_hf90, t_untreated_ox, t_hc, tan_untreated, solving_hc=True)
     (tan_alox, ms_sa, tan_hc, *raw), _ = propagate_joint(
         partial(_chain, t0=cfg.t0),
         [tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untreated_ox, t_hc,

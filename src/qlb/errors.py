@@ -18,19 +18,19 @@ import numpy as np
 
 
 class QlbError(Exception):
-    """Base class for all toolkit errors."""
+    """Base class for toolkit errors; ``row`` and ``arg`` name a rejected data row or argument."""
 
     exit_code = 1
 
+    def __init__(self, message, row=None, arg=None):
+        super().__init__(message)
+        self.row, self.arg = row, arg
+
 
 class InvalidInputError(QlbError, ValueError):
-    """Non-finite, out-of-range, or otherwise malformed numeric input (of data row ``row``)."""
+    """Non-finite, out-of-range, or otherwise malformed numeric input."""
 
     exit_code = 2
-
-    def __init__(self, message, row=None):
-        super().__init__(message)
-        self.row = row
 
 
 class ConfigurationError(QlbError):
@@ -169,7 +169,7 @@ def read_csv(path, columns: tuple[str, ...], make, text: tuple[str, ...] = ()):
     try:
         out = make(*cells) if lines else None
     except (InvalidInputError, DatasetError) as exc:
-        if getattr(exc, "row", None) is not None:
+        if exc.row is not None:
             raise DatasetError(f"{path}, line {lines[exc.row]}: {exc}") from exc
         failure = failure or DatasetError(f"{path}: {exc}")
     if failure:

@@ -9,7 +9,9 @@ provenance.
 Stages build the objects they read from the validated sections.  An absent
 input raises StageNotConfigured naming its key before anything is built, so a
 report skips the stage (``_configured``); a fit's dataset error names the file
-(``_fitting``); a value a section's object rejects names its key (``_section``).
+(``_fitting``); a value a section's object or a solver (by its error's ``arg``) rejects
+names its key (``_section``).  A stage checks a value only where no call it makes
+checks it, or where it must fail before a dataset is read.
 """
 
 from __future__ import annotations
@@ -266,12 +268,16 @@ def _configured(value, key: str):
 
 
 @contextmanager
-def _section(key: str, *kinds):
-    """A value rejected by the object built from config section ``key``, or by the solve
-    it enters (an InvalidInputError or one of ``kinds``), names ``key``."""
+def _section(keys, *kinds):
+    """A value rejected by the object built from a config section, or by the solve it
+    enters (an InvalidInputError or one of ``kinds``), names its key: ``keys``, or from
+    ``keys`` as a table of the solve's arguments, its ``arg``'s (if none, it passes)."""
     try:
         yield
     except (InvalidInputError, *kinds) as exc:
+        key = keys.get(exc.arg) if isinstance(keys, dict) else keys
+        if key is None:
+            raise
         raise ConfigurationError(f"{key}: {exc}") from exc
 
 
@@ -295,7 +301,7 @@ def _stage_tls_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     if not config.tls["rescale_n_bar"] >= 0:
         raise ConfigurationError("tls.rescale_n_bar: must be >= 0")
     points = read_q_grid(path)
-    with _fitting(path):
+    with _fitting(path), _section({"f0": "tls.f0_hz"}):
         params, _cov = tls_mod.fit_tls(points, f0=config.tls["f0_hz"],
                                        qp_cutoff_temperature=cutoff)
     n1 = tls_mod.rescale_q_tls0(params, config.tls["rescale_n_bar"],
@@ -353,23 +359,21 @@ def _stage_spr_fit(config: AnalysisConfig, warnings_out: list) -> dict:
     return results
 
 
+# solve_budget's arguments, each by the (treatment, field) that configures it
+_BUDGET_INPUTS = {"tan_hf": ("hf", "tan_delta"), "tan_hf90": ("hf_90_days", "tan_delta"),
+                  "tan_untreated": ("untreated", "tan_delta"), "t_hf": ("hf", "t_ox"),
+                  "t_hf90": ("hf_90_days", "t_ox"), "t_untreated_ox": ("untreated", "t_ox"),
+                  "t_hc": ("untreated", "t_hc")}
+
+
 def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
-    tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc = (
-        _configured(config.treatments.get(label, {}).get(key), f"treatments.{label}.{key}")
-        for label, key in (("hf", "tan_delta"), ("hf_90_days", "tan_delta"),
-                           ("untreated", "tan_delta"), ("hf", "t_ox"),
-                           ("hf_90_days", "t_ox"), ("untreated", "t_ox"),
-                           ("untreated", "t_hc")))
+    keys = {arg: "treatments.{}.{}".format(*at) for arg, at in _BUDGET_INPUTS.items()}
+    inputs = {arg: _configured(config.treatments.get(label, {}).get(field), keys[arg])
+              for arg, (label, field) in _BUDGET_INPUTS.items()}
     with _section("participation"):
         cfg = budget_mod.ParticipationConfig(**config.participation)
-    # solve_budget's rule, named by its key (a negative thickness is its own rule's)
-    for key, broken in (("treatments.untreated.t_hc", t_hc.value == 0),
-                        ("treatments.untreated.tan_delta", tan_untreated.value <= 0)):
-        if broken:
-            raise ConfigurationError(f"{key}: must be > 0 for the budget")
-    result = budget_mod.solve_budget(
-        tan_hf, tan_hf90, tan_untreated, t_hf, t_hf90, t_untr, t_hc, cfg
-    )
+    with _section(keys, DegenerateSystemError):
+        result = budget_mod.solve_budget(**inputs, cfg=cfg)
     warnings_out.extend(f"budget: {w}" for w in result.warnings)
     entry = {
         "tan_alox": _uv(result.tan_alox),
@@ -386,13 +390,11 @@ def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
     hf_n1 = config.treatments.get("hf", {}).get("tan_delta_n1")
     hf90_n1 = config.treatments.get("hf_90_days", {}).get("tan_delta_n1")
     if hf_n1 is not None and hf90_n1 is not None:
-        alox_n1, ms_sa_n1 = budget_mod.solve_hf_pair(hf_n1, hf90_n1, t_hf, t_hf90, cfg)
+        alox_n1, ms_sa_n1 = budget_mod.solve_hf_pair(hf_n1, hf90_n1, inputs["t_hf"],
+                                                     inputs["t_hf90"], cfg)
         if ms_sa_n1.value < 0:
             warnings_out.append(f"budget[n=1]: {budget_mod.MS_SA_NEGATIVE}")
-        entry["single_photon"] = {
-            "tan_alox": _uv(alox_n1),
-            "tan_ms_sa": _uv(ms_sa_n1),
-        }
+        entry["single_photon"] = {"tan_alox": _uv(alox_n1), "tan_ms_sa": _uv(ms_sa_n1)}
     return entry
 
 
@@ -420,7 +422,8 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
     geom, regimes = _qubit_inputs(config)
     entry, inv_qs = {"regimes": {}}, {}
     for regime, tangents in regimes.items():
-        inv_q, q, cap_pct, leads_pct = qubit_mod.predict_regime(geom, tangents)
+        with _section("qubit", DegenerateSystemError):
+            inv_q, q, cap_pct, leads_pct = qubit_mod.predict_regime(geom, tangents)
         inv_qs[regime] = inv_q
         entry["regimes"][regime] = {
             "inv_q": _uv(inv_q),
@@ -428,12 +431,11 @@ def _stage_qubit(config: AnalysisConfig, warnings_out: list) -> dict:
             "capacitor_pct": _uv(cap_pct),
             "junction_leads_pct": _uv(leads_pct),
         }
-    c_jj = qubit_mod.junction_capacitance(geom.junction)
-    energy_frac = qubit_mod.junction_energy_fraction(c_jj, geom.c_shunt)
-    entry["junction"] = {
-        "c_jj_fF": _uv(c_jj),
-        "energy_fraction_pct": _uv(energy_frac.scaled(100.0)),
-    }
+    with _section("qubit.junction"):
+        c_jj = qubit_mod.junction_capacitance(geom.junction)
+        energy_frac = qubit_mod.junction_energy_fraction(c_jj, geom.c_shunt)
+    entry["junction"] = {"c_jj_fF": _uv(c_jj),
+                         "energy_fraction_pct": _uv(energy_frac.scaled(100.0))}
     sp = regimes.get("single-photon")
     if sp is not None:
         with _section("qubit.q_measured", DegenerateSystemError):
@@ -485,13 +487,8 @@ def _stage_xps_fit(config: AnalysisConfig, warnings_out: list) -> dict:
                                             cal["reference_energy_ev"])
         with _section("xps.background_window_ev"):
             window, bg = xps_mod.shirley_background(spec, lo, hi)
-        x = window.binding_energy
-        for i, c in enumerate(components):  # fit_components clips the window to x
-            if not (x[0] < c.center + c.center_window and c.center - c.center_window < x[-1]):
-                raise ConfigurationError(
-                    f"xps.components[{i}]: center window {c.center:g} +- {c.center_window:g} "
-                    f"eV misses the fit window [{x[0]:g}, {x[-1]:g}] eV")
-        result = xps_mod.fit_components(window, bg, components)
+        with _section({i: f"xps.components[{i}]" for i in range(len(components))}):
+            result = xps_mod.fit_components(window, bg, components)
         (i_ox, i_m), area_cov = xps_mod.summed_areas(result, config.xps["oxide_labels"],
                                                      config.xps["metal_labels"])
         thickness = xps_mod.strohmeier_thickness(i_ox, i_m, constants, area_cov)

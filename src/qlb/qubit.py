@@ -137,6 +137,15 @@ def _junction_share(c_jj, c_shunt):
     return c_jj / (c_jj + c_shunt)
 
 
+def _check_barrier(q_measured: UValue, inv_q_surfaces: float, c_jj: UValue, c_shunt: float):
+    """Q_meas > 0, and the barrier's part of its loss 1/Q_meas - (1 - share) 1/Q_surfaces > 0."""
+    if q_measured.value <= 0:
+        raise InvalidInputError("measured Q must be positive")
+    if 1.0 / q_measured.value <= (1.0 - _junction_share(c_jj.value, c_shunt)) * inv_q_surfaces:
+        raise DegenerateSystemError("barrier share is non-positive; surfaces already exceed "
+                                    "measured loss")
+
+
 def junction_energy_fraction(c_jj: UValue, c_shunt: float) -> UValue:
     """Fraction of circuit electric energy stored in the junction barrier."""
     if c_shunt <= 0:
@@ -163,15 +172,9 @@ def solve_barrier_tangent(
 
     1/Q_meas = (Cs/(Cs+Cj)) (1/Q_surfaces) + (Cj/(Cs+Cj)) tan_barrier
     """
-    if q_measured.value <= 0:
-        raise InvalidInputError("measured Q must be positive")
+    _check_barrier(q_measured, inv_q_surfaces.value, c_jj, c_shunt)  # inverted below
     if c_jj.value == 0:
         raise DegenerateSystemError("zero junction capacitance")
-    surfaces = (1.0 - _junction_share(c_jj.value, c_shunt)) * inv_q_surfaces.value
-    if 1.0 / q_measured.value <= surfaces:  # the contribution 1/Q_meas - surfaces, inverted below
-        raise DegenerateSystemError(
-            "barrier contribution is non-positive; surfaces already exceed measured loss"
-        )
 
     def barrier(qm, iqs, cj):
         share = _junction_share(cj, c_shunt)
@@ -179,9 +182,7 @@ def solve_barrier_tangent(
         contribution = share * tan_barrier
         return tan_barrier, contribution, 1.0 / contribution
 
-    (tan_barrier, contribution, limiting_q), _ = propagate_joint(
-        barrier, [q_measured, inv_q_surfaces, c_jj])
-    return BarrierSolve(tan_barrier, contribution, limiting_q)
+    return BarrierSolve(*propagate_joint(barrier, [q_measured, inv_q_surfaces, c_jj])[0])
 
 
 def three_way_budget(
@@ -196,18 +197,15 @@ def three_way_budget(
     is the residual, so central values sum to exactly 100.  All three come
     from one propagation over (tangents, c_jj, q_measured).
     """
-    if q_measured.value <= 0:
-        raise InvalidInputError("measured Q must be positive")
+    inputs = [tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads, c_jj,
+              q_measured]
+    _check_barrier(q_measured, sum(_loss_terms(geom, *(v.value for v in inputs[:3]))), c_jj,
+                   geom.c_shunt)
 
     def shares(tc, ta, tm, cj, qm):
         scale = (1.0 - _junction_share(cj, geom.c_shunt)) * qm * 100.0
         cap_pct, leads_pct = (scale * term for term in _loss_terms(geom, tc, ta, tm))
         return cap_pct, leads_pct, 100.0 - cap_pct - leads_pct
 
-    (capacitor, leads, barrier), _ = propagate_joint(shares, [
-        tangents.tan_capacitor, tangents.tan_alox_leads, tangents.tan_ms_leads,
-        c_jj, q_measured])
-    if barrier.value <= 0:
-        raise DegenerateSystemError("barrier share is non-positive; surfaces already "
-                                    "exceed measured loss")
-    return {"capacitor": capacitor, "junction_leads": leads, "barrier": barrier}
+    return dict(zip(("capacitor", "junction_leads", "barrier"),
+                    propagate_joint(shares, inputs)[0]))

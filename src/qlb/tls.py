@@ -79,7 +79,7 @@ class QGrid:
 
 def _check_f0(f0: float):
     if not (math.isfinite(f0) and f0 > 0):
-        raise InvalidInputError(f"f0 must be a finite positive frequency, got {f0}")
+        raise InvalidInputError(f"f0 must be a finite positive frequency, got {f0}", arg="f0")
 
 
 def _tanh_factor(f0: float, temperature):

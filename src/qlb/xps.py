@@ -381,17 +381,18 @@ def fit_components(
 ) -> FitResult:
     """Constrained least squares of the background-subtracted spectrum.
 
-    Fit parameters per template component: center (within its ``center_window``,
-    clipped to the spectrum's energy range), fwhm (within ``FWHM_BOUNDS_EV``),
-    area (>= 0).  Doublet 1/2 partners are generated exactly (shared fwhm,
-    +DOUBLET_SPLITTING_EV, half area), never fitted.  The sigmas are
-    Poisson-like, sqrt(max(I, 1)).  ``_peak_model`` evaluates the model straight from
-    the parameter vector together with its analytic Jacobian, once per point.  The fit
-    starts at the template centres and fwhms, clipped to their bounds; the model is
-    linear in the areas, which start at their ``weighted_lstsq`` optimum there, clipped
-    to >= 0, or where that system is degenerate at the template area if > 0, else at
-    max(y) times the fwhm.  The covariance is rescaled by the reduced chi2; where that
-    overflows, a DegenerateSystemError.
+    Fit parameters per template component: center (within its ``center_window``, clipped
+    to the spectrum's energy range), fwhm (within ``FWHM_BOUNDS_EV``), area (>= 0);
+    unusable ones are rejected by their template's index (``arg``).  Doublet 1/2
+    partners are generated exactly (shared fwhm, +DOUBLET_SPLITTING_EV, half area),
+    never fitted.  The sigmas are Poisson-like, sqrt(max(I, 1)).  ``_peak_model``
+    evaluates the model straight from the parameter vector together with its analytic
+    Jacobian, once per point.  The fit starts at the template centres and fwhms, clipped
+    to their bounds; the model is linear in the areas, which start at their
+    ``weighted_lstsq`` optimum there, clipped to >= 0, or where that system is
+    degenerate at the template area if > 0, else at max(y) times the fwhm.  The
+    covariance is rescaled by the reduced chi2; where that overflows, a
+    DegenerateSystemError.
     """
     if not model:
         raise InvalidInputError("model needs >= 1 component")
@@ -410,9 +411,11 @@ def fit_components(
         upper += [np.minimum(c.center + c.center_window, x[-1]), FWHM_BOUNDS_EV[1], np.inf]
         scale += [upper[-3] - lower[-3], upper[-2] - lower[-2], area]
     p0 = np.clip(p0, lower, upper)
-    if not (np.all(np.isfinite(p0)) and np.all(np.less(lower, upper))):
-        raise InvalidInputError("component start values and bounds must be finite "
-                                "and ordered (lower < upper)")
+    usable = np.isfinite(p0) & np.less(lower, upper)
+    if not usable.all():  # arg: the first template with an unusable parameter
+        i = int(np.argmin(usable)) // 3
+        raise InvalidInputError(f"{model[i].label}: start values and bounds must be finite "
+                                f"and ordered (lower < upper) in [{x[0]:g}, {x[-1]:g}] eV", arg=i)
     sigma = np.sqrt(np.maximum(spectrum.intensity, 1.0))
     evaluate = partial(_peak_model, x, model)
     areas = slice(2, None, 3)

@@ -20,6 +20,10 @@ from qlb.errors import (
 from qlb.uncert import UValue
 
 CFG = ParticipationConfig()  # r_ma = 0.105, r_sa = 1.15, t0 = 3.0 nm
+# solve_budget's arguments at the bundled paper values
+BUDGET_ARGS = dict(tan_hf=UValue(1.77e-3), tan_hf90=UValue(2.51e-3),
+                   tan_untreated=UValue(3.19e-3), t_hf=UValue(1.9), t_hf90=UValue(3.1),
+                   t_untreated_ox=UValue(2.7), t_hc=UValue(0.5), cfg=CFG)
 
 
 def forward_tangents(tan_alox, ms_sa, tan_hc, t_hf, t_hf90, t_ox, t_hc, cfg):
@@ -84,13 +88,53 @@ class TestSolverGuards:
             solve_hc(UValue(3e-3), UValue(1e-2), UValue(5e-4),
                      UValue(2.7), UValue(0.0), CFG)
 
-    @pytest.mark.parametrize("tan_untreated, t_hc", [(3e-3, 0.0), (0.0, 0.5), (-1e-3, 0.5)])
+    @pytest.mark.parametrize("tan_untreated, t_hc, message", [
+        (3e-3, 0.0, r"t_hc must be > 0 nm to solve for tan_hc"),
+        (0.0, 0.5, r"tan_untreated must be > 0, got 0\.0"),
+        (-1e-3, 0.5, r"tan_untreated must be > 0, got -0\.001")],
+        ids=["0.003-0.0", "0.0-0.5", "-0.001-0.5"])
     def test_budget_needs_positive_hc_thickness_and_untreated_tangent(self, tan_untreated,
-                                                                      t_hc):
-        with pytest.raises(DegenerateSystemError, match="^hydrocarbon thickness and "
-                                                        "untreated tangent must be positive$"):
+                                                                      t_hc, message):
+        with pytest.raises(DegenerateSystemError, match=f"^{message}$"):
             solve_budget(UValue(1.77e-3), UValue(2.51e-3), UValue(tan_untreated),
                          UValue(1.9), UValue(3.1), UValue(2.7), UValue(t_hc), CFG)
+
+    @pytest.mark.parametrize("solve, kind, arg", [
+        *((lambda name=name: solve_budget(**{**BUDGET_ARGS, name: UValue(-0.1)}),
+           InvalidInputError, name) for name in ("t_hf", "t_hf90", "t_untreated_ox", "t_hc")),
+        (lambda: solve_alox(UValue(1e-3), UValue(2e-3), UValue(3.0), UValue(2.0), CFG),
+         DegenerateSystemError, "t_hf90"),
+        (lambda: solve_budget(**{**BUDGET_ARGS, "t_hf90": UValue(1.9)}),
+         DegenerateSystemError, "t_hf90"),
+        (lambda: solve_hc(UValue(3e-3), UValue(1e-2), UValue(5e-4), UValue(2.7), UValue(0.0),
+                          CFG), DegenerateSystemError, "t_hc"),
+        (lambda: solve_budget(**{**BUDGET_ARGS, "t_hc": UValue(0.0)}),
+         DegenerateSystemError, "t_hc"),
+        (lambda: budget_fractions(UValue(0.0), UValue(1e-2), UValue(3e-3), UValue(5e-4),
+                                  UValue(2.7), UValue(0.5), CFG),
+         DegenerateSystemError, "tan_untreated"),
+        (lambda: solve_budget(**{**BUDGET_ARGS, "tan_untreated": UValue(-1e-3)}),
+         DegenerateSystemError, "tan_untreated"),
+    ], ids=["negative-t_hf", "negative-t_hf90", "negative-t_untreated_ox", "negative-t_hc",
+            "alox-no-regrowth", "budget-no-regrowth", "hc-zero-t_hc", "budget-zero-t_hc",
+            "fractions-zero-tangent", "budget-negative-tangent"])
+    def test_rejection_names_its_argument(self, solve, kind, arg):
+        with pytest.raises(kind) as info:
+            solve()
+        assert info.value.arg == arg
+        assert info.value.exit_code == 2
+
+    def test_regrowth_error_gives_both_thicknesses(self):
+        with pytest.raises(DegenerateSystemError, match=r"^regrown oxide must be thicker than "
+                                                        r"fresh oxide: t_hf90 0\.0 nm, "
+                                                        r"t_hf 1\.9 nm$"):
+            solve_budget(**{**BUDGET_ARGS, "t_hf90": UValue(0.0)})
+
+    def test_fractions_take_a_zero_hc_thickness(self):
+        # t_hc divides only where tan_hc is solved for
+        fractions, _ = budget_fractions(UValue(3e-3), UValue(1e-2), UValue(3e-3), UValue(5e-4),
+                                        UValue(2.7), UValue(0.0), CFG)
+        assert fractions["hydrocarbon"].value == 0.0
 
     def test_hc_negative_warns(self):
         with pytest.warns(InconsistentInputsWarning):

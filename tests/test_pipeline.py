@@ -1052,6 +1052,32 @@ CONFIG_RANGE_DEFECTS = {
     **{f"untreated-tan-delta-{value}": (lambda raw, value=value: set_node(
         raw, ("treatments", "untreated", "tan_delta", "value"), value),
         "treatments.untreated.tan_delta") for value in (0, -1e-3)},
+    **{f"negative-{label}-{field}": (lambda raw, at=("treatments", label, field, "value"):
+                                     set_node(raw, at, -1), f"treatments.{label}.{field}")
+       for label, field in (("hf", "t_ox"), ("hf_90_days", "t_ox"), ("untreated", "t_ox"),
+                            ("untreated", "t_hc"))},
+    # regrowth: the 90-day oxide not thicker than the fresh one names the 90-day key
+    **{f"no-regrowth-{label}-t-ox-{value}": (lambda raw, at=("treatments", label, "t_ox",
+                                                             "value"), value=value:
+                                             set_node(raw, at, value),
+                                             "treatments.hf_90_days.t_ox")
+       for label, value in (("hf_90_days", 0), ("hf_90_days", 1e-300), ("hf", 1e300))},
+    # c +- 1e-300 rounds to c: the centre's bounds are not ordered
+    **{f"center-window-1e-300-{i}": (lambda raw, i=i: set_node(
+        raw, ("xps", "components", i, "center_window_ev"), 1e-300), f"xps.components[{i}]")
+       for i in range(3)},
+    **{f"tls-f0-{value}": (lambda raw, value=value: set_node(raw, ("tls", "f0_hz"), value),
+                           "tls.f0_hz") for value in (0, -1)},
+    # the qubit's propagations overflow
+    **{f"qubit-{name}-1e300": (lambda raw, name=name: set_node(raw, ("qubit", name), 1e300),
+                               "qubit") for name in ("p_capacitor", "p_ms_leads", "p_ma_leads")},
+    **{f"junction-{at[0]}-{value}": (lambda raw, at=at, value=value: set_node(
+        raw, ("qubit", "junction", *at), value), "qubit.junction")
+       for at, value in ((("eps_r",), 1e300), (("width_nm", "value"), 1e300),
+                         (("length_nm", "value"), 1e300),
+                         (("barrier_thickness_nm", "value"), 1e-300))},
+    "regime-without-loss": (lambda raw: raw["qubit"]["tangents"]["linear-absorption"].update(
+        tan_capacitor=0, tan_alox_leads=0, tan_ms_leads=0), "qubit"),
 }
 
 
@@ -1072,6 +1098,23 @@ def test_rejected_qubit_value_names_the_rule(tmp_path, capsys, defect, message):
     cfg = write_config(tmp_path, CONFIG_RANGE_DEFECTS[defect][0])
     assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "report"]) == 2
     assert f"error [ConfigurationError]: qubit: {message}" in capsys.readouterr().err
+
+
+def test_section_table_names_only_the_arguments_it_holds():
+    with pytest.raises(ConfigurationError, match=r"^tls\.f0_hz: bad f0$"):
+        with pipeline._section({"f0": "tls.f0_hz"}):
+            raise InvalidInputError("bad f0", arg="f0")
+    for arg in ("points", None):  # another argument's error, or one naming none, passes
+        with pytest.raises(InvalidInputError, match="^bad input$"):
+            with pipeline._section({"f0": "tls.f0_hz"}):
+                raise InvalidInputError("bad input", arg=arg)
+
+
+def test_missing_regrowth_names_both_thicknesses(tmp_path, capsys):
+    cfg = write_config(tmp_path, CONFIG_RANGE_DEFECTS["no-regrowth-hf_90_days-t-ox-0"][0])
+    assert cli.main(["--config", str(cfg), "--out", str(tmp_path / "out"), "budget"]) == 2
+    assert ("error [ConfigurationError]: treatments.hf_90_days.t_ox: regrown oxide must be "
+            "thicker than fresh oxide: t_hf90 0.0 nm, t_hf 1.9 nm\n") in capsys.readouterr().err
 
 
 def test_background_window_with_too_few_samples_names_the_spectrum(tmp_path, capsys):

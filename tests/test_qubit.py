@@ -124,6 +124,9 @@ class TestJunction:
             junction_energy_fraction(UValue(1.0, 0.1), 0.0)
 
 
+BARRIER_RULE = "barrier share is non-positive; surfaces already exceed measured loss"
+
+
 class TestBarrierSolve:
     def test_forward_inverse_identity(self):
         cs, cj, tan_b, inv_q_surf = 96.0, 1.6, 5e-7, 9.7e-8
@@ -152,13 +155,25 @@ class TestBarrierSolve:
         (lambda geom, sp, c_jj: three_way_budget(geom, sp, UValue(-5.0), c_jj),
          InvalidInputError, "measured Q must be positive"),
         (lambda geom, sp, c_jj: three_way_budget(geom, sp, UValue(1e9), c_jj),
-         DegenerateSystemError, "barrier share is non-positive; surfaces already exceed "
-                                "measured loss"),
-    ], ids=["solve-negative-q", "solve-zero-c-jj", "budget-negative-q", "budget-q-1e9"])
+         DegenerateSystemError, BARRIER_RULE),
+        (lambda geom, sp, c_jj: solve_barrier_tangent(UValue(1e9), predict_inv_q(geom, sp),
+                                                      c_jj, geom.c_shunt),
+         DegenerateSystemError, BARRIER_RULE),
+    ], ids=["solve-negative-q", "solve-zero-c-jj", "budget-negative-q", "budget-q-1e9",
+            "solve-q-1e9"])
     def test_rejected_inputs(self, solve, kind, message):
         geom = make_geom()
         with pytest.raises(kind, match=f"^{message}$"):
             solve(geom, make_tangents("single-photon"), junction_capacitance(geom.junction))
+
+    def test_barrier_rule_is_checked_before_propagating(self, monkeypatch):
+        geom, sp = make_geom(), make_tangents("single-photon")
+        c_jj, inv_q = junction_capacitance(geom.junction), predict_inv_q(geom, sp)
+        monkeypatch.setattr(qubit, "propagate_joint", None)  # a call would raise TypeError
+        for solve in (lambda: three_way_budget(geom, sp, UValue(1e9), c_jj),
+                      lambda: solve_barrier_tangent(UValue(1e9), inv_q, c_jj, geom.c_shunt)):
+            with pytest.raises(DegenerateSystemError, match=f"^{BARRIER_RULE}$"):
+                solve()
 
     def test_three_way_budget_sums_to_100(self):
         geom = make_geom()

@@ -147,8 +147,9 @@ class TestFit:
 
     @pytest.mark.parametrize("f0", [0.0, -5e9, math.nan])
     def test_nonpositive_f0_rejected(self, f0):
-        with pytest.raises(InvalidInputError, match="f0"):
+        with pytest.raises(InvalidInputError, match="f0") as info:
             fit_tls(grid_points(TRUE), f0=f0)
+        assert info.value.arg == "f0"
         with pytest.raises(InvalidInputError, match="f0"):
             TlsParams(UValue(1e6), f0=f0)
 

@@ -312,8 +312,17 @@ class TestFit:
     def test_unusable_start_or_bounds_rejected(self, field, value):
         comps, spec, bg = self.make_spectrum()
         comps[0] = replace(comps[0], **{field: value})
-        with pytest.raises(InvalidInputError, match="bounds"):
+        with pytest.raises(InvalidInputError, match="^Al0: .*bounds") as info:
             fit_components(spec, bg, comps)
+        assert info.value.arg == 0  # the template's index in the model
+
+    def test_center_window_that_rounds_away_names_its_template(self):
+        # c +- 1e-300 rounds to c, so the centre's bounds are not ordered
+        comps, spec, bg = self.make_spectrum()
+        comps[1] = replace(comps[1], center_window=1e-300)
+        with pytest.raises(InvalidInputError, match=r"^Al3\+: .*bounds") as info:
+            fit_components(spec, bg, comps)
+        assert info.value.arg == 1
 
     @pytest.mark.parametrize("malformed, message", [
         (lambda comps, bg: ([], bg), "model needs >= 1 component"),
