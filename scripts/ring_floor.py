@@ -13,20 +13,19 @@ TLS and XPS nfev/njev, counted by wrapping ``least_squares`` as bound in ``qlb.t
 """
 
 import json
-import os
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
+from importlib.util import module_from_spec, spec_from_file_location
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
+AB = module_from_spec(spec_from_file_location("ab", Path(__file__).with_name("ab.py")))
+AB.__spec__.loader.exec_module(AB)  # the A/B machinery, loaded off sys.path
 SEEDS = (1, 11)
 ROUNDS = 3
 PASSES = 6
-CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import ring_floor; " \
-        "ring_floor.child(*sys.argv[2:])"
+CHILD = AB.child_command("ring_floor")
 
 
 def child(ring: str, out: str) -> None:
@@ -58,7 +57,7 @@ def child(ring: str, out: str) -> None:
     tls.least_squares, xps.least_squares = counted(tls), counted(xps)
     chips = json.loads(Path(ring).read_text())
     passes, solves = [], []
-    for n in range(PASSES):
+    for _ in range(PASSES):
         passes.append([])
         for chip in chips:
             op.clear()
@@ -69,12 +68,10 @@ def child(ring: str, out: str) -> None:
             t2 = time.perf_counter()
             pipeline.emit(report, chip["out"])
             t3 = time.perf_counter()
-            chip_solves = op.pop("solves", [])
-            if n == 0:
-                solves.append(chip_solves)
+            solves.append(op.pop("solves", []))
             passes[-1].append({"operation": (t3 - t0) * 1e3, "load_config": (t1 - t0) * 1e3,
                                **op, "emit": (t3 - t2) * 1e3})
-    Path(out).write_text(json.dumps({"passes": passes, "solves": solves}))
+    Path(out).write_text(json.dumps({"passes": passes, "solves": solves[:len(chips)]}))
 
 
 def floor(passes: list) -> dict:
@@ -103,11 +100,8 @@ def run_ring(trees: tuple, make_inputs, seed: int, tmp: Path) -> bool:
     floors, solves = ([[] for _ in trees] for _ in range(2))
     for r in range(ROUNDS):
         for k in (0, 1) if r % 2 == 0 else (1, 0):
-            out = tmp / f"out-{seed}-{r}-{k}.json"
-            subprocess.run([sys.executable, "-c", CHILD, str(HERE), str(ring), str(out)],
-                           env={**os.environ, "PYTHONPATH": str(trees[k] / "src"),
-                                "PYTHONDONTWRITEBYTECODE": "1"}, check=True)
-            result = json.loads(out.read_text())
+            with AB.children(CHILD, trees[k:k + 1], ring) as (out,):
+                result = json.loads(out.read_text())
             floors[k].append(floor(result["passes"]))
             solves[k].append(result["solves"])
     print(f"seed-{seed} ring, {len(req['ring'])} chips: mean over chips of the fastest of "
@@ -135,6 +129,4 @@ def main(parent: str, change: str) -> int:
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(main(*sys.argv[1:]) if len(sys.argv) == 3 else __doc__)

@@ -4,41 +4,31 @@
 
 Cases, on PARENT's bundled config (``src/qlb/data/paper_defaults.yaml``): every numeric
 leaf set to each of ``NUMBERS``, and every node (leaf, list or mapping) dropped and set
-to each value of ``PALETTE``.  One child process per tree, with that tree's ``src`` on
-its path, runs ``qlb.cli.main([... "report"])`` in-process on each case's config, written
-beside a copy of the bundled data, and records the exit code and stderr (temporary
-directory masked); an exception that escapes ``main`` is exit 1.  Prints each tree's
-exit-code histogram and its exit-2 cases whose error names no config key (any error but
-a ConfigurationError, which names one), then the cases whose exit code or stderr differs
-between the trees.  Exits 1 when an exit code differs.
+to each value of ``PALETTE``.  Each tree runs ``qlb report`` on each case's config,
+beside a copy of the bundled data, in one child process (``ab.run_cases``).  Prints the
+cases whose exit code, stderr or report differ, at most 5 leaves each, and each tree's
+exit-code histogram and exit-2 cases whose error names no config key (any error but a
+ConfigurationError, which names one).  Exits 1 on any difference.
 """
 
-import contextlib
 import copy
-import io
 import json
 import math
-import os
-import shutil
-import subprocess
 import sys
-import tempfile
-import warnings
-from collections import Counter
 from functools import reduce
+from importlib.util import module_from_spec, spec_from_file_location
 from operator import getitem
 from pathlib import Path
 
 import yaml
 
-HERE = Path(__file__).resolve().parent
-CONFIG = "paper_defaults.yaml"
+AB = module_from_spec(spec_from_file_location("ab", Path(__file__).with_name("ab.py")))
+AB.__spec__.loader.exec_module(AB)  # the A/B machinery, loaded off sys.path
 NUMBERS = (0, -1, 1e-300, 1e300)
 PALETTE = (None, "x", [], {}, True, math.nan, math.inf)
 DROP = "<drop>"
 KEYED = "error [ConfigurationError]: "
-CHILD = "import sys; sys.path.insert(0, sys.argv[1]); import sweep_config; " \
-        "sweep_config.child(*sys.argv[2:])"
+CHILD = AB.child_command("sweep_config")
 
 
 def node_paths(node, prefix=()):
@@ -73,64 +63,22 @@ def cases(config: Path):
 
 
 def child(data: str, out: str) -> None:
-    """Run every case through ``qlb.cli.main`` in this process, one JSON line each to
-    ``out``: case, exit code and stderr."""
-    from qlb import cli
-
-    warnings.simplefilter("always")  # every case prints its own warnings
-    with tempfile.TemporaryDirectory() as tmp, open(out, "w") as sink:
-        work = Path(tmp) / "data"
-        shutil.copytree(data, work)
-        argv = ["--config", str(work / CONFIG), "--out", f"{tmp}/out", "report"]
-        for case, _, tree in cases(Path(data) / CONFIG):
-            (work / CONFIG).write_text(yaml.safe_dump(tree))
-            stderr = io.StringIO()
-            with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-                try:
-                    code = cli.main(argv)
-                except Exception as exc:  # a process would print a traceback and exit 1
-                    code = 1
-                    print(f"uncaught {type(exc).__name__}: {exc}", file=sys.stderr)
-            run = {"case": case, "exit": code, "stderr": stderr.getvalue()}
-            sink.write(json.dumps(run).replace(tmp, "<tmp>") + "\n")
+    """``ab.run_cases`` on every case, its config written out."""
+    AB.run_cases(data, out, ((case, AB.CONFIG, yaml.safe_dump(tree))
+                             for case, _, tree in cases(Path(data) / AB.CONFIG)))
 
 
-def last_line(stderr: str) -> str:
-    return (stderr.strip().splitlines() or [""])[-1]
+def compare(trees, outs) -> int:
+    """``ab.compare``, listing each tree's exit-2 cases whose error names no key."""
+    return AB.compare(trees, outs, lambda run: run["exit"] == 2 and KEYED not in run["stderr"],
+                      "exit-2 cases name no key")
 
 
 def main(parent: str, change: str) -> int:
     trees = (Path(parent).resolve(), Path(change).resolve())
-    with tempfile.TemporaryDirectory() as tmp:
-        outs = [Path(tmp) / f"tree{k}.jsonl" for k in range(2)]
-        children = [subprocess.Popen(
-            [sys.executable, "-c", CHILD, str(HERE), str(trees[0] / "src" / "qlb" / "data"),
-             str(out)],
-            env={**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"})
-            for tree, out in zip(trees, outs)]
-        if any([c.wait() for c in children]):
-            sys.exit("a child process failed")
-        runs = [list(map(json.loads, out.read_text().splitlines())) for out in outs]
-    for tree, tree_runs in zip(trees, runs):
-        histogram = Counter(run["exit"] for run in tree_runs)
-        unkeyed = [run for run in tree_runs if run["exit"] == 2 and KEYED not in run["stderr"]]
-        print(f"{tree}: {len(tree_runs)} cases, exit codes "
-              + ", ".join(f"{code}: {n}" for code, n in sorted(histogram.items()))
-              + f"; {len(unkeyed)} exit-2 cases name no key")
-        for run in unkeyed:
-            print(f"  {run['case']}: {last_line(run['stderr'])}")
-    differing = exits = 0
-    for before, after in zip(*runs):
-        if (before["exit"], before["stderr"]) != (after["exit"], after["stderr"]):
-            differing += 1
-            exits += before["exit"] != after["exit"]
-            print(f"{before['case']}: exit {before['exit']} -> {after['exit']}: "
-                  f"{last_line(before['stderr'])!r} -> {last_line(after['stderr'])!r}")
-    print(f"{differing} cases differ, {exits} in exit code")
-    return int(exits > 0)
+    with AB.children(CHILD, trees, trees[0] / "src" / "qlb" / "data") as outs:
+        return compare(trees, outs)
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
-    sys.exit(main(*sys.argv[1:]))
+    sys.exit(main(*sys.argv[1:]) if len(sys.argv) == 3 else __doc__)

@@ -55,6 +55,7 @@ CARBON_MONOLAYER_AT_PCT = 7.6
 CARBON_MONOLAYER_NM = 0.5
 
 CHANNELS = ("alox", "hydrocarbon", "ms_sa")
+ALOX_NEGATIVE = "oxide tangent has a negative central value"
 MS_SA_NEGATIVE = "MS+SA remainder has a negative central value"
 HC_NEGATIVE = "hydrocarbon tangent has a negative central value"
 
@@ -270,6 +271,6 @@ def solve_budget(
         tan_hc=tan_hc,
         fractions=fractions,
         renormalization=renorm,
-        warnings=tuple(msg for msg, v in ((MS_SA_NEGATIVE, ms_sa), (HC_NEGATIVE, tan_hc))
-                       if v.value < 0),
+        warnings=tuple(msg for msg, v in ((ALOX_NEGATIVE, tan_alox), (MS_SA_NEGATIVE, ms_sa),
+                                          (HC_NEGATIVE, tan_hc)) if v.value < 0),
     )

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration error, 3 dataset error,
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -74,5 +75,14 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> int:
+    """The process entry point: ``main`` after freezing the heap that the imports built,
+    so that the interpreter's exit does not finalize scipy's import graph object by
+    object.  Objects made later are still collected; ``main`` itself freezes nothing,
+    since in-process callers would keep their garbage forever."""
+    gc.freeze()
+    return main()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

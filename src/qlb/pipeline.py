@@ -392,8 +392,9 @@ def _stage_budget(config: AnalysisConfig, warnings_out: list) -> dict:
     if hf_n1 is not None and hf90_n1 is not None:
         alox_n1, ms_sa_n1 = budget_mod.solve_hf_pair(hf_n1, hf90_n1, inputs["t_hf"],
                                                      inputs["t_hf90"], cfg)
-        if ms_sa_n1.value < 0:
-            warnings_out.append(f"budget[n=1]: {budget_mod.MS_SA_NEGATIVE}")
+        warnings_out.extend(f"budget[n=1]: {msg}" for msg, v in (
+            (budget_mod.ALOX_NEGATIVE, alox_n1), (budget_mod.MS_SA_NEGATIVE, ms_sa_n1))
+            if v.value < 0)
         entry["single_photon"] = {"tan_alox": _uv(alox_n1), "tan_ms_sa": _uv(ms_sa_n1)}
     return entry
 

@@ -163,6 +163,13 @@ class TestSolverGuards:
         assert result.tan_ms_sa.value < 0
         assert result.warnings == ("MS+SA remainder has a negative central value",)
 
+    def test_budget_warns_on_a_negative_oxide_tangent(self):
+        # an HF-90 tangent below the HF tangent solves to a negative oxide tangent
+        result = solve_budget(UValue(1.77e-3), UValue(-1e-3), UValue(3.19e-3),
+                              UValue(1.9), UValue(3.1), UValue(2.7), UValue(0.5), CFG)
+        assert result.tan_alox.value < 0
+        assert result.warnings == ("oxide tangent has a negative central value",)
+
     def test_participation_validation(self):
         with pytest.raises(InvalidInputError):
             ParticipationConfig(r_ma=UValue(-0.1), r_sa=UValue(1.0))

@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import random
@@ -199,6 +200,18 @@ class TestStages:
         assert frag["warnings"] == [
             "budget[n=1]: MS+SA remainder has a negative central value"]
 
+    def test_negative_oxide_tangent_warns_at_either_photon_number(self, tmp_path):
+        def below_hf(raw):
+            raw["treatments"]["hf_90_days"].update(tan_delta={"value": -1e-3},
+                                                   tan_delta_n1={"value": 1e-4})
+        frag = run_stage("budget", load_config(write_config(tmp_path, below_hf)))
+        budget = frag["stages"]["budget"]
+        assert budget["tan_alox"]["value"] < 0
+        assert budget["single_photon"]["tan_alox"]["value"] < 0
+        assert [w for w in frag["warnings"] if "oxide" in w] == [
+            "budget: oxide tangent has a negative central value",
+            "budget[n=1]: oxide tangent has a negative central value"]
+
     def test_tls_fit_at_a_bound_warns(self, tmp_path):
         # a q_other of 1e11 against a Q_TLS0 of 1.2e6 is unresolved at 1 % noise:
         # on this draw the fit runs to the 1e14 bound of q_other
@@ -306,6 +319,18 @@ class TestCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["skipped"] == []
         assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_run_freezes_the_heap_once_then_returns_mains_code(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+        assert cli.run() == 3
+        assert calls == ["freeze", "main"]
+
+    def test_main_freezes_nothing(self, tmp_path, capsys):
+        frozen = gc.get_freeze_count()
+        assert cli.main(["--out", str(tmp_path / "out"), "report"]) == 0
+        assert gc.get_freeze_count() == frozen
 
     def test_single_stage(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

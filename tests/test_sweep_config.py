@@ -54,3 +54,25 @@ def test_child_records_exit_code_and_stderr(sweep_config, monkeypatch, tmp_path)
     for case, key in (("tls.f0_hz=0", "tls.f0_hz"),
                       ("qubit.junction.eps_r=NaN", "qubit.junction.eps_r")):
         assert runs[case]["stderr"].startswith(f"{sweep_config.KEYED}{key}: "), case
+
+
+def test_compare_prints_a_changed_report_leaf_and_exits_1(sweep_config, tmp_path, capsys):
+    kept = {"case": "tls.f0_hz=1e300", "exit": 0, "stderr": "",
+            "report": {"stages": {"budget": {"tan_alox": {"value": 0.01}}}}}
+    changed = {**kept, "report": {"stages": {"budget": {"tan_alox": {"value": 0.02}}}}}
+    unkeyed = {"case": "participation.t0=1e300", "exit": 2, "report": None,
+               "stderr": "error [DegenerateSystemError]: propagated variance is not finite\n"}
+    files = [tmp_path / "parent.jsonl", tmp_path / "change.jsonl"]
+    for path, first in zip(files, (kept, changed)):
+        path.write_text("".join(json.dumps(run) + "\n" for run in (first, unkeyed)))
+    trees = ("parent", "change")
+    assert sweep_config.compare(trees, files) == 1
+    listed = ["exit codes 0: 1, 2: 1; 1 exit-2 cases name no key",
+              "  participation.t0=1e300: error [DegenerateSystemError]: propagated variance "
+              "is not finite"]
+    assert capsys.readouterr().out.splitlines() == [
+        "tls.f0_hz=1e300: report.stages.budget.tan_alox.value: 0.5: 0.01 -> 0.02",
+        f"parent: 2 cases, {listed[0]}", listed[1], f"change: 2 cases, {listed[0]}", listed[1],
+        "1 cases differ"]
+    assert sweep_config.compare(trees, files[:1] * 2) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "0 cases differ"
